@@ -72,53 +72,83 @@ bool ChainVisits(const LogicalSchema& lg, const PhysicalTable& t, AttrId a, Enti
   return false;
 }
 
-/// (rid, row) of every live tuple in `table` whose `col` SqlEquals `v`.
-/// Takes the table's content latch shared for the scan only; callers mutate
-/// the collected rids afterwards (the router's write mutex serializes whole
-/// statements, so the set cannot change in between).
-Result<std::vector<std::pair<Rid, Row>>> MatchRows(Database* db, const std::string& table,
-                                                   size_t col, const Value& v) {
-  PSE_ASSIGN_OR_RETURN(TableInfo * info, db->GetTable(table));
+/// Column whose B+ tree finds the rows of `t` holding a value in column
+/// `col`: `col` itself (anchor key, FK columns), except for a parent key
+/// embedded in a combined fragment. That key has no index, but it always
+/// holds the value of the chain FK that references its parent, or NULL, so
+/// the FK's index finds a superset of its rows (DESIGN.md §19 "Row
+/// location").
+size_t ProbeColOf(const LogicalSchema& lg, const PhysicalTable& t, size_t col) {
+  const LogicalAttribute& attr = lg.attr(AttrAtCol(lg, t, col));
+  if (attr.is_key && attr.entity != t.anchor) {
+    auto fk = FkColInto(lg, t, attr.entity);
+    if (fk.ok()) return *fk;
+  }
+  return col;
+}
+
+/// Calls `fn(rid, row)` on every live row of `info` whose `col` SqlEquals
+/// `v`, in heap order, until `fn` returns false. Candidates come from the B+
+/// tree on `probe_col` when there is one and `v` is a BIGINT: the tree
+/// orders equal keys by packed rid, and the heap only appends (page ids and
+/// slots only grow), so rid order is heap order and the answer is the one a
+/// heap scan gives. Otherwise the heap is scanned. Callers hold the table's
+/// content latch shared.
+template <typename Fn>
+Status ForEachMatch(const TableInfo& info, size_t col, size_t probe_col, const Value& v,
+                    Fn&& fn) {
+  auto equal = [&](const Row& row) { return col < row.size() && row[col].SqlEquals(v); };
+  const IndexInfo* index = info.FindIndex(info.schema->column(probe_col).name);
+  if (index == nullptr || v.is_null() || v.type() != TypeId::kInt64) {
+    for (auto it = info.heap->Begin(); !it.AtEnd();) {
+      if (equal(it.row()) && !fn(it.rid(), it.row())) return Status::OK();
+      PSE_RETURN_NOT_OK(it.Next());
+    }
+    return Status::OK();
+  }
+  std::vector<Rid> rids;
+  PSE_RETURN_NOT_OK(index->tree->ScanEqual(v.AsInt(), &rids));
+  Row row;
+  for (const Rid& rid : rids) {
+    PSE_RETURN_NOT_OK(info.heap->Get(rid, &row));
+    if (equal(row) && !fn(rid, row)) return Status::OK();
+  }
+  return Status::OK();
+}
+
+/// (rid, row) of every live row of fragment `t` whose `col` SqlEquals `v`.
+/// Takes the table's content latch shared for the lookup only; callers
+/// mutate the collected rids afterwards (the router's write mutex serializes
+/// whole statements, so the set cannot change in between).
+Result<std::vector<std::pair<Rid, Row>>> MatchRows(Database* db, const LogicalSchema& lg,
+                                                   const PhysicalTable& t, size_t col,
+                                                   const Value& v) {
+  PSE_ASSIGN_OR_RETURN(TableInfo * info, db->GetTable(t.name));
   std::vector<std::pair<Rid, Row>> out;
   std::shared_lock<SharedMutex> latch(info->latch);
-  for (auto it = info->heap->Begin(); !it.AtEnd();) {
-    if (col < it.row().size() && it.row()[col].SqlEquals(v)) out.emplace_back(it.rid(), it.row());
-    PSE_RETURN_NOT_OK(it.Next());
-  }
+  auto collect = [&](const Rid& rid, const Row& row) {
+    out.emplace_back(rid, row);
+    return true;
+  };
+  PSE_RETURN_NOT_OK(ForEachMatch(*info, col, ProbeColOf(lg, t, col), v, collect));
   return out;
 }
 
-/// First row whose `col` SqlEquals `v` and (when `want_col` is set) whose
-/// `*want_col` is non-NULL; values only. The vectorized flavour pulls rows
-/// through the batched page decode (one pin per page) instead of one pin per
-/// tuple — the lookup-side counterpart of the vectorized scan.
-Result<std::optional<Row>> FindFirst(Database* db, const std::string& table, size_t col,
-                                     const Value& v, std::optional<size_t> want_col,
-                                     bool vectorized) {
-  PSE_ASSIGN_OR_RETURN(TableInfo * info, db->GetTable(table));
+/// First row (in heap order) of fragment `t` whose `col` SqlEquals `v` and
+/// (when `want_col` is set) whose `*want_col` is non-NULL; values only.
+Result<std::optional<Row>> FindFirst(Database* db, const LogicalSchema& lg,
+                                     const PhysicalTable& t, size_t col, const Value& v,
+                                     std::optional<size_t> want_col) {
+  PSE_ASSIGN_OR_RETURN(TableInfo * info, db->GetTable(t.name));
+  std::optional<Row> out;
   std::shared_lock<SharedMutex> latch(info->latch);
-  auto hit = [&](const Row& row) {
-    if (col >= row.size() || !row[col].SqlEquals(v)) return false;
-    return !want_col || (*want_col < row.size() && !row[*want_col].is_null());
+  auto take_first = [&](const Rid&, const Row& row) {
+    if (want_col && (*want_col >= row.size() || row[*want_col].is_null())) return true;
+    out = row;
+    return false;
   };
-  if (vectorized) {
-    auto it = info->heap->Begin();
-    std::vector<Row> batch;
-    while (!it.AtEnd()) {
-      batch.clear();
-      PSE_ASSIGN_OR_RETURN(size_t n, it.FillBatch(256, &batch));
-      if (n == 0) break;
-      for (Row& row : batch) {
-        if (hit(row)) return std::optional<Row>(std::move(row));
-      }
-    }
-    return std::optional<Row>();
-  }
-  for (auto it = info->heap->Begin(); !it.AtEnd();) {
-    if (hit(it.row())) return std::optional<Row>(it.row());
-    PSE_RETURN_NOT_OK(it.Next());
-  }
-  return std::optional<Row>();
+  PSE_RETURN_NOT_OK(ForEachMatch(*info, col, ProbeColOf(lg, t, col), v, take_first));
+  return out;
 }
 
 /// Everything a ladder lookup needs. `schema` is the ground-truth layout the
@@ -129,7 +159,6 @@ struct ResolveCtx {
   const PhysicalSchema* schema = nullptr;
   const ProvenanceStore* prov = nullptr;
   const std::map<AttrId, Value>* provided = nullptr;  ///< statement values
-  bool vectorized = false;
 };
 
 Result<Value> ResolveEntityAttr(const ResolveCtx& ctx, EntityId e, const Value& key, AttrId a);
@@ -145,7 +174,7 @@ Result<bool> EntityRowExists(const ResolveCtx& ctx, EntityId e, const Value& key
   for (const PhysicalTable& t : ctx.schema->tables()) {
     if (!t.Contains(key_attr)) continue;
     PSE_ASSIGN_OR_RETURN(size_t kc, ColOf(lg, t, key_attr));
-    PSE_ASSIGN_OR_RETURN(auto row, FindFirst(ctx.db, t.name, kc, key, std::nullopt, ctx.vectorized));
+    PSE_ASSIGN_OR_RETURN(auto row, FindFirst(ctx.db, lg, t, kc, key, std::nullopt));
     if (row.has_value()) return true;
   }
   if (ctx.prov && key.type() == TypeId::kInt64 && ctx.prov->Has(e, key.AsInt())) return true;
@@ -171,9 +200,8 @@ Result<Value> ResolveEntityAttr(const ResolveCtx& ctx, EntityId e, const Value& 
     // Anchored fragment: the keyed row. Denormalized: any sibling row that
     // references the same entity row (keyed on the entity's key column, so
     // dangling rows never contribute) and has the value.
-    PSE_ASSIGN_OR_RETURN(auto row, FindFirst(ctx.db, t.name, kc, key,
-                                             t.anchor == e ? std::nullopt : std::optional<size_t>(ac),
-                                             ctx.vectorized));
+    std::optional<size_t> want = t.anchor == e ? std::nullopt : std::optional<size_t>(ac);
+    PSE_ASSIGN_OR_RETURN(auto row, FindFirst(ctx.db, lg, t, kc, key, want));
     if (row.has_value()) return (*row)[ac];
   }
   if (ctx.prov && key.type() == TypeId::kInt64) {
@@ -653,8 +681,7 @@ Status DmlRouter::BackfillProvenance() {
   return Status::OK();
 }
 
-Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
-                          const DmlExecOptions& opts) {
+Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current) {
   PSE_LOCKDEP_SCOPE("DmlRouter::Execute");
   // Rewriting is pure; only the applies need the statement-scope mutex.
   // BindError (unservable on the live schema) surfaces before any lock so
@@ -664,7 +691,7 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
   std::lock_guard<Mutex> lock(write_mu_);
   std::map<AttrId, Value> provided;
   for (size_t i = 0; i < dml.set_attrs.size(); ++i) provided[dml.set_attrs[i]] = dml.set_values[i];
-  ResolveCtx ctx{db_, &current, provenance_, &provided, opts.vectorized};
+  ResolveCtx ctx{db_, &current, provenance_, &provided};
 
   // Entity-level statement guards: UPDATE/DELETE of a row that does not
   // exist is a no-op; INSERT of an existing key is ignored (idempotent under
@@ -722,13 +749,12 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
     }
   }
 
-  PSE_RETURN_NOT_OK(ApplyBound(bound, current, current, parent_exists, opts,
-                               /*dest_mode=*/false));
+  PSE_RETURN_NOT_OK(ApplyBound(bound, current, current, parent_exists, /*dest_mode=*/false));
   if (after_ != nullptr) {
     // Always-dual-apply: the statement lands on the post-op layout too,
     // restricted to the journal targets (shared tables already got it).
     PSE_ASSIGN_OR_RETURN(BoundDml bound_after, RewriteDml(dml, *after_));
-    PSE_RETURN_NOT_OK(ApplyBound(bound_after, *after_, current, parent_exists, opts,
+    PSE_RETURN_NOT_OK(ApplyBound(bound_after, *after_, current, parent_exists,
                                  /*dest_mode=*/true));
     ++stats_.dual_applied;
   }
@@ -741,8 +767,7 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
 
 Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema,
                              const PhysicalSchema& truth,
-                             const std::map<EntityId, bool>& parent_exists,
-                             const DmlExecOptions& opts, bool dest_mode) {
+                             const std::map<EntityId, bool>& parent_exists, bool dest_mode) {
   const LogicalSchema& lg = *schema.logical();
   std::map<AttrId, Value> provided;
   for (size_t i = 0; i < bound.dml.set_attrs.size(); ++i) {
@@ -766,7 +791,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
   // The ladder always reads the *current* schema's data (`truth`) — during
   // dual-apply the source side stays authoritative until the operator
   // publishes, so dest writes resolve against it, not the post-op layout.
-  ResolveCtx ctx{db_, &truth, provenance_, &provided, opts.vectorized};
+  ResolveCtx ctx{db_, &truth, provenance_, &provided};
 
   MigrationJournal* j = db_->mutable_migration_journal();
   auto bump_dest = [&](TargetState* ts, int64_t delta) {
@@ -774,6 +799,25 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
     uint64_t& n = j->targets[ts->journal_idx].dest_rows;
     n = delta >= 0 ? n + static_cast<uint64_t>(delta)
                    : n - std::min(n, static_cast<uint64_t>(-delta));
+  };
+
+  // Provenance rows the combine lens class calls for: before a write
+  // destroys a row's copy of another entity's value (a DELETE, or an FK
+  // update re-pointing the row at another parent), the value is recorded
+  // under that entity's key, since the row may have been its last storage.
+  auto snapshot = [&](const PhysicalTable& frag, EntityId self, const Row& row, size_t c) {
+    AttrId a = AttrAtCol(lg, frag, c);
+    const LogicalAttribute& attr = lg.attr(a);
+    if (attr.entity == self || attr.is_key) return;
+    auto kc = ColOf(lg, frag, lg.entity(attr.entity).key);
+    if (!kc.ok() || *kc >= row.size()) return;
+    const Value& pk = row[*kc];
+    if (pk.is_null() || pk.type() != TypeId::kInt64) return;
+    provenance_->EnsureRow(attr.entity, pk.AsInt());
+    if (!row[c].is_null()) {
+      provenance_->Put(attr.entity, pk.AsInt(), a, row[c]);
+      ++stats_.provenance_rows;
+    }
   };
 
   // Per-entity memo of (chain key, merge decision) so the merge writes of
@@ -864,7 +908,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
         } else {
           // Dangling repair: rows that referenced this key before the row
           // existed get its key column and values filled in.
-          PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, w.table, w.match_col, match));
+          PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, lg, frag, w.match_col, match));
           for (auto& [rid, row] : rows) {
             AttrId key_attr = lg.entity(w.entity).key;
             Row next = row;
@@ -932,10 +976,12 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
             values.push_back(v);
           }
         }
-        PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, w.table, w.match_col, match));
+        PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, lg, frag, w.match_col, match));
         for (auto& [rid, row] : rows) {
           Row next = row;
           for (size_t i = 0; i < cols.size(); ++i) {
+            // Refreshed columns (past w.cols) held the old parent's values.
+            if (!dest_mode && i >= w.cols.size()) snapshot(frag, w.entity, row, cols[i]);
             PSE_ASSIGN_OR_RETURN(next[cols[i]], CastForColumn(values[i], frag_schema.column(cols[i])));
           }
           PSE_RETURN_NOT_OK(db_->Update(w.table, rid, next).status());
@@ -956,25 +1002,10 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
       }
 
       case FragmentWriteOp::kKeyedDelete: {
-        PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, w.table, w.match_col, match));
+        PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, lg, frag, w.match_col, match));
         for (auto& [rid, row] : rows) {
           if (!dest_mode) {
-            // Snapshot parent values this row is the storage of — the
-            // provenance rows the combine lens class calls for.
-            for (size_t c = 0; c < frag.attrs.size(); ++c) {
-              AttrId a = AttrAtCol(lg, frag, c);
-              const LogicalAttribute& attr = lg.attr(a);
-              if (attr.entity == w.entity || attr.is_key) continue;
-              auto kc = ColOf(lg, frag, lg.entity(attr.entity).key);
-              if (!kc.ok() || (*kc) >= row.size()) continue;
-              const Value& pk = row[*kc];
-              if (pk.is_null() || pk.type() != TypeId::kInt64) continue;
-              provenance_->EnsureRow(attr.entity, pk.AsInt());
-              if (!row[c].is_null()) {
-                provenance_->Put(attr.entity, pk.AsInt(), a, row[c]);
-                ++stats_.provenance_rows;
-              }
-            }
+            for (size_t c = 0; c < frag.attrs.size(); ++c) snapshot(frag, w.entity, row, c);
           }
           PSE_RETURN_NOT_OK(db_->Delete(w.table, rid));
           ++stats_.fragment_writes;
@@ -986,7 +1017,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
       }
 
       case FragmentWriteOp::kFanClear: {
-        PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, w.table, w.match_col, match));
+        PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, lg, frag, w.match_col, match));
         for (auto& [rid, row] : rows) {
           Row next = row;
           for (size_t i = 0; i < w.cols.size(); ++i) next[w.cols[i]] = w.values[i];
@@ -1114,7 +1145,7 @@ Result<bool> SqlDmlBridge::OnInsert(const InsertStmt& stmt, uint64_t* affected) 
       return Status::InvalidArgument("INSERT into version table '" + vt->name +
                                      "' must provide the key column '" + key_name + "'");
     }
-    PSE_RETURN_NOT_OK(router_->Execute(dml, *schema, opts_));
+    PSE_RETURN_NOT_OK(router_->Execute(dml, *schema));
     ++done;
   }
   *affected = done;
@@ -1161,7 +1192,7 @@ Result<bool> SqlDmlBridge::OnUpdate(const UpdateStmt& stmt, uint64_t* affected) 
                                      vt->name + "'");
     }
   }
-  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema, opts_));
+  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema));
   *affected = 1;
   return true;
 }
@@ -1180,7 +1211,7 @@ Result<bool> SqlDmlBridge::OnDelete(const DeleteStmt& stmt, uint64_t* affected) 
   dml.kind = DmlKind::kDelete;
   dml.table = *vt;
   PSE_ASSIGN_OR_RETURN(dml.key, LiftKeyEq(stmt.where.get(), key_name, vt->name));
-  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema, opts_));
+  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema));
   *affected = 1;
   return true;
 }

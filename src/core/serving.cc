@@ -114,9 +114,7 @@ Result<ServeMetrics> ServeDuringMigration(Database* db, ServingSchema* serving,
         // canonical ascending order.
         std::shared_lock<SharedMutex> schema_lock(db->schema_latch());
         std::shared_ptr<const PhysicalSchema> schema = serving->Get();
-        DmlExecOptions dml_opts;
-        dml_opts.vectorized = exec_options.vectorized;
-        Status s = options.router->Execute(dml, *schema, dml_opts);
+        Status s = options.router->Execute(dml, *schema);
         if (!s.ok()) {
           if (s.IsBindError()) {
             // A planned write-unsafe window (writability cell kUnservable):

@@ -252,9 +252,7 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
         // discipline, per shard.
         std::shared_lock<SharedMutex> schema_lock(shard->db()->schema_latch());
         std::shared_ptr<const PhysicalSchema> schema = shard->serving()->Get();
-        DmlExecOptions dml_options;
-        dml_options.vectorized = exec_options.vectorized;
-        Status status = shard->router()->Execute(dml, *schema, dml_options);
+        Status status = shard->router()->Execute(dml, *schema);
         if (!status.ok()) {
           if (status.IsBindError()) {
             ++r.unservable;

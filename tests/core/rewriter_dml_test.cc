@@ -1,24 +1,34 @@
 // Write rewriter tests: RewriteDml plan shapes, servability agreement with
 // the static writability analyzer, ProvenanceStore semantics, the SQL
-// bridge, and the randomized static-schema oracle — every DML statement
+// bridge, the randomized static-schema oracles — every DML statement
 // executed through the DmlRouter is mirrored on an entity-level
 // LogicalDatabase, and the physical table states must equal a fresh
 // materialization of the mirror after every burst (the write-side analogue
-// of the rewriter's read invariant).
+// of the rewriter's read invariant), on the bookstore and on TPC-W tenants
+// along the fleet trajectory — and the page fetches of keyed statements,
+// which locate their rows through B+ tree probes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/writability.h"
 #include "common/rng.h"
 #include "core/logical_database.h"
 #include "core/rewriter_dml.h"
+#include "fleet/schedule.h"
 #include "sql/session.h"
 #include "tests/common/test_db_builder.h"
+#include "tpcw/datagen.h"
+#include "tpcw/queries.h"
+#include "tpcw/schema.h"
+#include "tpcw/workloads.h"
 
 namespace pse {
 namespace {
@@ -401,21 +411,218 @@ TEST_P(RewriteDmlOracle, RouterMatchesEntityLevelMirrorOnBothLayouts) {
     }
     ExpectStateMatchesMirror(&db, *mirror, *schema, "after the full workload");
     EXPECT_GT(applied, 0u);
-    // The vectorized lookup path answers the same ladder queries.
-    DmlExecOptions vec;
-    vec.vectorized = true;
-    const VersionTable* user = FindTable(old_tables, "user");
-    ASSERT_NE(user, nullptr);
-    LogicalDml ins;
-    ins.kind = DmlKind::kInsert;
-    ins.table = *user;
-    ins.key = 4040;
-    ins.set_attrs = {bs->u_name};
-    ins.set_values = {Value::Varchar("vec")};
-    ASSERT_TRUE(router.Execute(ins, *schema, vec).ok());
-    MirrorApply(mirror.get(), ins);
-    ExpectStateMatchesMirror(&db, *mirror, *schema, "after a vectorized insert");
   }
+}
+
+/// Every parent key a fragment of `schema` embeds (a combine stores the
+/// parent inside its children's rows) equals the chain FK that references
+/// that parent, or is NULL: the premise of finding embedded-key rows through
+/// that FK's index. Returns the number of non-NULL embedded keys seen.
+size_t ExpectEmbeddedKeysFollowTheirFks(Database* db, const PhysicalSchema& schema,
+                                        const std::string& where) {
+  const LogicalSchema& lg = *schema.logical();
+  size_t seen = 0;
+  for (size_t i = 0; i < schema.tables().size(); ++i) {
+    const PhysicalTable& t = schema.tables()[i];
+    const TableSchema ts = schema.ToTableSchema(i);
+    for (AttrId a : t.attrs) {
+      const LogicalAttribute& attr = lg.attr(a);
+      if (!attr.is_key || attr.entity == t.anchor) continue;
+      auto path = lg.FkPath(t.anchor, attr.entity);
+      if (!path.ok() || path->empty()) {
+        ADD_FAILURE() << where << ": no FK chain from " << t.name << " to " << attr.name;
+        continue;
+      }
+      auto key_col = ts.ColumnIndex(attr.name);
+      auto fk_col = ts.ColumnIndex(lg.attr(path->back()).name);
+      if (!key_col.ok() || !fk_col.ok()) {
+        ADD_FAILURE() << where << ": " << t.name << " lacks " << attr.name << " or its FK";
+        continue;
+      }
+      size_t differ = 0;
+      for (const Row& row : TableRows(db, t.name)) {
+        if (row[*key_col].is_null()) continue;
+        ++seen;
+        if (!row[*key_col].SqlEquals(row[*fk_col])) ++differ;
+      }
+      EXPECT_EQ(differ, 0u) << where << ": " << t.name << "." << attr.name
+                            << " differs from its FK " << lg.attr(path->back()).name;
+    }
+  }
+  return seen;
+}
+
+/// Rid of the row of fragment `table` whose anchor key (column 0) is `key`.
+std::optional<Rid> RidOfKey(Database* db, const std::string& table, int64_t key) {
+  auto info = db->GetTable(table);
+  if (!info.ok()) return std::nullopt;
+  for (auto it = (*info)->heap->Begin(); !it.AtEnd();) {
+    if (it.row()[0].SqlEquals(Value::Int(key))) return it.rid();
+    if (!it.Next().ok()) break;
+  }
+  return std::nullopt;
+}
+
+/// Deletes from `data` every row of a parent that `layout` stores only inside
+/// its children's rows (a combine) and that no child references: `layout`
+/// cannot hold such a row, so no physical state can match a mirror that
+/// keeps it. The TPC-W generator covers authors and orders, not countries.
+void TrimUncoveredParents(LogicalDatabase* data, const PhysicalSchema& layout) {
+  const LogicalSchema& lg = data->logical();
+  for (EntityId e = 0; e < lg.num_entities(); ++e) {
+    bool anchored = false;
+    for (const PhysicalTable& t : layout.tables()) anchored = anchored || t.anchor == e;
+    if (anchored) continue;
+    std::set<int64_t> referenced;
+    for (AttrId a = 0; a < lg.num_attributes(); ++a) {
+      if (lg.attr(a).references != e) continue;
+      const EntityId child = lg.attr(a).entity;
+      for (const Row& row : data->Rows(child)) {
+        auto v = data->AttrOfRow(child, row, a);
+        if (v.ok() && !v->is_null()) referenced.insert(v->AsInt());
+      }
+    }
+    std::vector<int64_t> uncovered;
+    for (const Row& row : data->Rows(e)) {
+      auto key = data->AttrOfRow(e, row, lg.entity(e).key);
+      if (key.ok() && referenced.count(key->AsInt()) == 0) uncovered.push_back(key->AsInt());
+    }
+    for (int64_t key : uncovered) EXPECT_TRUE(data->DeleteRow(e, key).ok());
+  }
+}
+
+TEST_P(RewriteDmlOracle, TpcwTrajectoryAtTenantScaleMatchesMirror) {
+  // The same oracle where fragments span many pages: TPC-W tenants at the
+  // benchmark's scale, in a pool far smaller than the data, on the layout
+  // of every step of the fleet trajectory. FKs crowd onto a few hot parents
+  // so that FK probes return many rids, long varchars relocate updated rows,
+  // and deleted keys come back.
+  std::unique_ptr<TpcwSchema> tpcw = BuildTpcwSchema();
+  const LogicalSchema& lg = tpcw->logical;
+  const TpcwScale scale{"300 items / 500 customers", 300, 500};
+  auto queries = BuildTpcwWorkload(*tpcw);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  const std::vector<std::vector<double>> phase_freqs = Fig9IrregularFrequencies();
+  const LogicalStats stats = GenerateTpcwData(*tpcw, scale, 1)->ComputeStats();
+  FleetScheduleInputs inputs;
+  inputs.queries = &*queries;
+  inputs.phase_freqs = &phase_freqs;
+  inputs.stats = &stats;
+  auto trajectory = PlanFleetSchedule(tpcw->source, tpcw->object, inputs);
+  ASSERT_TRUE(trajectory.ok()) << trajectory.status().ToString();
+
+  std::vector<VersionTable> tables = VersionTablesOf(tpcw->source);
+  for (VersionTable& t : VersionTablesOf(tpcw->object)) tables.push_back(std::move(t));
+  constexpr int64_t kNewKeys = 8;  // inserts use [generated, generated + kNewKeys)
+
+  uint64_t relocated = 0;
+  size_t embedded_keys = 0;
+  for (size_t step = 0; step <= trajectory->steps(); ++step) {
+    const PhysicalSchema& schema = trajectory->at(step);
+    SCOPED_TRACE("trajectory step " + std::to_string(step));
+    Rng rng(GetParam() * 131 + step);
+    auto mirror = GenerateTpcwData(*tpcw, scale, GetParam() + step);
+    std::vector<int64_t> generated(lg.num_entities());
+    for (EntityId e = 0; e < lg.num_entities(); ++e) {
+      generated[e] = static_cast<int64_t>(mirror->NumRows(e));
+    }
+    TrimUncoveredParents(mirror.get(), schema);
+    Database db(64);
+    ASSERT_TRUE(mirror->Materialize(&db, schema).ok());
+    DmlRouter router(&db);
+
+    auto random_value = [&](AttrId a) -> Value {
+      const LogicalAttribute& attr = lg.attr(a);
+      if (attr.references.has_value()) {
+        const int64_t parents = generated[*attr.references];
+        const double roll = rng.UniformDouble();
+        if (roll < 0.05) return Value::Null(TypeId::kInt64);
+        if (roll < 0.15) return Value::Int(parents + rng.UniformInt(0, kNewKeys - 1));
+        if (roll < 0.5) return Value::Int(rng.UniformInt(0, 2));  // hot parents
+        return Value::Int(rng.UniformInt(0, parents - 1));
+      }
+      switch (attr.type) {
+        case TypeId::kInt64:
+          return Value::Int(rng.UniformInt(0, 9999));
+        case TypeId::kDouble:
+          return Value::Double(static_cast<double>(rng.UniformInt(0, 9999)) / 4.0);
+        case TypeId::kVarchar:
+          // 300 characters outgrow any generated value: an update setting
+          // them no longer fits in place.
+          return Value::Varchar(rng.AlphaString(rng.Bernoulli(0.3) ? 300 : 4));
+        case TypeId::kBoolean:
+          return Value::Bool(rng.Bernoulli(0.5));
+      }
+      return Value::Null(attr.type);
+    };
+
+    std::vector<std::pair<EntityId, int64_t>> deleted;
+    for (int iter = 0; iter < 150; ++iter) {
+      const VersionTable* vt = &tables[rng.Index(tables.size())];
+      LogicalDml dml;
+      const double roll = rng.UniformDouble();
+      dml.kind = roll < 0.4    ? DmlKind::kInsert
+                 : roll < 0.75 ? DmlKind::kUpdate
+                               : DmlKind::kDelete;
+      if (dml.kind == DmlKind::kInsert && !deleted.empty() && rng.Bernoulli(0.4)) {
+        // Re-insert a deleted key, through any version table of its entity.
+        const size_t i = rng.Index(deleted.size());
+        const auto [entity, key] = deleted[i];
+        deleted.erase(deleted.begin() + static_cast<std::ptrdiff_t>(i));
+        std::vector<const VersionTable*> of_entity;
+        for (const VersionTable& t : tables) {
+          if (t.anchor == entity) of_entity.push_back(&t);
+        }
+        vt = of_entity[rng.Index(of_entity.size())];
+        dml.key = key;
+      } else if (dml.kind == DmlKind::kInsert || rng.Bernoulli(0.1)) {
+        dml.key = generated[vt->anchor] + rng.UniformInt(0, kNewKeys - 1);
+      } else {
+        dml.key = rng.UniformInt(0, generated[vt->anchor] - 1);
+      }
+      dml.table = *vt;
+      if (dml.kind != DmlKind::kDelete) {
+        for (AttrId a : vt->attrs) {
+          if (!rng.Bernoulli(dml.kind == DmlKind::kInsert ? 0.7 : 0.4)) continue;
+          dml.set_attrs.push_back(a);
+          dml.set_values.push_back(random_value(a));
+        }
+      }
+
+      // A long varchar assigned to a row of a fragment anchored at the
+      // statement's entity: note where the row lives to count relocations.
+      std::string grown_table;
+      std::optional<Rid> rid_before;
+      if (dml.kind == DmlKind::kUpdate) {
+        for (size_t i = 0; i < dml.set_attrs.size() && grown_table.empty(); ++i) {
+          if (dml.set_values[i].type() != TypeId::kVarchar ||
+              dml.set_values[i].AsString().size() < 300) {
+            continue;
+          }
+          auto placed = schema.TableOfNonKeyAttr(dml.set_attrs[i]);
+          if (!placed.ok() || schema.tables()[*placed].anchor != vt->anchor) continue;
+          grown_table = schema.tables()[*placed].name;
+          rid_before = RidOfKey(&db, grown_table, dml.key);
+        }
+      }
+
+      Status s = router.Execute(dml, schema);
+      if (s.IsBindError()) continue;  // unservable on this layout; the mirror skips it too
+      ASSERT_TRUE(s.ok()) << dml.ToString() << ": " << s.ToString();
+      MirrorApply(mirror.get(), dml);
+      if (dml.kind == DmlKind::kDelete) deleted.emplace_back(vt->anchor, dml.key);
+      if (rid_before.has_value()) {
+        std::optional<Rid> rid_after = RidOfKey(&db, grown_table, dml.key);
+        if (rid_after.has_value() && !(*rid_after == *rid_before)) ++relocated;
+      }
+    }
+    // One checkpoint per layout: comparing against the mirror costs as much
+    // as materializing it, far more than the statements themselves.
+    ExpectStateMatchesMirror(&db, *mirror, schema, "after the workload");
+    embedded_keys += ExpectEmbeddedKeysFollowTheirFks(&db, schema, "after the workload");
+  }
+  EXPECT_GT(relocated, 0u) << "no update relocated a row";
+  EXPECT_GT(embedded_keys, 0u) << "no layout embedded a parent key";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RewriteDmlOracle, ::testing::Values(1, 7, 21, 63));
@@ -495,6 +702,114 @@ TEST_F(SqlBridgeTest, NonKeyedWritesAreRejectedNotMisrouted) {
   EXPECT_FALSE(session_->Execute("UPDATE book SET b_id = 9 WHERE b_id = 1").ok());
   // Either operand order of the keyed predicate is accepted.
   EXPECT_TRUE(session_->Execute("UPDATE book SET b_title = 'y' WHERE 1 = b_id").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Row location: keyed statements probe B+ trees instead of scanning heaps
+// ---------------------------------------------------------------------------
+
+/// Buffer-pool page fetches (hits + misses) so far.
+uint64_t PageFetches(const Database& db) {
+  const BufferPoolStats& s = db.pool()->stats();
+  return s.hits.load() + s.misses.load();
+}
+
+/// Height of the tallest B+ tree of each table of `schema`.
+std::map<std::string, uint32_t> IndexHeights(Database* db, const PhysicalSchema& schema) {
+  std::map<std::string, uint32_t> out;
+  for (const PhysicalTable& t : schema.tables()) {
+    auto info = db->GetTable(t.name);
+    EXPECT_TRUE(info.ok()) << t.name;
+    if (!info.ok()) continue;
+    uint32_t& h = out[t.name];
+    for (const auto& idx : (*info)->indexes) h = std::max(h, idx->tree->height());
+  }
+  return out;
+}
+
+TEST(DmlRowLocation, PageFetchesPerKeyedStatementDoNotGrowWithTheTable) {
+  // TPC-W tenants at the benchmark's scale and at 4x. On both eras' layouts,
+  // an UPDATE, a DELETE and an INSERT of a new key on a customer, an order
+  // and an item must fetch no more pages at 4x than at 1x, except that every
+  // B+ tree descent may cross one more level where a tree grew one. A
+  // descent fetches at least one page at 1x, so that allowance is at most
+  // the 1x fetch count. A statement that scans a heap fetches ~4x the pages.
+  std::unique_ptr<TpcwSchema> tpcw = BuildTpcwSchema();
+  const LogicalSchema& lg = tpcw->logical;
+  const TpcwScale scales[2] = {{"300 items / 500 customers", 300, 500},
+                               {"1200 items / 2000 customers", 1200, 2000}};
+  const EntityId entities[3] = {tpcw->customer, tpcw->orders, tpcw->item};
+  const DmlKind kinds[3] = {DmlKind::kUpdate, DmlKind::kDelete, DmlKind::kInsert};
+  const std::vector<VersionTable> tables = VersionTablesOf(tpcw->source);
+
+  auto value_for = [&](AttrId a) -> Value {
+    const LogicalAttribute& attr = lg.attr(a);
+    if (attr.references.has_value()) return Value::Int(3);  // a parent at both scales
+    switch (attr.type) {
+      case TypeId::kInt64:
+        return Value::Int(5);
+      case TypeId::kDouble:
+        return Value::Double(1.5);
+      case TypeId::kVarchar:
+        return Value::Varchar("u");
+      case TypeId::kBoolean:
+        return Value::Bool(true);
+    }
+    return Value::Null(attr.type);
+  };
+
+  for (const PhysicalSchema* schema : {&tpcw->source, &tpcw->object}) {
+    SCOPED_TRACE(schema == &tpcw->source ? "source schema" : "object schema");
+    uint64_t fetches[2][3][3] = {};
+    std::map<std::string, uint32_t> heights[2];
+    for (size_t s = 0; s < 2; ++s) {
+      auto data = GenerateTpcwData(*tpcw, scales[s], 7);
+      Database db(4096);
+      ASSERT_TRUE(data->Materialize(&db, *schema).ok());
+      heights[s] = IndexHeights(&db, *schema);
+      DmlRouter router(&db);
+      for (size_t e = 0; e < 3; ++e) {
+        const VersionTable* vt = nullptr;
+        for (const VersionTable& t : tables) {
+          if (t.anchor == entities[e]) vt = &t;
+        }
+        ASSERT_NE(vt, nullptr);
+        for (size_t k = 0; k < 3; ++k) {
+          LogicalDml dml;
+          dml.kind = kinds[k];
+          dml.table = *vt;
+          const int64_t new_key = static_cast<int64_t>(data->NumRows(vt->anchor));
+          dml.key = kinds[k] == DmlKind::kUpdate   ? 7
+                    : kinds[k] == DmlKind::kDelete ? 11
+                                                   : new_key;
+          if (dml.kind != DmlKind::kDelete) {
+            for (AttrId a : vt->attrs) {
+              dml.set_attrs.push_back(a);
+              dml.set_values.push_back(value_for(a));
+            }
+          }
+          const uint64_t before = PageFetches(db);
+          Status st = router.Execute(dml, *schema);
+          ASSERT_TRUE(st.ok()) << dml.ToString() << ": " << st.ToString();
+          fetches[s][e][k] = PageFetches(db) - before;
+        }
+      }
+    }
+    // The allowance's premise: no tree grew by more than one level.
+    bool grew = false;
+    for (const auto& [table, h] : heights[1]) {
+      EXPECT_LE(h, heights[0][table] + 1) << table;
+      grew = grew || h > heights[0][table];
+    }
+    for (size_t e = 0; e < 3; ++e) {
+      for (size_t k = 0; k < 3; ++k) {
+        const uint64_t allowed = fetches[0][e][k] * (grew ? 2 : 1);
+        EXPECT_LE(fetches[1][e][k], allowed)
+            << DmlKindName(kinds[k]) << " " << lg.entity(entities[e]).name << ": "
+            << fetches[0][e][k] << " page fetches at 1x, " << fetches[1][e][k] << " at 4x";
+      }
+    }
+  }
 }
 
 }  // namespace
