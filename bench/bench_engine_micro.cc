@@ -1,15 +1,11 @@
 // Engine micro-benchmarks: the storage/executor primitives everything above
-// is built on — B+ tree inserts/lookups, heap scans, hash vs
-// index-nested-loop joins, and the analytical cost estimator itself (which
-// LAA/GAA call thousands of times per migration point), via
-// google-benchmark; plus a row-vs-vectorized engine comparison harness.
+// is built on — B+ tree inserts/lookups, heap scans, hash joins, and the
+// analytical cost estimator itself (which LAA/GAA call thousands of times
+// per migration point), via google-benchmark.
 //
 // Invoked with --json=PATH the binary skips the google-benchmark suite and
-// instead times the same scan->filter->project plan through both engines
-// (and the row engine's zero-copy projection fast path on and off), prints
-// a side-by-side table, and emits BENCH_engine_micro.json for
-// scripts/bench.sh, which asserts the vectorized engine's >= 2x throughput
-// floor.
+// instead times a scan->filter->project plan, checks its output row count,
+// and emits BENCH_engine_micro.json for scripts/bench.sh.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -90,14 +86,12 @@ void BM_HashJoinExec(benchmark::State& state) {
   q.select_items.emplace_back(Col("sale.sale_id"), AggFunc::kNone, "id");
   DatabaseCatalogView view(db.get());
   auto plan = PlanQuery(q, view);
-  ExecOptions eo;
-  eo.vectorized = state.range(0) != 0;
   for (auto _ : state) {
-    auto rows = ExecutePlan(**plan, db.get(), eo);
+    auto rows = ExecutePlan(**plan, db.get());
     benchmark::DoNotOptimize(rows);
   }
 }
-BENCHMARK(BM_HashJoinExec)->Arg(0)->Arg(1)->ArgNames({"vectorized"});
+BENCHMARK(BM_HashJoinExec);
 
 void BM_TpcwQueryRewrite(benchmark::State& state) {
   auto schema = BuildTpcwSchema();
@@ -135,21 +129,23 @@ void BM_CostEstimateQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_CostEstimateQuery);
 
-// --- row vs vectorized comparison harness (--json mode) ---
+// --- scan->filter->project timing harness (--json mode) ---
 
-/// One engine-vs-engine measurement: the same plan executed `reps` times
-/// through each configuration.
-struct EngineCompare {
-  size_t rows = 0;          ///< rows the scan feeds into the pipeline
-  size_t out_rows = 0;      ///< rows surviving the filter (sanity cross-check)
+/// One timed pipeline: the same plan executed `reps` times.
+struct PipelineTiming {
+  size_t rows = 0;      ///< rows the scan feeds into the pipeline
+  size_t out_rows = 0;  ///< rows surviving the filter
   size_t reps = 0;
-  double base_ms = 0;       ///< baseline configuration wall time
-  double contender_ms = 0;  ///< contender configuration wall time
-  double speedup() const { return contender_ms > 0 ? base_ms / contender_ms : 0.0; }
+  double ms = 0;        ///< total wall time over `reps` runs
+  double rows_per_s() const {
+    return ms > 0 ? static_cast<double>(rows) * static_cast<double>(reps) / (ms / 1000.0)
+                  : 0.0;
+  }
 };
 
 /// Builds t(id, a, b, s) with `rows` rows in an in-memory pool big enough
-/// to hold it (the comparison targets CPU execution cost, not I/O).
+/// to hold it (the timing targets CPU execution cost, not I/O). Row k has
+/// a = k % 97.
 std::unique_ptr<Database> MakeWideTable(size_t rows) {
   auto db = std::make_unique<Database>(16384);
   TableSchema t("t",
@@ -167,26 +163,9 @@ std::unique_ptr<Database> MakeWideTable(size_t rows) {
   return db;
 }
 
-/// Times `plan` under `eo`, returning total wall ms over `reps` runs and
-/// checking every run returns `want_rows` rows.
-double TimePlan(const PlanNode& plan, Database* db, const ExecOptions& eo, size_t reps,
-                size_t want_rows, int* rc) {
-  Stopwatch timer;
-  for (size_t r = 0; r < reps; ++r) {
-    auto rows = ExecutePlan(plan, db, eo);
-    if (!rows.ok() || rows->size() != want_rows) {
-      std::fprintf(stderr, "engine micro run failed: %s (%zu rows, want %zu)\n",
-                   rows.ok() ? "row-count mismatch" : rows.status().ToString().c_str(),
-                   rows.ok() ? rows->size() : 0, want_rows);
-      *rc = 1;
-    }
-  }
-  return timer.ElapsedSeconds() * 1000.0;
-}
-
-/// scan -> filter -> project through both engines: SELECT id, a+b FROM t
-/// WHERE a < 48 (about half the rows survive).
-int RunScanFilterProject(size_t rows, size_t reps, EngineCompare* out) {
+/// SELECT id, a+b FROM t WHERE a < 48 (about half the rows survive), timed
+/// over `reps` runs; every run must return the rows with k % 97 < 48.
+int RunScanFilterProject(size_t rows, size_t reps, PipelineTiming* out) {
   auto db = MakeWideTable(rows);
   if (db == nullptr) return 1;
   BoundQuery q;
@@ -204,103 +183,55 @@ int RunScanFilterProject(size_t rows, size_t reps, EngineCompare* out) {
     std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
     return 1;
   }
-  ExecOptions row_eo;
-  row_eo.vectorized = false;
-  auto want = ExecutePlan(**plan, db.get(), row_eo);
-  if (!want.ok()) {
-    std::fprintf(stderr, "row run: %s\n", want.status().ToString().c_str());
-    return 1;
+  size_t want_rows = 0;
+  for (size_t k = 0; k < rows; ++k) {
+    if (k % 97 < 48) ++want_rows;
   }
   int rc = 0;
   out->rows = rows;
-  out->out_rows = want->size();
+  out->out_rows = want_rows;
   out->reps = reps;
-  out->base_ms = TimePlan(**plan, db.get(), row_eo, reps, want->size(), &rc);
-  ExecOptions vec_eo;
-  vec_eo.vectorized = true;
-  out->contender_ms = TimePlan(**plan, db.get(), vec_eo, reps, want->size(), &rc);
-  return rc;
-}
-
-/// The row engine's zero-copy projection fast path on vs off: SELECT id, a
-/// FROM t (every projection is a pass-through column reference).
-int RunZeroCopyProject(size_t rows, size_t reps, EngineCompare* out) {
-  auto db = MakeWideTable(rows);
-  if (db == nullptr) return 1;
-  BoundQuery q;
-  q.tables.push_back(TableAccess("t", {"id", "a"}));
-  q.select_items.emplace_back(Col("t.id"), AggFunc::kNone, "id");
-  q.select_items.emplace_back(Col("t.a"), AggFunc::kNone, "a");
-  DatabaseCatalogView view(db.get());
-  auto plan = PlanQuery(q, view);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
-    return 1;
+  Stopwatch timer;
+  for (size_t r = 0; r < reps; ++r) {
+    auto got = ExecutePlan(**plan, db.get());
+    if (!got.ok() || got->size() != want_rows) {
+      std::fprintf(stderr, "engine micro run failed: %s (%zu rows, want %zu)\n",
+                   got.ok() ? "row-count mismatch" : got.status().ToString().c_str(),
+                   got.ok() ? got->size() : 0, want_rows);
+      rc = 1;
+    }
   }
-  int rc = 0;
-  ExecOptions off;
-  off.vectorized = false;
-  off.zero_copy_project = false;
-  ExecOptions on;
-  on.vectorized = false;
-  on.zero_copy_project = true;
-  out->rows = rows;
-  out->out_rows = rows;
-  out->reps = reps;
-  out->base_ms = TimePlan(**plan, db.get(), off, reps, rows, &rc);
-  out->contender_ms = TimePlan(**plan, db.get(), on, reps, rows, &rc);
+  out->ms = timer.ElapsedSeconds() * 1000.0;
   return rc;
 }
 
-void WriteEngineJson(const std::string& path, const EngineCompare& sfp,
-                     const EngineCompare& zc) {
+void WriteEngineJson(const std::string& path, const PipelineTiming& sfp) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  double row_rps = sfp.base_ms > 0
-                       ? static_cast<double>(sfp.rows) * static_cast<double>(sfp.reps) /
-                             (sfp.base_ms / 1000.0)
-                       : 0.0;
-  double vec_rps = sfp.contender_ms > 0
-                       ? static_cast<double>(sfp.rows) * static_cast<double>(sfp.reps) /
-                             (sfp.contender_ms / 1000.0)
-                       : 0.0;
   std::fprintf(f,
                "{\n  \"bench\": \"engine_micro\",\n"
                "  \"scan_filter_project\": {\"rows\": %zu, \"out_rows\": %zu, \"reps\": %zu, "
-               "\"row_ms\": %.2f, \"vectorized_ms\": %.2f, \"row_rows_per_s\": %.0f, "
-               "\"vectorized_rows_per_s\": %.0f, \"speedup\": %.3f},\n"
-               "  \"zero_copy_project\": {\"rows\": %zu, \"reps\": %zu, \"off_ms\": %.2f, "
-               "\"on_ms\": %.2f, \"speedup\": %.3f}\n}\n",
-               sfp.rows, sfp.out_rows, sfp.reps, sfp.base_ms, sfp.contender_ms, row_rps,
-               vec_rps, sfp.speedup(), zc.rows, zc.reps, zc.base_ms, zc.contender_ms,
-               zc.speedup());
+               "\"ms\": %.2f, \"rows_per_s\": %.0f}\n}\n",
+               sfp.rows, sfp.out_rows, sfp.reps, sfp.ms, sfp.rows_per_s());
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
 
-/// Entry point of the --json comparison mode.
-int RunEngineCompare(const std::string& json_path) {
+/// Entry point of the --json timing mode.
+int RunEngineTiming(const std::string& json_path) {
   constexpr size_t kRows = 100000;
   constexpr size_t kReps = 20;
-  EngineCompare sfp;
+  PipelineTiming sfp;
   int rc = RunScanFilterProject(kRows, kReps, &sfp);
-  EngineCompare zc;
-  rc |= RunZeroCopyProject(kRows, kReps, &zc);
-
-  std::printf("=== engine micro: row vs vectorized (scan->filter->project, %zu rows x %zu) "
-              "===\n%-24s %10s %10s %8s\n",
-              kRows, kReps, "pipeline", "row-ms", "vec-ms", "speedup");
-  std::printf("%-24s %10.1f %10.1f %7.2fx\n", "scan-filter-project", sfp.base_ms,
-              sfp.contender_ms, sfp.speedup());
-  std::printf("\n=== row engine: zero-copy projection fast path (SELECT id, a, %zu rows x %zu) "
-              "===\n%-24s %10s %10s %8s\n",
-              kRows, kReps, "pipeline", "off-ms", "on-ms", "speedup");
-  std::printf("%-24s %10.1f %10.1f %7.2fx\n", "scan-project", zc.base_ms, zc.contender_ms,
-              zc.speedup());
-  if (!json_path.empty()) WriteEngineJson(json_path, sfp, zc);
+  std::printf("=== engine micro: scan->filter->project, %zu rows x %zu ===\n"
+              "%-24s %10s %10s %14s\n",
+              kRows, kReps, "pipeline", "out-rows", "ms", "rows/s");
+  std::printf("%-24s %10zu %10.1f %14.0f\n", "scan-filter-project", sfp.out_rows, sfp.ms,
+              sfp.rows_per_s());
+  if (!json_path.empty()) WriteEngineJson(json_path, sfp);
   return rc;
 }
 
@@ -313,7 +244,7 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
   }
-  if (!json_path.empty()) return pse::RunEngineCompare(json_path);
+  if (!json_path.empty()) return pse::RunEngineTiming(json_path);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -208,7 +208,6 @@ int RunOnline(std::vector<OnlineRow>* out) {
 struct ServeRow {
   size_t sessions = 0;
   size_t phase = 0;
-  bool vectorized = false;   ///< sessions ran the vectorized batch engine
   uint64_t queries = 0;      ///< foreground queries answered this phase
   uint64_t unservable = 0;   ///< BindError on the intermediate (counted, not failed)
   uint64_t batches = 0;      ///< migration batches committed this phase
@@ -218,63 +217,56 @@ struct ServeRow {
 };
 
 /// Runs the Pro-Schema situation with live concurrent sessions for each
-/// (session count, engine) pair; every phase migrates under a real
-/// mixed-version read load, once through the row iterators and once through
-/// the vectorized batch engine.
+/// session count; every phase migrates under a real mixed-version read load.
 int RunServe(std::vector<ServeRow>* out) {
-  for (bool vectorized : {false, true}) {
-    for (size_t sessions : {4u, 8u}) {
-      Synthetic s = MakeIndependent(4);
-      FillData(&s, 512);
-      std::vector<std::vector<double>> freqs(3, std::vector<double>(s.queries.size()));
-      for (size_t p = 0; p < 3; ++p) {
-        for (size_t q = 0; q < s.queries.size(); ++q) {
-          bool old_q = s.queries[q].is_old;
-          freqs[p][q] = old_q ? 30.0 - 10.0 * static_cast<double>(p)
-                              : 10.0 + 10.0 * static_cast<double>(p);
-        }
+  for (size_t sessions : {4u, 8u}) {
+    Synthetic s = MakeIndependent(4);
+    FillData(&s, 512);
+    std::vector<std::vector<double>> freqs(3, std::vector<double>(s.queries.size()));
+    for (size_t p = 0; p < 3; ++p) {
+      for (size_t q = 0; q < s.queries.size(); ++q) {
+        bool old_q = s.queries[q].is_old;
+        freqs[p][q] = old_q ? 30.0 - 10.0 * static_cast<double>(p)
+                            : 10.0 + 10.0 * static_cast<double>(p);
       }
-      SimulationConfig config;
-      config.buffer_pool_pages = 256;
-      config.migration_batch_rows = 64;
-      config.serve_sessions = sessions;
-      config.serve_min_queries = 8;
-      config.vectorized_execution = vectorized;
-      MigrationSimulation sim(&s.source, &s.object, &s.queries, freqs, s.data.get(), config);
-      auto pro = sim.Run(Situation::kProSchema);
-      if (!pro.ok()) {
-        std::fprintf(stderr, "serve Pro: %s\n", pro.status().ToString().c_str());
-        return 1;
-      }
-      for (size_t p = 0; p < pro->phases.size(); ++p) {
-        const PhaseReport& ph = pro->phases[p];
-        ServeRow row;
-        row.sessions = sessions;
-        row.phase = p;
-        row.vectorized = vectorized;
-        row.queries = ph.serve_queries;
-        row.unservable = ph.serve_unservable;
-        row.batches = ph.online_batches;
-        row.wall_ms = ph.serve_wall_ms;
-        row.throughput_qps = ph.serve_throughput_qps;
-        row.p50_ms = ph.serve_p50_ms;
-        row.p95_ms = ph.serve_p95_ms;
-        row.p99_ms = ph.serve_p99_ms;
-        out->push_back(row);
-      }
+    }
+    SimulationConfig config;
+    config.buffer_pool_pages = 256;
+    config.migration_batch_rows = 64;
+    config.serve_sessions = sessions;
+    config.serve_min_queries = 8;
+    MigrationSimulation sim(&s.source, &s.object, &s.queries, freqs, s.data.get(), config);
+    auto pro = sim.Run(Situation::kProSchema);
+    if (!pro.ok()) {
+      std::fprintf(stderr, "serve Pro: %s\n", pro.status().ToString().c_str());
+      return 1;
+    }
+    for (size_t p = 0; p < pro->phases.size(); ++p) {
+      const PhaseReport& ph = pro->phases[p];
+      ServeRow row;
+      row.sessions = sessions;
+      row.phase = p;
+      row.queries = ph.serve_queries;
+      row.unservable = ph.serve_unservable;
+      row.batches = ph.online_batches;
+      row.wall_ms = ph.serve_wall_ms;
+      row.throughput_qps = ph.serve_throughput_qps;
+      row.p50_ms = ph.serve_p50_ms;
+      row.p95_ms = ph.serve_p95_ms;
+      row.p99_ms = ph.serve_p99_ms;
+      out->push_back(row);
     }
   }
   return 0;
 }
 
-/// One (session count, engine) measurement of mixed read/write serving:
+/// One (session count) measurement of mixed read/write serving:
 /// lanes issue the query mix plus random DML from both version eras through
 /// the DmlRouter while the executor migrates (writes landing on a live copy
 /// frontier dual-apply into the in-flight targets).
 struct MixedRwRow {
   size_t sessions = 0;
   double write_fraction = 0;
-  bool vectorized = false;
   uint64_t queries = 0;            ///< foreground reads answered
   uint64_t writes = 0;             ///< foreground statements applied
   uint64_t unservable = 0;         ///< reads+writes skipped on the intermediate
@@ -288,102 +280,98 @@ struct MixedRwRow {
 };
 
 /// Runs the full migration under a mixed read/write foreground load for each
-/// (session count, engine) pair, routing every write through RewriteDml.
+/// session count, routing every write through RewriteDml.
 int RunMixedRw(std::vector<MixedRwRow>* out) {
-  for (bool vectorized : {false, true}) {
-    for (size_t sessions : {4u, 8u}) {
-      Synthetic s = MakeIndependent(4);
-      FillData(&s, 512);
-      Database db(2048);
-      if (!s.data->Materialize(&db, s.source).ok() || !db.AnalyzeAll().ok()) {
-        std::fprintf(stderr, "mixed-rw: materialize failed\n");
-        return 1;
-      }
-      PhysicalSchema current = s.source;
-      ServingSchema serving(current);
-      DmlRouter router(&db);
-
-      MigrationExecutor exec(&db, s.data.get());
-      MigrationOptions mopts;
-      mopts.batch_rows = 64;
-      mopts.dml_router = &router;
-      mopts.on_publish = [&](const PhysicalSchema& sch) { serving.Publish(sch); };
-      exec.set_options(std::move(mopts));
-
-      auto opset = ComputeOperatorSet(s.source, s.object);
-      if (!opset.ok()) {
-        std::fprintf(stderr, "mixed-rw opset: %s\n", opset.status().ToString().c_str());
-        return 1;
-      }
-      auto topo = opset->TopologicalOrder();
-      if (!topo.ok()) {
-        std::fprintf(stderr, "mixed-rw topo: %s\n", topo.status().ToString().c_str());
-        return 1;
-      }
-
-      std::vector<VersionTable> tables = VersionTablesOf(s.source);
-      {
-        std::vector<VersionTable> object_tables = VersionTablesOf(s.object);
-        tables.insert(tables.end(), object_tables.begin(), object_tables.end());
-      }
-      const LogicalSchema* lg = s.logical.get();
-      ServeOptions serve;
-      serve.sessions = sessions;
-      serve.min_queries_per_lane = 32;
-      serve.vectorized = vectorized;
-      serve.router = &router;
-      serve.write_fraction = 0.3;
-      serve.make_write = [&tables, lg](uint64_t i, std::mt19937_64& rng) {
-        LogicalDml dml;
-        dml.table = tables[rng() % tables.size()];
-        uint64_t roll = rng() % 10;
-        dml.kind = roll < 5 ? DmlKind::kInsert : roll < 8 ? DmlKind::kUpdate : DmlKind::kDelete;
-        // Early statements hit seeded rows (both sides of a copy frontier);
-        // later ones append fresh keys.
-        dml.key = static_cast<int64_t>(i < 16 ? rng() % 512 : 10000 + rng() % 4096);
-        if (dml.kind != DmlKind::kDelete) {
-          for (AttrId a : dml.table.attrs) {
-            if (rng() % 2 != 0) continue;
-            dml.set_attrs.push_back(a);
-            dml.set_values.push_back(
-                Value::Varchar(lg->attr(a).name + "-w" + std::to_string(rng() % 1000)));
-          }
-        }
-        return dml;
-      };
-
-      std::vector<double> freqs(s.queries.size(), 10.0);
-      auto metrics = ServeDuringMigration(&db, &serving, s.queries, freqs, serve,
-                                          [&]() -> Status {
-                                            for (int op : *topo) {
-                                              auto io = exec.Apply(
-                                                  opset->ops[static_cast<size_t>(op)], &current);
-                                              if (!io.ok()) return io.status();
-                                            }
-                                            return Status::OK();
-                                          });
-      if (!metrics.ok()) {
-        std::fprintf(stderr, "mixed-rw serve: %s\n", metrics.status().ToString().c_str());
-        return 1;
-      }
-      MixedRwRow row;
-      row.sessions = sessions;
-      row.write_fraction = serve.write_fraction;
-      row.vectorized = vectorized;
-      row.queries = metrics->queries;
-      row.writes = metrics->writes;
-      row.unservable = metrics->unservable;
-      row.unservable_writes = metrics->unservable_writes;
-      row.errors = metrics->errors;
-      row.fragment_writes = router.stats().fragment_writes;
-      row.dual_applied = router.stats().dual_applied;
-      row.wall_ms = metrics->wall_ms;
-      row.throughput_qps = metrics->throughput_qps;
-      row.p50_ms = metrics->p50_ms;
-      row.p95_ms = metrics->p95_ms;
-      row.p99_ms = metrics->p99_ms;
-      out->push_back(row);
+  for (size_t sessions : {4u, 8u}) {
+    Synthetic s = MakeIndependent(4);
+    FillData(&s, 512);
+    Database db(2048);
+    if (!s.data->Materialize(&db, s.source).ok() || !db.AnalyzeAll().ok()) {
+      std::fprintf(stderr, "mixed-rw: materialize failed\n");
+      return 1;
     }
+    PhysicalSchema current = s.source;
+    ServingSchema serving(current);
+    DmlRouter router(&db);
+
+    MigrationExecutor exec(&db, s.data.get());
+    MigrationOptions mopts;
+    mopts.batch_rows = 64;
+    mopts.dml_router = &router;
+    mopts.on_publish = [&](const PhysicalSchema& sch) { serving.Publish(sch); };
+    exec.set_options(std::move(mopts));
+
+    auto opset = ComputeOperatorSet(s.source, s.object);
+    if (!opset.ok()) {
+      std::fprintf(stderr, "mixed-rw opset: %s\n", opset.status().ToString().c_str());
+      return 1;
+    }
+    auto topo = opset->TopologicalOrder();
+    if (!topo.ok()) {
+      std::fprintf(stderr, "mixed-rw topo: %s\n", topo.status().ToString().c_str());
+      return 1;
+    }
+
+    std::vector<VersionTable> tables = VersionTablesOf(s.source);
+    {
+      std::vector<VersionTable> object_tables = VersionTablesOf(s.object);
+      tables.insert(tables.end(), object_tables.begin(), object_tables.end());
+    }
+    const LogicalSchema* lg = s.logical.get();
+    ServeOptions serve;
+    serve.sessions = sessions;
+    serve.min_queries_per_lane = 32;
+    serve.router = &router;
+    serve.write_fraction = 0.3;
+    serve.make_write = [&tables, lg](uint64_t i, std::mt19937_64& rng) {
+      LogicalDml dml;
+      dml.table = tables[rng() % tables.size()];
+      uint64_t roll = rng() % 10;
+      dml.kind = roll < 5 ? DmlKind::kInsert : roll < 8 ? DmlKind::kUpdate : DmlKind::kDelete;
+      // Early statements hit seeded rows (both sides of a copy frontier);
+      // later ones append fresh keys.
+      dml.key = static_cast<int64_t>(i < 16 ? rng() % 512 : 10000 + rng() % 4096);
+      if (dml.kind != DmlKind::kDelete) {
+        for (AttrId a : dml.table.attrs) {
+          if (rng() % 2 != 0) continue;
+          dml.set_attrs.push_back(a);
+          dml.set_values.push_back(
+              Value::Varchar(lg->attr(a).name + "-w" + std::to_string(rng() % 1000)));
+        }
+      }
+      return dml;
+    };
+
+    std::vector<double> freqs(s.queries.size(), 10.0);
+    auto metrics = ServeDuringMigration(&db, &serving, s.queries, freqs, serve,
+                                        [&]() -> Status {
+                                          for (int op : *topo) {
+                                            auto io = exec.Apply(
+                                                opset->ops[static_cast<size_t>(op)], &current);
+                                            if (!io.ok()) return io.status();
+                                          }
+                                          return Status::OK();
+                                        });
+    if (!metrics.ok()) {
+      std::fprintf(stderr, "mixed-rw serve: %s\n", metrics.status().ToString().c_str());
+      return 1;
+    }
+    MixedRwRow row;
+    row.sessions = sessions;
+    row.write_fraction = serve.write_fraction;
+    row.queries = metrics->queries;
+    row.writes = metrics->writes;
+    row.unservable = metrics->unservable;
+    row.unservable_writes = metrics->unservable_writes;
+    row.errors = metrics->errors;
+    row.fragment_writes = router.stats().fragment_writes;
+    row.dual_applied = router.stats().dual_applied;
+    row.wall_ms = metrics->wall_ms;
+    row.throughput_qps = metrics->throughput_qps;
+    row.p50_ms = metrics->p50_ms;
+    row.p95_ms = metrics->p95_ms;
+    row.p99_ms = metrics->p99_ms;
+    out->push_back(row);
   }
   return 0;
 }
@@ -530,13 +518,12 @@ void PrintOnline(const std::vector<OnlineRow>& rows) {
 void PrintServe(const std::vector<ServeRow>& rows) {
   std::printf(
       "\n=== concurrent serving (Pro-Schema, m=4 independent, 512 rows/entity) ===\n"
-      "%-8s %-5s %-10s %8s %10s %8s %9s %10s %8s %8s %8s\n",
-      "sessions", "phase", "engine", "queries", "unservable", "batches", "wall-ms", "thr-qps",
-      "p50-ms", "p95-ms", "p99-ms");
+      "%-8s %-5s %8s %10s %8s %9s %10s %8s %8s %8s\n",
+      "sessions", "phase", "queries", "unservable", "batches", "wall-ms", "thr-qps", "p50-ms",
+      "p95-ms", "p99-ms");
   for (const ServeRow& r : rows) {
-    std::printf("%-8zu %-5zu %-10s %8llu %10llu %8llu %9.1f %10.1f %8.2f %8.2f %8.2f\n",
-                r.sessions, r.phase, r.vectorized ? "vectorized" : "row",
-                static_cast<unsigned long long>(r.queries),
+    std::printf("%-8zu %-5zu %8llu %10llu %8llu %9.1f %10.1f %8.2f %8.2f %8.2f\n",
+                r.sessions, r.phase, static_cast<unsigned long long>(r.queries),
                 static_cast<unsigned long long>(r.unservable),
                 static_cast<unsigned long long>(r.batches), r.wall_ms, r.throughput_qps,
                 r.p50_ms, r.p95_ms, r.p99_ms);
@@ -546,14 +533,13 @@ void PrintServe(const std::vector<ServeRow>& rows) {
 void PrintMixedRw(const std::vector<MixedRwRow>& rows) {
   std::printf(
       "\n=== mixed read/write serving (Pro-Schema, m=4 independent, 512 rows/entity) ===\n"
-      "%-8s %-6s %-10s %8s %7s %10s %8s %7s %9s %10s %8s %8s %8s\n",
-      "sessions", "w-frac", "engine", "queries", "writes", "unservable", "unsrv-w", "errors",
-      "wall-ms", "thr-qps", "p50-ms", "p95-ms", "p99-ms");
+      "%-8s %-6s %8s %7s %10s %8s %7s %9s %10s %8s %8s %8s\n",
+      "sessions", "w-frac", "queries", "writes", "unservable", "unsrv-w", "errors", "wall-ms",
+      "thr-qps", "p50-ms", "p95-ms", "p99-ms");
   for (const MixedRwRow& r : rows) {
-    std::printf("%-8zu %-6.2f %-10s %8llu %7llu %10llu %8llu %7llu %9.1f %10.1f %8.2f %8.2f "
+    std::printf("%-8zu %-6.2f %8llu %7llu %10llu %8llu %7llu %9.1f %10.1f %8.2f %8.2f "
                 "%8.2f\n",
-                r.sessions, r.write_fraction, r.vectorized ? "vectorized" : "row",
-                static_cast<unsigned long long>(r.queries),
+                r.sessions, r.write_fraction, static_cast<unsigned long long>(r.queries),
                 static_cast<unsigned long long>(r.writes),
                 static_cast<unsigned long long>(r.unservable),
                 static_cast<unsigned long long>(r.unservable_writes),
@@ -618,12 +604,11 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
                  "    {\"sessions\": %zu, \"phase\": %zu, \"queries\": %llu, "
                  "\"unservable\": %llu, \"batches\": %llu, \"wall_ms\": %.2f, "
                  "\"throughput_qps\": %.2f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-                 "\"p99_ms\": %.3f, \"vectorized\": %s}%s\n",
+                 "\"p99_ms\": %.3f}%s\n",
                  r.sessions, r.phase, static_cast<unsigned long long>(r.queries),
                  static_cast<unsigned long long>(r.unservable),
                  static_cast<unsigned long long>(r.batches), r.wall_ms, r.throughput_qps,
-                 r.p50_ms, r.p95_ms, r.p99_ms, r.vectorized ? "true" : "false",
-                 i + 1 < serve.size() ? "," : "");
+                 r.p50_ms, r.p95_ms, r.p99_ms, i + 1 < serve.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"mixed_rw_serving\": [\n");
   for (size_t i = 0; i < mixed.size(); ++i) {
@@ -633,7 +618,7 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
                  "\"writes\": %llu, \"unservable\": %llu, \"unservable_writes\": %llu, "
                  "\"errors\": %llu, \"fragment_writes\": %llu, \"dual_applied\": %llu, "
                  "\"wall_ms\": %.2f, \"throughput_qps\": %.2f, \"p50_ms\": %.3f, "
-                 "\"p95_ms\": %.3f, \"p99_ms\": %.3f, \"vectorized\": %s}%s\n",
+                 "\"p95_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
                  r.sessions, r.write_fraction, static_cast<unsigned long long>(r.queries),
                  static_cast<unsigned long long>(r.writes),
                  static_cast<unsigned long long>(r.unservable),
@@ -641,8 +626,7 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
                  static_cast<unsigned long long>(r.errors),
                  static_cast<unsigned long long>(r.fragment_writes),
                  static_cast<unsigned long long>(r.dual_applied), r.wall_ms, r.throughput_qps,
-                 r.p50_ms, r.p95_ms, r.p99_ms, r.vectorized ? "true" : "false",
-                 i + 1 < mixed.size() ? "," : "");
+                 r.p50_ms, r.p95_ms, r.p99_ms, i + 1 < mixed.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -6,7 +6,7 @@
 #                                  # line coverage drops below N percent
 #
 # The report covers src/core + src/storage (the online-migration execution
-# path), src/analysis (the static verification stack), the vectorized
+# path), src/analysis (the static verification stack), the execution
 # engine core, and the multi-tenant fleet layer; the floor gates
 # src/core/migration_executor.cc, src/core/rewriter_dml.cc (the write
 # rewriter), src/analysis/writability.cc, src/engine/vec_executor.cc, and

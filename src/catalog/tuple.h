@@ -27,7 +27,7 @@ class TupleCodec {
   /// Deserializes bytes produced by Serialize back into a Row.
   static Status Deserialize(const TableSchema& schema, const char* data, size_t size, Row* out);
 
-  /// Column-pruned form for the vectorized engine: decodes only the columns
+  /// Column-pruned form for the batch scan: decodes only the columns
   /// named by `wanted` (strictly ascending positions < schema arity),
   /// appending one value to the matching `cols[k]` vector each. Skipped
   /// columns cost a length hop — no Value and no string allocation — and

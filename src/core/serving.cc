@@ -69,9 +69,6 @@ Result<ServeMetrics> ServeDuringMigration(Database* db, ServingSchema* serving,
     }
   }
 
-  ExecOptions exec_options = ExecOptions::Default();
-  exec_options.vectorized = exec_options.vectorized || options.vectorized;
-
   const size_t lanes = options.sessions + 1;  // lane 0 drives the migration
   std::vector<LaneResult> results(lanes);
   std::atomic<bool> stop{false};
@@ -158,7 +155,7 @@ Result<ServeMetrics> ServeDuringMigration(Database* db, ServingSchema* serving,
           if (!plan.ok()) {
             failed = plan.status();
           } else {
-            Status s = ExecutePlan(**plan, db, exec_options).status();
+            Status s = ExecutePlan(**plan, db).status();
             if (!s.ok()) {
               failed = s;
             } else {

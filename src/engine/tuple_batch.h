@@ -1,5 +1,5 @@
 // Columnar batch of rows plus an optional selection vector — the unit of
-// work in the vectorized engine. Operators pass batches instead of single
+// work in the execution engine. Operators pass batches instead of single
 // rows, so per-tuple virtual dispatch and Result<> wrapping amortize over
 // ~1024 rows at a time.
 //

@@ -1,15 +1,9 @@
 #include "engine/vec_executor.h"
 
-#include "common/lock_registry.h"
-
 #include <algorithm>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-
-#include "engine/agg_state.h"
 
 namespace pse {
 
@@ -79,8 +73,8 @@ bool CollectColumnPositions(const Expr& e, std::vector<size_t>* out) {
 
 class SeqScanVecExecutor : public VecExecutor {
  public:
-  SeqScanVecExecutor(const PlanNode& plan, TableInfo* table, const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), table_(table) {}
+  SeqScanVecExecutor(const PlanNode& plan, TableInfo* table)
+      : plan_(plan), table_(table) {}
 
   Status Init() override {
     if (plan_.scan_filter) {
@@ -88,7 +82,7 @@ class SeqScanVecExecutor : public VecExecutor {
     }
     // Column pruning: decode only what the projection or the pushed-down
     // filter touches. Skipped columns (often wide varchars) never leave the
-    // page — the structural edge over the row engine's full-row decode.
+    // page.
     const size_t width = table_->schema->columns().size();
     needed_ = plan_.scan_column_idxs;
     if (plan_.scan_filter && !CollectColumnPositions(*plan_.scan_filter, &needed_)) {
@@ -97,11 +91,6 @@ class SeqScanVecExecutor : public VecExecutor {
     }
     std::sort(needed_.begin(), needed_.end());
     needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
-    // Shared content latch per batch, not per execution: the same
-    // discipline (and lockdep rank) as the migration copy loop, so a
-    // vectorized lane never nests table latches on the writer-preferring
-    // SharedMutex.
-    std::shared_lock<SharedMutex> lock(table_->latch);
     it_ = table_->heap->Begin();
     return Status::OK();
   }
@@ -109,15 +98,11 @@ class SeqScanVecExecutor : public VecExecutor {
   Result<bool> InternalNext(TupleBatch* out) override {
     const size_t width = table_->schema->columns().size();
     while (true) {
-      full_.Reset(width, options_.batch_rows);
+      full_.Reset(width, TupleBatch::kDefaultRows);
       cols_.clear();
       for (size_t c : needed_) cols_.push_back(&full_.col(c));
-      size_t filled = 0;
-      {
-        std::shared_lock<SharedMutex> batch_lock(table_->latch);
-        PSE_ASSIGN_OR_RETURN(filled,
-                             it_.FillBatchColumns(options_.batch_rows, needed_, cols_));
-      }
+      PSE_ASSIGN_OR_RETURN(
+          size_t filled, it_.FillBatchColumns(TupleBatch::kDefaultRows, needed_, cols_));
       if (filled == 0) return false;
       // Pruned columns stay empty; only `needed_` positions are readable,
       // which covers the filter and the gather below.
@@ -145,9 +130,8 @@ class SeqScanVecExecutor : public VecExecutor {
 
 class IndexScanVecExecutor : public VecExecutor {
  public:
-  IndexScanVecExecutor(const PlanNode& plan, TableInfo* table, const BPlusTree* tree,
-                       const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), table_(table), tree_(tree) {}
+  IndexScanVecExecutor(const PlanNode& plan, TableInfo* table, const BPlusTree* tree)
+      : plan_(plan), table_(table), tree_(tree) {}
 
   Status Init() override {
     if (plan_.scan_filter) {
@@ -157,21 +141,18 @@ class IndexScanVecExecutor : public VecExecutor {
     int64_t hi = plan_.hi.value_or(INT64_MAX);
     rids_.clear();
     pos_ = 0;
-    std::shared_lock<SharedMutex> lock(table_->latch);
     return tree_->ScanRange(lo, hi, &rids_);
   }
 
   Result<bool> InternalNext(TupleBatch* out) override {
     const size_t width = table_->schema->columns().size();
     while (pos_ < rids_.size()) {
-      full_.Reset(width, options_.batch_rows);
-      {
-        std::shared_lock<SharedMutex> batch_lock(table_->latch);
-        Row row;
-        for (size_t n = 0; pos_ < rids_.size() && n < options_.batch_rows; ++n, ++pos_) {
-          PSE_RETURN_NOT_OK(table_->heap->Get(rids_[pos_], &row));
-          full_.AppendRow(std::move(row));
-        }
+      full_.Reset(width, TupleBatch::kDefaultRows);
+      Row row;
+      for (size_t n = 0; pos_ < rids_.size() && n < TupleBatch::kDefaultRows;
+           ++n, ++pos_) {
+        PSE_RETURN_NOT_OK(table_->heap->Get(rids_[pos_], &row));
+        full_.AppendRow(std::move(row));
       }
       if (filter_.valid()) {
         PSE_RETURN_NOT_OK(filter_.EvalSelect(full_, &sel_));
@@ -197,9 +178,8 @@ class IndexScanVecExecutor : public VecExecutor {
 
 class FilterVecExecutor : public VecExecutor {
  public:
-  FilterVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child,
-                    const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), child_(std::move(child)) {}
+  FilterVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child)
+      : plan_(plan), child_(std::move(child)) {}
 
   Status Init() override {
     PSE_ASSIGN_OR_RETURN(pred_, ExprVecExecutor::Create(*plan_.predicate));
@@ -229,9 +209,8 @@ class ProjectVecExecutor : public VecExecutor {
  public:
   static constexpr size_t kNotPassThrough = static_cast<size_t>(-1);
 
-  ProjectVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child,
-                     const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), child_(std::move(child)) {}
+  ProjectVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child)
+      : plan_(plan), child_(std::move(child)) {}
 
   Status Init() override {
     pass_pos_.assign(plan_.projections.size(), kNotPassThrough);
@@ -299,8 +278,8 @@ class ProjectVecExecutor : public VecExecutor {
 class HashJoinVecExecutor : public VecExecutor {
  public:
   HashJoinVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> build,
-                      std::unique_ptr<VecExecutor> probe, const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), build_(std::move(build)), probe_(std::move(probe)) {}
+                      std::unique_ptr<VecExecutor> probe)
+      : plan_(plan), build_(std::move(build)), probe_(std::move(probe)) {}
 
   Status Init() override {
     PSE_RETURN_NOT_OK(build_->Init());
@@ -309,7 +288,7 @@ class HashJoinVecExecutor : public VecExecutor {
     probe_width_ = plan_.children[1]->output_columns.size();
     table_.clear();
     // Drain the build side completely before the probe side pulls its
-    // first batch, so the two scans never hold table latches concurrently.
+    // first batch.
     TupleBatch batch;
     while (true) {
       PSE_ASSIGN_OR_RETURN(bool has, build_->Next(&batch));
@@ -365,9 +344,8 @@ class HashJoinVecExecutor : public VecExecutor {
 class IndexNLJoinVecExecutor : public VecExecutor {
  public:
   IndexNLJoinVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> outer,
-                         TableInfo* inner, const BPlusTree* tree, const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), outer_(std::move(outer)), inner_(inner),
-        tree_(tree) {}
+                         TableInfo* inner, const BPlusTree* tree)
+      : plan_(plan), outer_(std::move(outer)), inner_(inner), tree_(tree) {}
 
   Status Init() override {
     outer_width_ = plan_.children[0]->output_columns.size();
@@ -382,9 +360,6 @@ class IndexNLJoinVecExecutor : public VecExecutor {
       out->Reset(outer_width_ + plan_.scan_column_idxs.size(), outer_batch_.size());
       size_t emitted = 0;
       const size_t n = outer_batch_.size();
-      // The outer child released its own latches when the batch returned;
-      // the inner probe is the only table latch this frame holds.
-      std::shared_lock<SharedMutex> inner_lock(inner_->latch);
       for (size_t i = 0; i < n; ++i) {
         const size_t p = outer_batch_.SelIndex(i);
         const Value& key = outer_batch_.At(plan_.left_key_pos, p);
@@ -425,8 +400,8 @@ class IndexNLJoinVecExecutor : public VecExecutor {
 
 class DistinctVecExecutor : public VecExecutor {
  public:
-  DistinctVecExecutor(std::unique_ptr<VecExecutor> child, const ExecOptions& options)
-      : VecExecutor(options), child_(std::move(child)) {}
+  explicit DistinctVecExecutor(std::unique_ptr<VecExecutor> child)
+      : child_(std::move(child)) {}
 
   Status Init() override {
     seen_.clear();
@@ -455,11 +430,64 @@ class DistinctVecExecutor : public VecExecutor {
   std::vector<uint32_t> sel_;
 };
 
+/// Accumulator for one aggregate within one group.
+struct AggState {
+  int64_t count = 0;  ///< rows seen (non-null for arg-based functions)
+  int64_t sum_int = 0;
+  double sum_double = 0.0;
+  bool any_double = false;
+  Value min, max;  ///< NULL until first value
+  bool has_value = false;
+  std::unordered_set<Value, ValueHash, ValueEq> distinct;  ///< COUNT(DISTINCT)
+};
+
+/// Folds one non-COUNT(*) argument value into the accumulator (NULL args
+/// must be skipped by the caller; COUNT(*) just increments `count`).
+void AggAccumulate(AggFunc func, const Value& v, AggState* st) {
+  ++st->count;
+  st->has_value = true;
+  if (func == AggFunc::kCountDistinct) {
+    st->distinct.insert(v);
+    return;
+  }
+  if (v.type() == TypeId::kDouble) st->any_double = true;
+  if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+    if (v.type() == TypeId::kInt64) st->sum_int += v.AsInt();
+    st->sum_double += v.AsDouble();
+  }
+  if (st->min.is_null() || v.Compare(st->min) < 0) st->min = v;
+  if (st->max.is_null() || v.Compare(st->max) > 0) st->max = v;
+}
+
+/// Finalizes one aggregate into its output value.
+Result<Value> AggFinalize(AggFunc func, const AggState& st) {
+  switch (func) {
+    case AggFunc::kCountStar:
+    case AggFunc::kCount:
+      return Value::Int(st.count);
+    case AggFunc::kCountDistinct:
+      return Value::Int(static_cast<int64_t>(st.distinct.size()));
+    case AggFunc::kSum:
+      if (!st.has_value) return Value::Null(TypeId::kDouble);
+      if (st.any_double) return Value::Double(st.sum_double);
+      return Value::Int(st.sum_int);
+    case AggFunc::kAvg:
+      return st.has_value ? Value::Double(st.sum_double / static_cast<double>(st.count))
+                          : Value::Null(TypeId::kDouble);
+    case AggFunc::kMin:
+      return st.min;
+    case AggFunc::kMax:
+      return st.max;
+    case AggFunc::kNone:
+      break;
+  }
+  return Status::Internal("kNone aggregate in plan");
+}
+
 class AggregateVecExecutor : public VecExecutor {
  public:
-  AggregateVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child,
-                       const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), child_(std::move(child)) {}
+  AggregateVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child)
+      : plan_(plan), child_(std::move(child)) {}
 
   Status Init() override {
     PSE_RETURN_NOT_OK(child_->Init());
@@ -506,7 +534,7 @@ class AggregateVecExecutor : public VecExecutor {
   Result<bool> InternalNext(TupleBatch* out) override {
     if (pos_ >= order_.size()) return false;
     const size_t width = plan_.group_by_pos.size() + plan_.aggs.size();
-    const size_t take = std::min(options_.batch_rows, order_.size() - pos_);
+    const size_t take = std::min(TupleBatch::kDefaultRows, order_.size() - pos_);
     out->Reset(width, take);
     Row row;
     for (size_t i = 0; i < take; ++i, ++pos_) {
@@ -534,9 +562,8 @@ class AggregateVecExecutor : public VecExecutor {
 
 class SortVecExecutor : public VecExecutor {
  public:
-  SortVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child,
-                  const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), child_(std::move(child)) {}
+  SortVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child)
+      : plan_(plan), child_(std::move(child)) {}
 
   Status Init() override {
     PSE_RETURN_NOT_OK(child_->Init());
@@ -547,8 +574,8 @@ class SortVecExecutor : public VecExecutor {
       if (!has) break;
       batch.EmitRows(&rows_);
     }
-    // Stable over the child's batch order, which is the same heap order the
-    // row engine sees — ties break identically under Sort+Limit.
+    // Stable over the child's batch order (heap order for a scan), so ties
+    // break deterministically under Sort+Limit.
     const auto& keys = plan_.sort_keys;
     std::stable_sort(rows_.begin(), rows_.end(), [&keys](const Row& a, const Row& b) {
       for (const auto& k : keys) {
@@ -564,7 +591,7 @@ class SortVecExecutor : public VecExecutor {
   Result<bool> InternalNext(TupleBatch* out) override {
     if (pos_ >= rows_.size()) return false;
     const size_t width = rows_[pos_].size();
-    const size_t take = std::min(options_.batch_rows, rows_.size() - pos_);
+    const size_t take = std::min(TupleBatch::kDefaultRows, rows_.size() - pos_);
     out->Reset(width, take);
     for (size_t i = 0; i < take; ++i, ++pos_) out->AppendRow(std::move(rows_[pos_]));
     return true;
@@ -579,9 +606,8 @@ class SortVecExecutor : public VecExecutor {
 
 class LimitVecExecutor : public VecExecutor {
  public:
-  LimitVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child,
-                   const ExecOptions& options)
-      : VecExecutor(options), plan_(plan), child_(std::move(child)) {}
+  LimitVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> child)
+      : plan_(plan), child_(std::move(child)) {}
 
   Status Init() override {
     remaining_ = plan_.limit_n < 0 ? 0 : static_cast<size_t>(plan_.limit_n);
@@ -612,12 +638,12 @@ class LimitVecExecutor : public VecExecutor {
 
 }  // namespace
 
-Result<std::unique_ptr<VecExecutor>> BuildVecExecutor(const PlanNode& plan, Database* db,
-                                                      const ExecOptions& options) {
+Result<std::unique_ptr<VecExecutor>> BuildVecExecutor(const PlanNode& plan,
+                                                      Database* db) {
   switch (plan.kind) {
     case PlanNode::Kind::kSeqScan: {
       PSE_ASSIGN_OR_RETURN(TableInfo * t, db->GetTable(plan.table));
-      return std::unique_ptr<VecExecutor>(new SeqScanVecExecutor(plan, t, options));
+      return std::unique_ptr<VecExecutor>(new SeqScanVecExecutor(plan, t));
     }
     case PlanNode::Kind::kIndexScan: {
       PSE_ASSIGN_OR_RETURN(TableInfo * t, db->GetTable(plan.table));
@@ -626,70 +652,52 @@ Result<std::unique_ptr<VecExecutor>> BuildVecExecutor(const PlanNode& plan, Data
         return Status::Internal("plan expects index on " + plan.table + "." + plan.index_column);
       }
       return std::unique_ptr<VecExecutor>(
-          new IndexScanVecExecutor(plan, t, idx->tree.get(), options));
+          new IndexScanVecExecutor(plan, t, idx->tree.get()));
     }
     case PlanNode::Kind::kFilter: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db, options));
-      return std::unique_ptr<VecExecutor>(new FilterVecExecutor(plan, std::move(child), options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db));
+      return std::unique_ptr<VecExecutor>(new FilterVecExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kProject: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db));
       return std::unique_ptr<VecExecutor>(
-          new ProjectVecExecutor(plan, std::move(child), options));
+          new ProjectVecExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kHashJoin: {
-      PSE_ASSIGN_OR_RETURN(auto build, BuildVecExecutor(*plan.children[0], db, options));
-      PSE_ASSIGN_OR_RETURN(auto probe, BuildVecExecutor(*plan.children[1], db, options));
+      PSE_ASSIGN_OR_RETURN(auto build, BuildVecExecutor(*plan.children[0], db));
+      PSE_ASSIGN_OR_RETURN(auto probe, BuildVecExecutor(*plan.children[1], db));
       return std::unique_ptr<VecExecutor>(
-          new HashJoinVecExecutor(plan, std::move(build), std::move(probe), options));
+          new HashJoinVecExecutor(plan, std::move(build), std::move(probe)));
     }
     case PlanNode::Kind::kIndexNLJoin: {
-      PSE_ASSIGN_OR_RETURN(auto outer, BuildVecExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto outer, BuildVecExecutor(*plan.children[0], db));
       PSE_ASSIGN_OR_RETURN(TableInfo * t, db->GetTable(plan.table));
       const IndexInfo* idx = t->FindIndex(plan.index_column);
       if (idx == nullptr) {
         return Status::Internal("plan expects index on " + plan.table + "." + plan.index_column);
       }
       return std::unique_ptr<VecExecutor>(
-          new IndexNLJoinVecExecutor(plan, std::move(outer), t, idx->tree.get(), options));
+          new IndexNLJoinVecExecutor(plan, std::move(outer), t, idx->tree.get()));
     }
     case PlanNode::Kind::kDistinct: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db, options));
-      return std::unique_ptr<VecExecutor>(new DistinctVecExecutor(std::move(child), options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db));
+      return std::unique_ptr<VecExecutor>(new DistinctVecExecutor(std::move(child)));
     }
     case PlanNode::Kind::kAggregate: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db));
       return std::unique_ptr<VecExecutor>(
-          new AggregateVecExecutor(plan, std::move(child), options));
+          new AggregateVecExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kSort: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db, options));
-      return std::unique_ptr<VecExecutor>(new SortVecExecutor(plan, std::move(child), options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db));
+      return std::unique_ptr<VecExecutor>(new SortVecExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kLimit: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db, options));
-      return std::unique_ptr<VecExecutor>(new LimitVecExecutor(plan, std::move(child), options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildVecExecutor(*plan.children[0], db));
+      return std::unique_ptr<VecExecutor>(new LimitVecExecutor(plan, std::move(child)));
     }
   }
   return Status::Internal("unknown plan node kind");
-}
-
-Result<std::vector<Row>> ExecutePlanVectorized(const PlanNode& plan, Database* db,
-                                               const ExecOptions& options) {
-  PSE_LOCKDEP_SCOPE("ExecutePlanVectorized");
-  // No whole-execution table latches here: every scan takes its table's
-  // shared latch per batch (see the header comment), so the engine sees
-  // each table in batch-consistent snapshots exactly like the copy loop.
-  PSE_ASSIGN_OR_RETURN(auto exec, BuildVecExecutor(plan, db, options));
-  PSE_RETURN_NOT_OK(exec->Init());
-  std::vector<Row> rows;
-  TupleBatch batch;
-  while (true) {
-    PSE_ASSIGN_OR_RETURN(bool has, exec->Next(&batch));
-    if (!has) break;
-    batch.EmitRows(&rows);
-  }
-  return rows;
 }
 
 }  // namespace pse

@@ -1,25 +1,22 @@
-// Batch-at-a-time (vectorized) executors: the same physical plans the row
-// engine runs, executed over TupleBatch instead of one Row per virtual
-// call. Scans fill ~1024-row batches straight off heap pages (one page pin
-// per page, not per tuple), filters narrow selection vectors without
-// copying values, and expressions run through compiled ExprVecExecutors.
+// Batch-at-a-time executors: every planned query runs here, over
+// TupleBatch instead of one Row per virtual call. Scans fill
+// TupleBatch::kDefaultRows-row batches straight off heap pages (one page pin
+// per page, not per tuple), filters narrow selection vectors without copying
+// values, and expressions run through compiled ExprVecExecutors.
 //
-// Latching: the row engine's ExecutePlan holds every scanned table's shared
-// latch for the whole execution. The vectorized engine instead takes the
-// per-table shared latch *per batch* inside each scan — exactly the
-// discipline the migration copy loop uses (and at the same `table:<name>`
-// lockdep rank) — and never holds two table latches at once: joins fully
-// drain or release one side before latching the other. Shared latches on
-// the writer-preferring SharedMutex must never nest, so the per-batch style
-// is also what makes it safe for a serve lane to run vectorized while the
-// copy loop batches over the same source.
+// Latching: the operators take no latches. ExecutePlan (engine/executor.h),
+// the one way to run a plan, holds the shared content latch of every table
+// the plan reads — sorted, deduplicated, for the whole execution — so every
+// batch of one execution sees the same state of each table. Re-taking one of
+// those latches inside an operator would be a recursive shared acquisition,
+// which can deadlock behind a waiting writer on the writer-preferring
+// SharedMutex (common/rw_latch.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "engine/executor.h"
 #include "engine/expr_vec.h"
 #include "engine/plan.h"
 #include "engine/tuple_batch.h"
@@ -40,7 +37,6 @@ struct VecExecutorStats {
 /// consumers must index live rows through SelIndex()/EmitRows().
 class VecExecutor {
  public:
-  explicit VecExecutor(const ExecOptions& options) : options_(options) {}
   virtual ~VecExecutor() = default;
 
   /// Prepares the operator (may consume blocking inputs, e.g. sort/agg).
@@ -61,20 +57,13 @@ class VecExecutor {
  protected:
   virtual Result<bool> InternalNext(TupleBatch* out) = 0;
 
-  ExecOptions options_;
-
  private:
   VecExecutorStats stats_;
 };
 
-/// Builds the vectorized executor tree for a planned query.
-Result<std::unique_ptr<VecExecutor>> BuildVecExecutor(const PlanNode& plan, Database* db,
-                                                      const ExecOptions& options);
-
-/// Builds, runs, and collects all output rows on the vectorized engine.
-/// Row-for-row equal to the row engine's ExecutePlan (the differential
-/// oracle gates this), including output order.
-Result<std::vector<Row>> ExecutePlanVectorized(const PlanNode& plan, Database* db,
-                                               const ExecOptions& options);
+/// Builds the executor tree for a planned query. Takes no latches: run plans
+/// through ExecutePlan, which holds them.
+Result<std::unique_ptr<VecExecutor>> BuildVecExecutor(const PlanNode& plan,
+                                                      Database* db);
 
 }  // namespace pse

@@ -168,9 +168,6 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
   std::vector<double> shard_weights = options.hotness;
   if (shard_weights.empty()) shard_weights.assign(n, 1.0);
 
-  ExecOptions exec_options = ExecOptions::Default();
-  exec_options.vectorized = exec_options.vectorized || options.vectorized;
-
   uint64_t remaining = 0;
   uint64_t io_before = 0;
   uint64_t batches_before = 0;
@@ -285,7 +282,7 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
           if (!plan.ok()) {
             failed = plan.status();
           } else {
-            Status status = ExecutePlan(**plan, shard->db(), exec_options).status();
+            Status status = ExecutePlan(**plan, shard->db()).status();
             if (!status.ok()) {
               failed = status;
             } else {

@@ -67,13 +67,13 @@ class TableHeap {
     /// them.
     ///
     /// Equivalent to repeating { out->push_back(row()); Next(); } but pins
-    /// each heap page once instead of once per tuple — the storage half of
-    /// the vectorized scan. Starts with the current tuple; afterwards the
+    /// each heap page once instead of once per tuple — the migration copy
+    /// loop's scan. Starts with the current tuple; afterwards the
     /// iterator is positioned on the first unconsumed tuple (or AtEnd()).
     /// Returns the number appended (0 at end of stream).
     Result<size_t> FillBatch(size_t max_rows, std::vector<Row>* out);
 
-    /// \brief Column-pruned FillBatch feeding the vectorized scan directly.
+    /// \brief Column-pruned FillBatch feeding the engine's scan directly.
     ///
     /// Decodes only the columns named by `wanted` (strictly ascending
     /// positions), appending one value per consumed tuple to each matching

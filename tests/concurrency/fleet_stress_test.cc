@@ -48,7 +48,7 @@ class LockdepCleanScope {
   }
 };
 
-class FleetStressTest : public ::testing::TestWithParam<bool> {
+class FleetStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
     bs_ = Bookstore::Make();
@@ -121,7 +121,7 @@ class FleetStressTest : public ::testing::TestWithParam<bool> {
 // migration lanes walk the fleet under every staggering policy. Nothing may
 // fail with anything but BindError, the budget holds, and lockdep stays
 // clean across the whole interleaving.
-TEST_P(FleetStressTest, FleetServesCleanlyWhileMigrating) {
+TEST_F(FleetStressTest, FleetServesCleanlyWhileMigrating) {
   constexpr size_t kTenants = 5;
   LockdepCleanScope lockdep;
   SharedPlanCache cache;
@@ -144,7 +144,6 @@ TEST_P(FleetStressTest, FleetServesCleanlyWhileMigrating) {
     options.io_tokens = 2;
     options.min_queries_per_lane = 64;
     options.seed = 20260808 + static_cast<uint64_t>(policy);
-    options.vectorized = GetParam();
     options.write_fraction = 0.3;
     options.make_write = [this](size_t shard, uint64_t, std::mt19937_64& rng) {
       return MakeWrite(shard, rng);
@@ -175,11 +174,6 @@ TEST_P(FleetStressTest, FleetServesCleanlyWhileMigrating) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, FleetStressTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "vectorized" : "row";
-                         });
 
 }  // namespace
 }  // namespace pse

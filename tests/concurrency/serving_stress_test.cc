@@ -5,7 +5,9 @@
 // any sanitizer: every successful read must equal the serial oracle
 // (the rewriter invariant says any valid intermediate schema answers
 // identically), no reader may fail with anything but BindError, and the
-// ServeDuringMigration harness must report clean metrics.
+// ServeDuringMigration harness must report clean metrics. A read-consistency
+// scenario races scans against row-relocating UPDATEs: every scan must see
+// each row exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +15,8 @@
 #include <optional>
 #include <random>
 #include <shared_mutex>
+#include <string>
+#include <unordered_set>
 
 #include "analysis/lockorder.h"
 #include "common/lock_registry.h"
@@ -56,12 +60,11 @@ class LockdepCleanScope {
   }
 };
 
-/// Rewrites + executes `query` on `schema` over `db` through the engine
-/// `eo` selects. BindError (the query is not servable on this intermediate
-/// schema) comes back as nullopt; any other failure sets `*hard_error`.
+/// Rewrites + executes `query` on `schema` over `db`. BindError (the query is
+/// not servable on this intermediate schema) comes back as nullopt; any other
+/// failure sets `*hard_error`.
 std::optional<std::vector<Row>> TryRun(Database* db, const LogicalQuery& query,
-                                       const PhysicalSchema& schema, bool* hard_error,
-                                       const ExecOptions& eo = ExecOptions{}) {
+                                       const PhysicalSchema& schema, bool* hard_error) {
   Result<BoundQuery> bound = RewriteQuery(query, schema);
   if (!bound.ok()) {
     if (!bound.status().IsBindError()) *hard_error = true;
@@ -73,7 +76,7 @@ std::optional<std::vector<Row>> TryRun(Database* db, const LogicalQuery& query,
     *hard_error = true;
     return std::nullopt;
   }
-  auto rows = ExecutePlan(**plan, db, eo);
+  auto rows = ExecutePlan(**plan, db);
   if (!rows.ok()) {
     *hard_error = true;
     return std::nullopt;
@@ -81,11 +84,7 @@ std::optional<std::vector<Row>> TryRun(Database* db, const LogicalQuery& query,
   return SortRows(std::move(*rows));
 }
 
-/// Every scenario runs once per engine: param false = row iterators, true =
-/// the vectorized batch engine (whose per-batch table latches must stay
-/// clean under lockdep and TSAN while the migration latches the same
-/// tables).
-class ServingStressTest : public ::testing::TestWithParam<bool> {
+class ServingStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
     bs_ = Bookstore::Make();
@@ -137,11 +136,9 @@ class ServingStressTest : public ::testing::TestWithParam<bool> {
   OperatorSet opset_;
 };
 
-TEST_P(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
+TEST_F(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
   constexpr size_t kReaders = 4;
   LockdepCleanScope lockdep;
-  ExecOptions eo;
-  eo.vectorized = GetParam();
 
   Database db(1024);
   ASSERT_TRUE(data_->Materialize(&db, bs_->source).ok());
@@ -189,7 +186,7 @@ TEST_P(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
       std::shared_lock<SharedMutex> schema_lock(db.schema_latch());
       std::shared_ptr<const PhysicalSchema> snapshot = serving.Get();
       bool hard = false;
-      auto rows = TryRun(&db, queries_[q].query, *snapshot, &hard, eo);
+      auto rows = TryRun(&db, queries_[q].query, *snapshot, &hard);
       if (hard) {
         ++t.hard_errors;
         continue;
@@ -216,13 +213,13 @@ TEST_P(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
   ASSERT_TRUE(db.AnalyzeAll().ok());
   for (size_t q = 0; q < queries_.size(); ++q) {
     bool hard = false;
-    auto rows = TryRun(&db, queries_[q].query, current, &hard, eo);
+    auto rows = TryRun(&db, queries_[q].query, current, &hard);
     ASSERT_TRUE(rows.has_value() && !hard) << queries_[q].query.name;
     EXPECT_TRUE(SameRows(*rows, oracle_[q])) << queries_[q].query.name;
   }
 }
 
-TEST_P(ServingStressTest, ServeHarnessReportsCleanMetrics) {
+TEST_F(ServingStressTest, ServeHarnessReportsCleanMetrics) {
   LockdepCleanScope lockdep;
   Database db(1024);
   ASSERT_TRUE(data_->Materialize(&db, bs_->source).ok());
@@ -242,7 +239,6 @@ TEST_P(ServingStressTest, ServeHarnessReportsCleanMetrics) {
   ServeOptions serve;
   serve.sessions = 4;
   serve.min_queries_per_lane = 8;
-  serve.vectorized = GetParam();
   std::vector<double> freqs = {10, 10, 5};
   auto metrics = ServeDuringMigration(&db, &serving, queries_, freqs, serve, [&]() -> Status {
     for (int op : *topo) {
@@ -259,7 +255,7 @@ TEST_P(ServingStressTest, ServeHarnessReportsCleanMetrics) {
   EXPECT_LE(metrics->p95_ms, metrics->p99_ms);
 }
 
-TEST_P(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
+TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   // The write half of the serve mix: lanes issue random DML from BOTH
   // application versions through the DmlRouter while the migration copies
   // and publishes underneath them (the router dual-applies whatever lands on
@@ -318,7 +314,6 @@ TEST_P(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   ServeOptions serve;
   serve.sessions = 4;
   serve.min_queries_per_lane = 12;
-  serve.vectorized = GetParam();
   serve.router = &router;
   serve.write_fraction = 0.35;
   serve.make_write = make_write;
@@ -373,7 +368,7 @@ TEST_P(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   }
 }
 
-TEST_P(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
+TEST_F(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
   // Regression for the glibc shared_mutex starvation that motivated
   // common/rw_latch.h: a tight release/re-acquire reader loop must not keep
   // an exclusive acquisition (the migration's quiesce) waiting forever.
@@ -398,10 +393,95 @@ TEST_P(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
   EXPECT_EQ(exclusive_grants.load(), 50u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, ServingStressTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "vectorized" : "row";
-                         });
+// Read consistency: an UPDATE that grows a row moves it —
+// TableHeap::Update clears the slot and re-inserts the row at the heap
+// tail. A scan that re-took its table latch per batch could read an id in
+// an early batch and again at the tail after the move. ExecutePlan holds
+// the shared table latch for the whole execution, so every answer must
+// hold each of the 5,000 ids exactly once.
+TEST(ReadConsistencyTest, ScansSeeEachRowOnceWhileUpdatesRelocateRows) {
+  constexpr int64_t kRows = 5000;
+  constexpr int64_t kUpdatedIds = 1000;
+  constexpr size_t kScans = 200;
+  // Every round appends 1,000 relocated rows to the heap; the cap bounds its
+  // growth if the scans run slowly (values stay well under VARCHAR(400)).
+  constexpr size_t kMaxRounds = 300;
+  LockdepCleanScope lockdep;
+  Database db(1024);
+  TableSchema schema(
+      "t", {Column("id", TypeId::kInt64, 0, false), Column("s", TypeId::kVarchar, 400)},
+      {"id"});
+  ASSERT_TRUE(db.CreateTable(schema).ok());
+  std::vector<Rid> rids;
+  for (int64_t id = 0; id < kRows; ++id) {
+    auto rid = db.Insert("t", {Value::Int(id), Value::Varchar("x")});
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    rids.push_back(*rid);
+  }
+  ASSERT_TRUE(db.AnalyzeAll().ok());
+  // SELECT id FROM t, planned once: planning reads the statistics the
+  // writer invalidates, execution does not.
+  BoundQuery q;
+  q.tables.emplace_back("t", std::vector<std::string>{"id"});
+  q.select_items.emplace_back(Col("t.id"), AggFunc::kNone, "id");
+  DatabaseCatalogView view(&db);
+  auto plan = PlanQuery(q, view);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  size_t scans = 0;
+  std::atomic<bool> stop{false};
+  uint64_t updates = 0;
+  Status write_status;
+  uint64_t bad_scans = 0;
+  Status read_status;
+  ThreadPool pool(2);
+  pool.ParallelFor(2, [&](size_t lane) {
+    if (lane == 0) {
+      // Round r gives ids 0-999 values of r + 2 characters, one more than
+      // round r - 1, so every update relocates its row.
+      for (size_t round = 0; round < kMaxRounds && !stop.load(); ++round) {
+        const std::string s(round + 2, 'u');
+        for (int64_t id = 0; id < kUpdatedIds; ++id) {
+          auto rid = db.Update("t", rids[static_cast<size_t>(id)],
+                               {Value::Int(id), Value::Varchar(s)});
+          if (!rid.ok()) {
+            write_status = rid.status();
+            stop.store(true);
+            return;
+          }
+          rids[static_cast<size_t>(id)] = *rid;
+          ++updates;
+        }
+      }
+      return;
+    }
+    for (size_t i = 0; i < kScans; ++i) {
+      std::shared_lock<SharedMutex> schema_lock(db.schema_latch());
+      auto rows = ExecutePlan(**plan, &db);
+      if (!rows.ok()) {
+        read_status = rows.status();
+        break;
+      }
+      std::unordered_set<int64_t> ids;
+      for (const Row& row : *rows) {
+        if (row[0].AsInt() >= 0 && row[0].AsInt() < kRows) ids.insert(row[0].AsInt());
+      }
+      if (rows->size() != static_cast<size_t>(kRows) || ids.size() != rows->size()) {
+        ++bad_scans;
+      }
+      ++scans;
+    }
+    stop.store(true);
+  });
+
+  ASSERT_TRUE(write_status.ok()) << write_status.ToString();
+  ASSERT_TRUE(read_status.ok()) << read_status.ToString();
+  EXPECT_EQ(scans, kScans);
+  EXPECT_GE(updates, static_cast<uint64_t>(kUpdatedIds))
+      << "the writer finished no round of relocating updates";
+  EXPECT_EQ(bad_scans, 0u) << "scans (of " << kScans
+                           << ") that did not return each of the 5000 ids exactly once";
+}
 
 }  // namespace
 }  // namespace pse

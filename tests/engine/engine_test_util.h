@@ -1,8 +1,10 @@
-// Shared fixtures for engine tests: a small bookstore database.
+// Shared fixtures for engine tests: a small bookstore database and a plan
+// tree search.
 #pragma once
 
 #include <memory>
 
+#include "engine/plan.h"
 #include "storage/database.h"
 
 namespace pse {
@@ -52,6 +54,16 @@ inline std::unique_ptr<Database> MakeBookstore(size_t pool_pages = 256) {
   }
   if (!db->AnalyzeAll().ok()) return nullptr;
   return db;
+}
+
+/// Finds the first node of `kind` in the plan tree (pre-order), or nullptr.
+inline const PlanNode* FindPlanNode(const PlanNode* plan, PlanNode::Kind kind) {
+  if (plan->kind == kind) return plan;
+  for (const auto& c : plan->children) {
+    const PlanNode* found = FindPlanNode(c.get(), kind);
+    if (found != nullptr) return found;
+  }
+  return nullptr;
 }
 
 }  // namespace testutil

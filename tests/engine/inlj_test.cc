@@ -12,15 +12,7 @@
 namespace pse {
 namespace {
 
-/// Finds the first node of `kind` in the plan tree (pre-order).
-const PlanNode* FindNode(const PlanNode* plan, PlanNode::Kind kind) {
-  if (plan->kind == kind) return plan;
-  for (const auto& c : plan->children) {
-    const PlanNode* found = FindNode(c.get(), kind);
-    if (found != nullptr) return found;
-  }
-  return nullptr;
-}
+using testutil::FindPlanNode;
 
 class InljTest : public ::testing::Test {
  protected:
@@ -64,7 +56,7 @@ class InljTest : public ::testing::Test {
 TEST_F(InljTest, PlannerChoosesInljForSelectiveOuter) {
   auto plan = PlanQuery(PointJoin(), *view_);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  const PlanNode* inlj = FindNode(plan->get(), PlanNode::Kind::kIndexNLJoin);
+  const PlanNode* inlj = FindPlanNode(plan->get(), PlanNode::Kind::kIndexNLJoin);
   ASSERT_NE(inlj, nullptr) << (*plan)->ToString();
   EXPECT_EQ(inlj->table, "sale");
   EXPECT_EQ(inlj->index_column, "book_id");
@@ -80,8 +72,8 @@ TEST_F(InljTest, PlannerKeepsHashJoinForFullScanOuter) {
   q.select_items.emplace_back(Col("sale.sale_id"), AggFunc::kNone, "id");
   auto plan = PlanQuery(q, *view_);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(FindNode(plan->get(), PlanNode::Kind::kIndexNLJoin), nullptr);
-  EXPECT_NE(FindNode(plan->get(), PlanNode::Kind::kHashJoin), nullptr);
+  EXPECT_EQ(FindPlanNode(plan->get(), PlanNode::Kind::kIndexNLJoin), nullptr);
+  EXPECT_NE(FindPlanNode(plan->get(), PlanNode::Kind::kHashJoin), nullptr);
 }
 
 TEST_F(InljTest, InljAndHashJoinAgree) {
@@ -131,7 +123,7 @@ TEST_F(InljTest, NullJoinKeysProduceNoMatches) {
 TEST_F(InljTest, CostModelCoversInlj) {
   auto plan = PlanQuery(PointJoin(), *view_);
   ASSERT_TRUE(plan.ok());
-  ASSERT_NE(FindNode(plan->get(), PlanNode::Kind::kIndexNLJoin), nullptr);
+  ASSERT_NE(FindPlanNode(plan->get(), PlanNode::Kind::kIndexNLJoin), nullptr);
   CostModel model(view_.get());
   auto est = model.Estimate(**plan);
   ASSERT_TRUE(est.ok()) << est.status().ToString();
