@@ -4,11 +4,16 @@
 // per migration point), via google-benchmark.
 //
 // Invoked with --json=PATH the binary skips the google-benchmark suite and
-// instead times a scan->filter->project plan, checks its output row count,
-// and emits BENCH_engine_micro.json for scripts/bench.sh.
+// instead times one plan per batch operator — scan->filter->project, a
+// 1%-selective scan of a wide table, a hash join, a GROUP BY over 10,000
+// groups and a DISTINCT — checks that every run returns exactly the
+// expected rows, and emits BENCH_engine_micro.json for scripts/bench.sh.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "core/rewriter.h"
@@ -129,109 +134,278 @@ void BM_CostEstimateQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_CostEstimateQuery);
 
-// --- scan->filter->project timing harness (--json mode) ---
+// --- per-operator timing harness (--json mode) ---
 
-/// One timed pipeline: the same plan executed `reps` times.
+/// One timed plan: the same plan executed `reps` times.
 struct PipelineTiming {
-  size_t rows = 0;      ///< rows the scan feeds into the pipeline
-  size_t out_rows = 0;  ///< rows surviving the filter
+  size_t rows = 0;      ///< rows the plan's scans read per run
+  size_t out_rows = 0;  ///< rows each run returns
   size_t reps = 0;
-  double ms = 0;        ///< total wall time over `reps` runs
+  double ms = 0;        ///< total execution wall time over `reps` runs
   double rows_per_s() const {
     return ms > 0 ? static_cast<double>(rows) * static_cast<double>(reps) / (ms / 1000.0)
                   : 0.0;
   }
 };
 
-/// Builds t(id, a, b, s) with `rows` rows in an in-memory pool big enough
-/// to hold it (the timing targets CPU execution cost, not I/O). Row k has
-/// a = k % 97.
-std::unique_ptr<Database> MakeWideTable(size_t rows) {
-  auto db = std::make_unique<Database>(16384);
+/// `rows` in lexicographic Value::Compare order.
+std::vector<Row> Sorted(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+      const int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return a.size() < b.size();
+  });
+  return rows;
+}
+
+/// Plans `q` once and executes it `reps` times, timing only the
+/// executions. Returns 1 unless every run returns exactly `want` (compared
+/// as sorted row multisets, outside the timed region).
+int TimeQuery(const char* name, Database* db, const BoundQuery& q, std::vector<Row> want,
+              size_t rows_read, size_t reps, PipelineTiming* out) {
+  DatabaseCatalogView view(db);
+  auto plan = PlanQuery(q, view);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "%s: plan: %s\n", name, plan.status().ToString().c_str());
+    return 1;
+  }
+  want = Sorted(std::move(want));
+  out->rows = rows_read;
+  out->out_rows = want.size();
+  out->reps = reps;
+  out->ms = 0;
+  int rc = 0;
+  for (size_t r = 0; r < reps; ++r) {
+    Stopwatch timer;
+    auto got = ExecutePlan(**plan, db);
+    out->ms += timer.ElapsedSeconds() * 1000.0;
+    if (!got.ok() || Sorted(std::move(*got)) != want) {
+      std::fprintf(stderr, "%s: run %zu returned %s\n", name, r,
+                   got.ok() ? "the wrong rows" : got.status().ToString().c_str());
+      rc = 1;
+    }
+  }
+  return rc;
+}
+
+/// `prefix` followed by the decimal digits of `k`.
+std::string Tagged(const char* prefix, int64_t k) {
+  std::string s = prefix;
+  s += std::to_string(k);
+  return s;
+}
+
+/// t(id, a, b, s) with `rows` rows: row k has a = k % 97, b = k % 13 and
+/// s = "s" + k % 31. The pool holds the whole table: the micros time CPU
+/// execution cost, not I/O.
+Status AddWideTable(Database* db, size_t rows) {
   TableSchema t("t",
                 {Column("id", TypeId::kInt64, 0, false), Column("a", TypeId::kInt64),
                  Column("b", TypeId::kInt64), Column("s", TypeId::kVarchar, 16)},
                 {"id"});
-  if (!db->CreateTable(t).ok()) return nullptr;
+  PSE_RETURN_NOT_OK(db->CreateTable(t));
   for (size_t i = 0; i < rows; ++i) {
     int64_t k = static_cast<int64_t>(i);
-    auto s = db->Insert("t", {Value::Int(k), Value::Int(k % 97), Value::Int(k % 13),
-                              Value::Varchar("s" + std::to_string(k % 31))});
-    if (!s.ok()) return nullptr;
+    Row row{Value::Int(k), Value::Int(k % 97), Value::Int(k % 13),
+            Value::Varchar(Tagged("s", k % 31))};
+    PSE_RETURN_NOT_OK(db->Insert("t", row).status());
   }
-  if (!db->AnalyzeAll().ok()) return nullptr;
-  return db;
+  return Status::OK();
 }
 
-/// SELECT id, a+b FROM t WHERE a < 48 (about half the rows survive), timed
-/// over `reps` runs; every run must return the rows with k % 97 < 48.
-int RunScanFilterProject(size_t rows, size_t reps, PipelineTiming* out) {
-  auto db = MakeWideTable(rows);
-  if (db == nullptr) return 1;
-  BoundQuery q;
-  // Projection pushdown as the rewriter emits it: only referenced columns
-  // reach the TableAccess, so the wide varchar column stays behind.
-  TableAccess t("t", {"id", "a", "b"});
-  t.filters.push_back(Cmp(CompareOp::kLt, Col("a"), Const(Value::Int(48))));
-  q.tables.push_back(std::move(t));
-  q.select_items.emplace_back(Col("t.id"), AggFunc::kNone, "id");
-  q.select_items.emplace_back(
-      std::make_unique<ArithExpr>(ArithOp::kAdd, Col("t.a"), Col("t.b")), AggFunc::kNone, "ab");
-  DatabaseCatalogView view(db.get());
-  auto plan = PlanQuery(q, view);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
+/// w(id, a, pad) with `rows` rows: row k has a = k % 100 and a 300-char pad
+/// — TPC-W-like wide rows (c_data, i_desc) that a selective query rarely
+/// returns.
+Status AddPaddedTable(Database* db, size_t rows) {
+  TableSchema w("w",
+                {Column("id", TypeId::kInt64, 0, false), Column("a", TypeId::kInt64),
+                 Column("pad", TypeId::kVarchar, 300)},
+                {"id"});
+  PSE_RETURN_NOT_OK(db->CreateTable(w));
+  for (size_t i = 0; i < rows; ++i) {
+    int64_t k = static_cast<int64_t>(i);
+    std::string pad = Tagged("p", k);
+    pad.resize(300, 'x');
+    Row row{Value::Int(k), Value::Int(k % 100), Value::Varchar(std::move(pad))};
+    PSE_RETURN_NOT_OK(db->Insert("w", row).status());
+  }
+  return Status::OK();
+}
+
+/// f(id, fk, v) with `rows` rows (row k: fk = k % `keys`, v = k % 7) and
+/// d(did, name) with `keys` rows (row j: name = "n" + j): a fact table and
+/// its dimension.
+Status AddFactTables(Database* db, size_t rows, size_t keys) {
+  TableSchema f("f",
+                {Column("id", TypeId::kInt64, 0, false), Column("fk", TypeId::kInt64),
+                 Column("v", TypeId::kInt64)},
+                {"id"});
+  TableSchema d("d",
+                {Column("did", TypeId::kInt64, 0, false),
+                 Column("name", TypeId::kVarchar, 16)},
+                {"did"});
+  PSE_RETURN_NOT_OK(db->CreateTable(f));
+  PSE_RETURN_NOT_OK(db->CreateTable(d));
+  for (size_t i = 0; i < rows; ++i) {
+    int64_t k = static_cast<int64_t>(i);
+    Row row{Value::Int(k), Value::Int(k % static_cast<int64_t>(keys)), Value::Int(k % 7)};
+    PSE_RETURN_NOT_OK(db->Insert("f", row).status());
+  }
+  for (size_t j = 0; j < keys; ++j) {
+    int64_t k = static_cast<int64_t>(j);
+    PSE_RETURN_NOT_OK(
+        db->Insert("d", {Value::Int(k), Value::Varchar(Tagged("n", k))}).status());
+  }
+  return Status::OK();
+}
+
+/// The timed plans, in JSON order.
+struct EngineMicros {
+  PipelineTiming scan_filter_project, selective_scan, hash_join, group_by, distinct;
+};
+
+int RunEngineMicros(EngineMicros* m) {
+  constexpr size_t kRows = 100000;      // t and f
+  constexpr size_t kPadRows = 20000;    // w
+  constexpr size_t kKeys = 10000;       // d, and f's distinct fk values
+  constexpr size_t kReps = 20;
+  Database db(16384);
+  Status built = AddWideTable(&db, kRows);
+  if (built.ok()) built = AddPaddedTable(&db, kPadRows);
+  if (built.ok()) built = AddFactTables(&db, kRows, kKeys);
+  if (built.ok()) built = db.AnalyzeAll();
+  if (!built.ok()) {
+    std::fprintf(stderr, "engine micro setup: %s\n", built.ToString().c_str());
     return 1;
   }
-  size_t want_rows = 0;
-  for (size_t k = 0; k < rows; ++k) {
-    if (k % 97 < 48) ++want_rows;
-  }
   int rc = 0;
-  out->rows = rows;
-  out->out_rows = want_rows;
-  out->reps = reps;
-  Stopwatch timer;
-  for (size_t r = 0; r < reps; ++r) {
-    auto got = ExecutePlan(**plan, db.get());
-    if (!got.ok() || got->size() != want_rows) {
-      std::fprintf(stderr, "engine micro run failed: %s (%zu rows, want %zu)\n",
-                   got.ok() ? "row-count mismatch" : got.status().ToString().c_str(),
-                   got.ok() ? got->size() : 0, want_rows);
-      rc = 1;
+
+  {  // SELECT id, a+b FROM t WHERE a < 48: about half the rows survive.
+    BoundQuery q;
+    // Projection pushdown as the rewriter emits it: only referenced columns
+    // reach the TableAccess, so the varchar column stays behind.
+    TableAccess t("t", {"id", "a", "b"});
+    t.filters.push_back(Cmp(CompareOp::kLt, Col("a"), Const(Value::Int(48))));
+    q.tables.push_back(std::move(t));
+    q.select_items.emplace_back(Col("t.id"), AggFunc::kNone, "id");
+    q.select_items.emplace_back(
+        std::make_unique<ArithExpr>(ArithOp::kAdd, Col("t.a"), Col("t.b")),
+        AggFunc::kNone, "ab");
+    std::vector<Row> want;
+    for (int64_t k = 0; k < static_cast<int64_t>(kRows); ++k) {
+      if (k % 97 < 48) want.push_back({Value::Int(k), Value::Int(k % 97 + k % 13)});
     }
+    rc |= TimeQuery("scan_filter_project", &db, q, std::move(want), kRows, kReps,
+                    &m->scan_filter_project);
   }
-  out->ms = timer.ElapsedSeconds() * 1000.0;
+  {  // SELECT id, pad FROM w WHERE a = 7: 1% of the rows, each 300 chars wide.
+    BoundQuery q;
+    TableAccess w("w", {"id", "pad"});
+    w.filters.push_back(Cmp(CompareOp::kEq, Col("a"), Const(Value::Int(7))));
+    q.tables.push_back(std::move(w));
+    q.select_items.emplace_back(Col("w.id"), AggFunc::kNone, "id");
+    q.select_items.emplace_back(Col("w.pad"), AggFunc::kNone, "pad");
+    std::vector<Row> want;
+    for (int64_t k = 7; k < static_cast<int64_t>(kPadRows); k += 100) {
+      std::string pad = Tagged("p", k);
+      pad.resize(300, 'x');
+      want.push_back({Value::Int(k), Value::Varchar(pad)});
+    }
+    rc |= TimeQuery("selective_scan", &db, q, std::move(want), kPadRows, kReps,
+                    &m->selective_scan);
+  }
+  {  // SELECT f.id, d.name FROM f JOIN d ON f.fk = d.did: one match per f row.
+    BoundQuery q;
+    q.tables.push_back(TableAccess("f", {"id", "fk"}));
+    q.tables.push_back(TableAccess("d", {"did", "name"}));
+    q.joins.push_back(EquiJoin{0, 1, "fk", "did"});
+    q.select_items.emplace_back(Col("f.id"), AggFunc::kNone, "id");
+    q.select_items.emplace_back(Col("d.name"), AggFunc::kNone, "name");
+    std::vector<Row> want;
+    for (int64_t k = 0; k < static_cast<int64_t>(kRows); ++k) {
+      want.push_back(
+          {Value::Int(k), Value::Varchar(Tagged("n", k % static_cast<int64_t>(kKeys)))});
+    }
+    rc |= TimeQuery("hash_join", &db, q, std::move(want), kRows + kKeys, kReps,
+                    &m->hash_join);
+  }
+  {  // SELECT fk, COUNT(*), SUM(v) FROM f GROUP BY fk: 10,000 groups.
+    BoundQuery q;
+    q.tables.push_back(TableAccess("f", {"fk", "v"}));
+    q.group_by.push_back(Col("f.fk"));
+    q.select_items.emplace_back(Col("f.fk"), AggFunc::kNone, "fk");
+    q.select_items.emplace_back(nullptr, AggFunc::kCountStar, "n");
+    q.select_items.emplace_back(Col("f.v"), AggFunc::kSum, "sum_v");
+    std::vector<int64_t> count(kKeys, 0), sum(kKeys, 0);
+    for (int64_t k = 0; k < static_cast<int64_t>(kRows); ++k) {
+      ++count[static_cast<size_t>(k) % kKeys];
+      sum[static_cast<size_t>(k) % kKeys] += k % 7;
+    }
+    std::vector<Row> want;
+    for (size_t g = 0; g < kKeys; ++g) {
+      want.push_back({Value::Int(static_cast<int64_t>(g)), Value::Int(count[g]),
+                      Value::Int(sum[g])});
+    }
+    rc |= TimeQuery("group_by", &db, q, std::move(want), kRows, kReps, &m->group_by);
+  }
+  {  // SELECT DISTINCT fk FROM f: 10,000 distinct values.
+    BoundQuery q;
+    q.tables.push_back(TableAccess("f", {"fk"}));
+    q.select_items.emplace_back(Col("f.fk"), AggFunc::kNone, "fk");
+    q.select_distinct = true;
+    std::vector<Row> want;
+    for (size_t g = 0; g < kKeys; ++g) {
+      want.push_back({Value::Int(static_cast<int64_t>(g))});
+    }
+    rc |= TimeQuery("distinct", &db, q, std::move(want), kRows, kReps, &m->distinct);
+  }
   return rc;
 }
 
-void WriteEngineJson(const std::string& path, const PipelineTiming& sfp) {
+void WriteEngineJson(const std::string& path, const EngineMicros& m) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"engine_micro\",\n"
-               "  \"scan_filter_project\": {\"rows\": %zu, \"out_rows\": %zu, \"reps\": %zu, "
-               "\"ms\": %.2f, \"rows_per_s\": %.0f}\n}\n",
-               sfp.rows, sfp.out_rows, sfp.reps, sfp.ms, sfp.rows_per_s());
+  const std::pair<const char*, const PipelineTiming*> rows[] = {
+      {"scan_filter_project", &m.scan_filter_project},
+      {"selective_scan", &m.selective_scan},
+      {"hash_join", &m.hash_join},
+      {"group_by", &m.group_by},
+      {"distinct", &m.distinct}};
+  std::fprintf(f, "{\n  \"bench\": \"engine_micro\"");
+  for (const auto& [name, t] : rows) {
+    std::fprintf(f,
+                 ",\n  \"%s\": {\"rows\": %zu, \"out_rows\": %zu, \"reps\": %zu, "
+                 "\"ms\": %.2f, \"rows_per_s\": %.0f}",
+                 name, t->rows, t->out_rows, t->reps, t->ms, t->rows_per_s());
+  }
+  std::fprintf(f, "\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
 
 /// Entry point of the --json timing mode.
 int RunEngineTiming(const std::string& json_path) {
-  constexpr size_t kRows = 100000;
-  constexpr size_t kReps = 20;
-  PipelineTiming sfp;
-  int rc = RunScanFilterProject(kRows, kReps, &sfp);
-  std::printf("=== engine micro: scan->filter->project, %zu rows x %zu ===\n"
-              "%-24s %10s %10s %14s\n",
-              kRows, kReps, "pipeline", "out-rows", "ms", "rows/s");
-  std::printf("%-24s %10zu %10.1f %14.0f\n", "scan-filter-project", sfp.out_rows, sfp.ms,
-              sfp.rows_per_s());
-  if (!json_path.empty()) WriteEngineJson(json_path, sfp);
+  EngineMicros m;
+  int rc = RunEngineMicros(&m);
+  std::printf("=== engine micro: one plan per operator, %zu runs each ===\n"
+              "%-22s %10s %10s %10s %14s\n",
+              m.scan_filter_project.reps, "plan", "rows", "out-rows", "ms", "rows/s");
+  const std::pair<const char*, const PipelineTiming*> rows[] = {
+      {"scan-filter-project", &m.scan_filter_project},
+      {"selective-scan", &m.selective_scan},
+      {"hash-join", &m.hash_join},
+      {"group-by", &m.group_by},
+      {"distinct", &m.distinct}};
+  for (const auto& [name, t] : rows) {
+    std::printf("%-22s %10zu %10zu %10.1f %14.0f\n", name, t->rows, t->out_rows, t->ms,
+                t->rows_per_s());
+  }
+  if (!json_path.empty()) WriteEngineJson(json_path, m);
   return rc;
 }
 

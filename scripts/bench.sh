@@ -2,8 +2,8 @@
 # Builds (Release) and runs the machine-readable benches, leaving their JSON
 # artifacts in the repo root — the project's perf trajectory across PRs.
 #
-#   scripts/bench.sh            # build + run, writes BENCH_laa_scaling.json
-#                               # and BENCH_engine_micro.json
+#   scripts/bench.sh            # build + run, writes BENCH_laa_scaling.json,
+#                               # BENCH_engine_micro.json and BENCH_fleet.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,14 +95,16 @@ if sed -n '/"mixed_rw_serving"/,$p' BENCH_laa_scaling.json | grep -Eq '"errors":
   exit 1
 fi
 
-echo "== bench: engine micro (scan->filter->project) =="
-# The binary exits non-zero when a run returns the wrong number of rows.
+echo "== bench: engine micro (one plan per batch operator) =="
+# The binary exits non-zero when a run returns other rows than expected.
 "$build_dir"/bench/bench_engine_micro --json=BENCH_engine_micro.json
 
 echo "== bench: validating BENCH_engine_micro.json =="
-for key in '"scan_filter_project"' '"out_rows"' '"ms"' '"rows_per_s"'; do
-  grep -q "$key" BENCH_engine_micro.json || {
-    echo "engine micro JSON is missing the key $key" >&2
+# Every micro must report its row counts, wall time and throughput.
+for key in scan_filter_project selective_scan hash_join group_by distinct; do
+  grep -Eq "\"$key\": \{\"rows\": [0-9]+, \"out_rows\": [0-9]+, \"reps\": [0-9]+, \"ms\": [0-9.]+, \"rows_per_s\": [0-9]+\}" \
+    BENCH_engine_micro.json || {
+    echo "engine micro JSON is missing a complete $key entry" >&2
     exit 1
   }
 done

@@ -40,6 +40,32 @@ class TupleCodec {
   static size_t SerializedSize(const TableSchema& schema, const Row& row);
 };
 
+/// \brief Serialized tuples stored back to back.
+///
+/// What the batch scans copy out of heap pages while each page is pinned,
+/// so that decoding can happen column by column afterwards (and only for
+/// the tuples that need it). Tuple i occupies bytes [ends[i-1], ends[i]) of
+/// `data`, with ends[-1] taken as 0.
+struct TupleBytes {
+  std::string data;
+  std::vector<size_t> ends;
+
+  size_t size() const { return ends.size(); }
+  const char* tuple(size_t i) const { return data.data() + begin(i); }
+  size_t tuple_size(size_t i) const { return ends[i] - begin(i); }
+  void Append(const char* bytes, size_t n) {
+    data.append(bytes, n);
+    ends.push_back(data.size());
+  }
+  void Clear() {
+    data.clear();
+    ends.clear();
+  }
+
+ private:
+  size_t begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+};
+
 /// Display form "(v1, v2, ...)" for tests and examples.
 std::string RowToString(const Row& row);
 

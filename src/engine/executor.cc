@@ -45,7 +45,12 @@ Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db) {
   while (true) {
     PSE_ASSIGN_OR_RETURN(bool has, exec->Next(&batch));
     if (!has) break;
-    batch.EmitRows(&rows);
+    // The next Next() rebuilds the batch, so its values move out.
+    const size_t n = batch.size();
+    for (size_t i = 0; i < n; ++i) {
+      rows.emplace_back();
+      batch.MoveRowOut(batch.SelIndex(i), &rows.back());
+    }
   }
   return rows;
 }

@@ -1,37 +1,14 @@
 #include "engine/vec_executor.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cmath>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 namespace pse {
 
 namespace {
-
-/// Projects `in` onto source columns `idxs` without touching individual
-/// values: whole column vectors are moved when a source column is used
-/// exactly once (copied otherwise) and `in`'s selection vector, if any,
-/// transfers to `out` unchanged — physical indices are column-independent,
-/// so narrowing survives the projection for free. `in` is left hollow;
-/// callers Reset() it before reuse.
-void GatherColumns(TupleBatch* in, const std::vector<size_t>& idxs, TupleBatch* out) {
-  const size_t phys = in->num_rows();
-  out->Reset(idxs.size(), phys);
-  for (size_t j = 0; j < idxs.size(); ++j) {
-    size_t uses = 0;
-    for (size_t k : idxs) {
-      if (k == idxs[j]) ++uses;
-    }
-    if (uses == 1) {
-      out->col(j) = std::move(in->col(idxs[j]));
-    } else {
-      out->col(j) = in->col(idxs[j]);
-    }
-  }
-  out->SetNumRows(phys);
-  if (in->has_sel()) out->SetSel(in->sel());
-}
 
 /// Collects the resolved positions of every ColumnRef under `e` into `out`.
 /// Returns false (collector output unusable) on an unresolved reference or a
@@ -71,49 +48,139 @@ bool CollectColumnPositions(const Expr& e, std::vector<size_t>* out) {
   return false;
 }
 
+/// \brief Filter-first decoding of scanned tuples into a projected batch.
+///
+/// Shared by the sequential scan, the index scan and the index nested-loop
+/// join's inner side, which all read one table through the plan's scan
+/// fields (`scan_column_idxs`, `scan_filter`). For one batch of tuple bytes
+/// it decodes the pushed-down filter's columns of every tuple, evaluates
+/// the filter, and then decodes the other projected columns of the
+/// survivors only; a column neither reads is never decoded. The produced
+/// batch holds the survivors packed at physical rows [0, survivors), in
+/// tuple order, without a selection vector.
+class ScanDecoder {
+ public:
+  Status Init(const PlanNode& plan, const TableSchema& schema) {
+    schema_ = &schema;
+    const std::vector<size_t>& proj = plan.scan_column_idxs;
+    width_ = proj.size();
+    filter_ = ExprVecExecutor();
+    filter_cols_.clear();
+    if (plan.scan_filter) {
+      PSE_ASSIGN_OR_RETURN(filter_, ExprVecExecutor::Create(*plan.scan_filter));
+      if (!CollectColumnPositions(*plan.scan_filter, &filter_cols_)) {
+        filter_cols_.resize(schema.num_columns());
+        std::iota(filter_cols_.begin(), filter_cols_.end(), size_t{0});
+      }
+      std::sort(filter_cols_.begin(), filter_cols_.end());
+      filter_cols_.erase(std::unique(filter_cols_.begin(), filter_cols_.end()),
+                         filter_cols_.end());
+    }
+    // Each output column is filled one of three ways: moved out of the
+    // filter's decode, decoded late for survivors, or copied from an earlier
+    // output column with the same source.
+    late_.clear();
+    gathered_.clear();
+    copies_.clear();
+    for (size_t j = 0; j < proj.size(); ++j) {
+      const auto first = static_cast<size_t>(
+          std::find(proj.begin(), proj.end(), proj[j]) - proj.begin());
+      if (first != j) {
+        copies_.emplace_back(j, first);
+      } else if (std::binary_search(filter_cols_.begin(), filter_cols_.end(), proj[j])) {
+        gathered_.emplace_back(j, proj[j]);
+      } else {
+        late_.emplace_back(proj[j], j);
+      }
+    }
+    // DeserializeColumns wants ascending table positions.
+    std::sort(late_.begin(), late_.end());
+    late_cols_.clear();
+    for (const auto& [col, j] : late_) late_cols_.push_back(col);
+    return Status::OK();
+  }
+
+  /// Decodes `tuples` into `out` (columns in `scan_column_idxs` order) and
+  /// returns the number of survivors. At 0, `out` is left untouched.
+  Result<size_t> Decode(const TupleBytes& tuples, TupleBatch* out) {
+    const size_t n = tuples.size();
+    if (filter_.valid()) {
+      // Table-width batch in which only the filter's columns are decoded;
+      // the others stay empty and reserve nothing.
+      filter_batch_.Reset(schema_->num_columns(), 0);
+      col_ptrs_.clear();
+      for (size_t c : filter_cols_) {
+        filter_batch_.col(c).reserve(n);
+        col_ptrs_.push_back(&filter_batch_.col(c));
+      }
+      for (size_t t = 0; t < n; ++t) {
+        PSE_RETURN_NOT_OK(TupleCodec::DeserializeColumns(
+            *schema_, tuples.tuple(t), tuples.tuple_size(t), filter_cols_, col_ptrs_));
+      }
+      filter_batch_.SetNumRows(n);
+      PSE_RETURN_NOT_OK(filter_.EvalSelect(filter_batch_, &survivors_));
+    } else {
+      survivors_.resize(n);
+      std::iota(survivors_.begin(), survivors_.end(), uint32_t{0});
+    }
+    const size_t live = survivors_.size();
+    if (live == 0) return size_t{0};
+    out->Reset(width_, live);
+    if (!late_cols_.empty()) {
+      col_ptrs_.clear();
+      for (const auto& [col, j] : late_) col_ptrs_.push_back(&out->col(j));
+      for (uint32_t t : survivors_) {
+        PSE_RETURN_NOT_OK(TupleCodec::DeserializeColumns(
+            *schema_, tuples.tuple(t), tuples.tuple_size(t), late_cols_, col_ptrs_));
+      }
+    }
+    // The filter batch is rebuilt by the next Decode, so its values move.
+    for (const auto& [j, col] : gathered_) {
+      std::vector<Value>& src = filter_batch_.col(col);
+      std::vector<Value>& dst = out->col(j);
+      for (uint32_t t : survivors_) dst.push_back(std::move(src[t]));
+    }
+    for (const auto& [j, first] : copies_) out->col(j) = out->col(first);
+    out->SetNumRows(live);
+    return live;
+  }
+
+  /// Indices into the last Decode's `tuples` of its survivors, ascending.
+  const std::vector<uint32_t>& survivors() const { return survivors_; }
+
+ private:
+  const TableSchema* schema_ = nullptr;
+  size_t width_ = 0;
+  ExprVecExecutor filter_;
+  std::vector<size_t> filter_cols_;                   ///< ascending
+  std::vector<std::pair<size_t, size_t>> late_;       ///< (table col, output col)
+  std::vector<size_t> late_cols_;                     ///< late_'s table cols
+  std::vector<std::pair<size_t, size_t>> gathered_;   ///< (output col, table col)
+  std::vector<std::pair<size_t, size_t>> copies_;     ///< (output col, source output col)
+  std::vector<std::vector<Value>*> col_ptrs_;
+  TupleBatch filter_batch_;
+  std::vector<uint32_t> survivors_;
+};
+
 class SeqScanVecExecutor : public VecExecutor {
  public:
   SeqScanVecExecutor(const PlanNode& plan, TableInfo* table)
       : plan_(plan), table_(table) {}
 
   Status Init() override {
-    if (plan_.scan_filter) {
-      PSE_ASSIGN_OR_RETURN(filter_, ExprVecExecutor::Create(*plan_.scan_filter));
-    }
-    // Column pruning: decode only what the projection or the pushed-down
-    // filter touches. Skipped columns (often wide varchars) never leave the
-    // page.
-    const size_t width = table_->schema->columns().size();
-    needed_ = plan_.scan_column_idxs;
-    if (plan_.scan_filter && !CollectColumnPositions(*plan_.scan_filter, &needed_)) {
-      needed_.resize(width);
-      for (size_t i = 0; i < width; ++i) needed_[i] = i;
-    }
-    std::sort(needed_.begin(), needed_.end());
-    needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
+    PSE_RETURN_NOT_OK(decoder_.Init(plan_, *table_->schema));
     it_ = table_->heap->Begin();
     return Status::OK();
   }
 
   Result<bool> InternalNext(TupleBatch* out) override {
-    const size_t width = table_->schema->columns().size();
     while (true) {
-      full_.Reset(width, TupleBatch::kDefaultRows);
-      cols_.clear();
-      for (size_t c : needed_) cols_.push_back(&full_.col(c));
-      PSE_ASSIGN_OR_RETURN(
-          size_t filled, it_.FillBatchColumns(TupleBatch::kDefaultRows, needed_, cols_));
+      tuples_.Clear();
+      PSE_ASSIGN_OR_RETURN(size_t filled,
+                           it_.FillTupleBytes(TupleBatch::kDefaultRows, &tuples_));
       if (filled == 0) return false;
-      // Pruned columns stay empty; only `needed_` positions are readable,
-      // which covers the filter and the gather below.
-      full_.SetNumRows(filled);
-      if (filter_.valid()) {
-        PSE_RETURN_NOT_OK(filter_.EvalSelect(full_, &sel_));
-        if (sel_.empty()) continue;  // all-filtered batch: keep scanning
-        full_.SetSel(std::move(sel_));
-      }
-      GatherColumns(&full_, plan_.scan_column_idxs, out);
-      return true;
+      PSE_ASSIGN_OR_RETURN(size_t live, decoder_.Decode(tuples_, out));
+      if (live > 0) return true;  // an all-filtered batch keeps scanning
     }
   }
 
@@ -121,11 +188,8 @@ class SeqScanVecExecutor : public VecExecutor {
   const PlanNode& plan_;
   TableInfo* table_;
   TableHeap::Iterator it_;
-  ExprVecExecutor filter_;
-  std::vector<size_t> needed_;
-  std::vector<std::vector<Value>*> cols_;
-  TupleBatch full_;
-  std::vector<uint32_t> sel_;
+  ScanDecoder decoder_;
+  TupleBytes tuples_;
 };
 
 class IndexScanVecExecutor : public VecExecutor {
@@ -134,9 +198,7 @@ class IndexScanVecExecutor : public VecExecutor {
       : plan_(plan), table_(table), tree_(tree) {}
 
   Status Init() override {
-    if (plan_.scan_filter) {
-      PSE_ASSIGN_OR_RETURN(filter_, ExprVecExecutor::Create(*plan_.scan_filter));
-    }
+    PSE_RETURN_NOT_OK(decoder_.Init(plan_, *table_->schema));
     int64_t lo = plan_.lo.value_or(INT64_MIN);
     int64_t hi = plan_.hi.value_or(INT64_MAX);
     rids_.clear();
@@ -145,22 +207,14 @@ class IndexScanVecExecutor : public VecExecutor {
   }
 
   Result<bool> InternalNext(TupleBatch* out) override {
-    const size_t width = table_->schema->columns().size();
     while (pos_ < rids_.size()) {
-      full_.Reset(width, TupleBatch::kDefaultRows);
-      Row row;
-      for (size_t n = 0; pos_ < rids_.size() && n < TupleBatch::kDefaultRows;
-           ++n, ++pos_) {
-        PSE_RETURN_NOT_OK(table_->heap->Get(rids_[pos_], &row));
-        full_.AppendRow(std::move(row));
+      tuples_.Clear();
+      const size_t end = std::min(rids_.size(), pos_ + TupleBatch::kDefaultRows);
+      for (; pos_ < end; ++pos_) {
+        PSE_RETURN_NOT_OK(table_->heap->CopyTuple(rids_[pos_], &tuples_));
       }
-      if (filter_.valid()) {
-        PSE_RETURN_NOT_OK(filter_.EvalSelect(full_, &sel_));
-        if (sel_.empty()) continue;
-        full_.SetSel(std::move(sel_));
-      }
-      GatherColumns(&full_, plan_.scan_column_idxs, out);
-      return true;
+      PSE_ASSIGN_OR_RETURN(size_t live, decoder_.Decode(tuples_, out));
+      if (live > 0) return true;
     }
     return false;
   }
@@ -169,11 +223,10 @@ class IndexScanVecExecutor : public VecExecutor {
   const PlanNode& plan_;
   TableInfo* table_;
   const BPlusTree* tree_;
-  ExprVecExecutor filter_;
+  ScanDecoder decoder_;
   std::vector<Rid> rids_;
   size_t pos_ = 0;
-  TupleBatch full_;
-  std::vector<uint32_t> sel_;
+  TupleBytes tuples_;
 };
 
 class FilterVecExecutor : public VecExecutor {
@@ -275,6 +328,156 @@ class ProjectVecExecutor : public VecExecutor {
   TupleBatch in_;
 };
 
+/// Spreads every bit of `h` over the whole word (the murmur3 64-bit
+/// finalizer). Value::Hash of an integer is the integer itself —
+/// libstdc++'s std::hash<int64_t> is the identity — so masking it unmixed
+/// would send keys that differ only above the mask, such as multiples of
+/// 65,536, to one slot.
+uint64_t Mix(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Hash of the key formed by columns `cols` of physical row `row`.
+uint64_t HashKey(const TupleBatch& batch, const std::vector<size_t>& cols, size_t row) {
+  uint64_t h = 0;
+  for (size_t c : cols) h = Mix(h + batch.At(c, row).Hash());
+  return h;
+}
+
+constexpr uint32_t kNoRow = UINT32_MAX;
+
+/// \brief The batch engine's one hash table: open addressing over entry ids.
+///
+/// Hash join (an entry per distinct build key), aggregation (per group) and
+/// DISTINCT (per distinct row) all key rows through it. Entries are
+/// numbered 0, 1, 2, ... in insertion order. The table holds only each
+/// entry's id and mixed hash; the caller keeps the key itself (in batches
+/// it retained, or in key columns) and answers equality through `eq(id)`,
+/// which is called only for entries whose stored hash matches. Linear
+/// probing over a power-of-two slot array at most half full; growth doubles
+/// it and re-inserts the ids in ascending order.
+class RowIndexTable {
+ public:
+  size_t size() const { return hashes_.size(); }
+
+  void Clear() {
+    slots_.clear();
+    hashes_.clear();
+  }
+
+  /// The entry with mixed hash `hash` for which `eq` holds, or kNoRow.
+  template <typename Eq>
+  uint32_t Find(uint64_t hash, const Eq& eq) const {
+    if (slots_.empty()) return kNoRow;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t id = slots_[i];
+      if (id == kNoRow || (hashes_[id] == hash && eq(id))) return id;
+    }
+  }
+
+  /// Like Find, but appends a new entry (id = the old size()) when none
+  /// matches; `*inserted` says which happened.
+  template <typename Eq>
+  uint32_t FindOrInsert(uint64_t hash, const Eq& eq, bool* inserted) {
+    if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    for (; slots_[i] != kNoRow; i = (i + 1) & mask) {
+      const uint32_t id = slots_[i];
+      if (hashes_[id] == hash && eq(id)) {
+        *inserted = false;
+        return id;
+      }
+    }
+    const auto id = static_cast<uint32_t>(hashes_.size());
+    slots_[i] = id;
+    hashes_.push_back(hash);
+    *inserted = true;
+    return id;
+  }
+
+ private:
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kNoRow);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < hashes_.size(); ++id) {
+      size_t i = hashes_[id] & mask;
+      while (slots_[i] != kNoRow) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  std::vector<uint32_t> slots_;   ///< entry id or kNoRow
+  std::vector<uint64_t> hashes_;  ///< per entry
+};
+
+/// A RowIndexTable keyed by columns of batches the operator does not keep
+/// (aggregation, COUNT(DISTINCT), DISTINCT): each new key's values are copied into the
+/// table's key columns, once per distinct key and never per row.
+class KeyedRowTable {
+ public:
+  void Reset(size_t num_keys) {
+    index_.Clear();
+    keys_.assign(num_keys, {});
+  }
+
+  size_t size() const { return index_.size(); }
+
+  /// The entry whose key equals columns `cols` of physical row `row`,
+  /// inserted (with the next id) if there is none yet.
+  uint32_t FindOrInsert(const TupleBatch& batch, const std::vector<size_t>& cols,
+                        size_t row, bool* inserted) {
+    const uint32_t id = index_.FindOrInsert(
+        HashKey(batch, cols, row),
+        [&](uint32_t e) {
+          for (size_t k = 0; k < cols.size(); ++k) {
+            if (batch.At(cols[k], row).Compare(keys_[k][e]) != 0) return false;
+          }
+          return true;
+        },
+        inserted);
+    if (*inserted) {
+      for (size_t k = 0; k < cols.size(); ++k) keys_[k].push_back(batch.At(cols[k], row));
+    }
+    return id;
+  }
+
+  /// Key column `k`, indexed by entry id.
+  std::vector<Value>& key_col(size_t k) { return keys_[k]; }
+
+ private:
+  RowIndexTable index_;
+  std::vector<std::vector<Value>> keys_;
+};
+
+/// A row of a batch an operator retained by move.
+struct RowLoc {
+  uint32_t batch;
+  uint32_t row;  ///< physical row
+};
+
+/// Appends src[rows[k]] to `dst` for every k. `rows` is non-decreasing;
+/// a row's last occurrence takes its value by move, so `src` must be a
+/// column the caller rebuilds before reading it again.
+void AppendRows(std::vector<Value>* src, const std::vector<uint32_t>& rows,
+                std::vector<Value>* dst) {
+  const size_t m = rows.size();
+  for (size_t k = 0; k < m; ++k) {
+    Value& v = (*src)[rows[k]];
+    if (k + 1 == m || rows[k + 1] != rows[k]) {
+      dst->push_back(std::move(v));
+    } else {
+      dst->push_back(v);
+    }
+  }
+}
+
 class HashJoinVecExecutor : public VecExecutor {
  public:
   HashJoinVecExecutor(const PlanNode& plan, std::unique_ptr<VecExecutor> build,
@@ -286,19 +489,41 @@ class HashJoinVecExecutor : public VecExecutor {
     PSE_RETURN_NOT_OK(probe_->Init());
     build_width_ = plan_.children[0]->output_columns.size();
     probe_width_ = plan_.children[1]->output_columns.size();
-    table_.clear();
+    table_.Clear();
+    batches_.clear();
+    rows_.clear();
+    next_.clear();
+    head_.clear();
+    tail_.clear();
     // Drain the build side completely before the probe side pulls its
-    // first batch.
-    TupleBatch batch;
+    // first batch. Build batches are kept whole; the table indexes their
+    // rows, chaining the rows of one key in arrival order.
     while (true) {
+      TupleBatch batch;
       PSE_ASSIGN_OR_RETURN(bool has, build_->Next(&batch));
       if (!has) break;
-      const size_t n = batch.size();
+      const auto b = static_cast<uint32_t>(batches_.size());
+      batches_.push_back(std::move(batch));
+      const TupleBatch& kept = batches_.back();
+      const size_t n = kept.size();
       for (size_t i = 0; i < n; ++i) {
-        const size_t p = batch.SelIndex(i);
-        const Value& key = batch.At(plan_.left_key_pos, p);
+        const size_t p = kept.SelIndex(i);
+        const Value& key = kept.At(plan_.left_key_pos, p);
         if (key.is_null()) continue;  // NULL never joins
-        table_[key].push_back(batch.RowAt(p));
+        const auto r = static_cast<uint32_t>(rows_.size());
+        rows_.push_back(RowLoc{b, static_cast<uint32_t>(p)});
+        next_.push_back(kNoRow);
+        bool inserted = false;
+        const uint32_t e = table_.FindOrInsert(
+            Mix(key.Hash()), [&](uint32_t id) { return BuildKey(id).Compare(key) == 0; },
+            &inserted);
+        if (inserted) {
+          head_.push_back(r);
+          tail_.push_back(r);
+        } else {
+          next_[tail_[e]] = r;
+          tail_[e] = r;
+        }
       }
     }
     return Status::OK();
@@ -308,38 +533,88 @@ class HashJoinVecExecutor : public VecExecutor {
     while (true) {
       PSE_ASSIGN_OR_RETURN(bool has, probe_->Next(&probe_batch_));
       if (!has) return false;
-      out->Reset(build_width_ + probe_width_, probe_batch_.size());
-      size_t emitted = 0;
+      // Output order: probe rows in order, each followed by its build
+      // matches in build order.
+      probe_rows_.clear();
+      build_rows_.clear();
       const size_t n = probe_batch_.size();
       for (size_t i = 0; i < n; ++i) {
         const size_t p = probe_batch_.SelIndex(i);
         const Value& key = probe_batch_.At(plan_.right_key_pos, p);
         if (key.is_null()) continue;
-        auto it = table_.find(key);
-        if (it == table_.end()) continue;
-        for (const Row& build_row : it->second) {
-          for (size_t c = 0; c < build_width_; ++c) out->col(c).push_back(build_row[c]);
-          for (size_t c = 0; c < probe_width_; ++c) {
-            out->col(build_width_ + c).push_back(probe_batch_.At(c, p));
-          }
-          ++emitted;
+        const uint32_t e = table_.Find(
+            Mix(key.Hash()), [&](uint32_t id) { return BuildKey(id).Compare(key) == 0; });
+        if (e == kNoRow) continue;
+        for (uint32_t r = head_[e]; r != kNoRow; r = next_[r]) {
+          probe_rows_.push_back(static_cast<uint32_t>(p));
+          build_rows_.push_back(r);
         }
       }
-      if (emitted == 0) continue;
-      out->SetNumRows(emitted);
+      const size_t m = probe_rows_.size();
+      if (m == 0) continue;
+      out->Reset(build_width_ + probe_width_, m);
+      for (size_t c = 0; c < build_width_; ++c) {
+        std::vector<Value>& dst = out->col(c);
+        for (uint32_t r : build_rows_) {
+          dst.push_back(batches_[rows_[r].batch].At(c, rows_[r].row));
+        }
+      }
+      for (size_t c = 0; c < probe_width_; ++c) {
+        AppendRows(&probe_batch_.col(c), probe_rows_, &out->col(build_width_ + c));
+      }
+      out->SetNumRows(m);
       return true;
     }
   }
 
  private:
+  /// The key of entry `id`: its first build row's key column.
+  const Value& BuildKey(uint32_t id) const {
+    const RowLoc loc = rows_[head_[id]];
+    return batches_[loc.batch].At(plan_.left_key_pos, loc.row);
+  }
+
   const PlanNode& plan_;
   std::unique_ptr<VecExecutor> build_;
   std::unique_ptr<VecExecutor> probe_;
-  std::unordered_map<Value, std::vector<Row>, ValueHash, ValueEq> table_;
+  RowIndexTable table_;              ///< entry per distinct non-NULL build key
+  std::vector<TupleBatch> batches_;  ///< the build side, as produced
+  std::vector<RowLoc> rows_;         ///< build row id -> position
+  std::vector<uint32_t> next_;       ///< build row id -> next row of its key
+  std::vector<uint32_t> head_;       ///< entry -> its first build row
+  std::vector<uint32_t> tail_;       ///< entry -> its last build row
   TupleBatch probe_batch_;
+  std::vector<uint32_t> probe_rows_;  ///< per output row: physical probe row
+  std::vector<uint32_t> build_rows_;  ///< per output row: build row id
   size_t build_width_ = 0;
   size_t probe_width_ = 0;
 };
+
+/// The BIGINT an index probe for join key `key` must look up, or nullopt
+/// when no BIGINT equals it. Equality is Value::Compare's, as in the hash
+/// join: NULL joins nothing, a BOOLEAN or integral DOUBLE equals the BIGINT
+/// of the same value, and a fractional, non-finite or out-of-range DOUBLE
+/// or a VARCHAR equals none.
+std::optional<int64_t> IndexProbeKey(const Value& key) {
+  if (key.is_null()) return std::nullopt;
+  switch (key.type()) {
+    case TypeId::kBoolean:
+    case TypeId::kInt64:
+      return key.AsInt();
+    case TypeId::kDouble: {
+      // [-2^63, 2^63) holds exactly the doubles that convert to int64.
+      const double d = key.AsDouble();
+      if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+          d == std::floor(d)) {
+        return static_cast<int64_t>(d);
+      }
+      return std::nullopt;
+    }
+    case TypeId::kVarchar:
+      break;
+  }
+  return std::nullopt;
+}
 
 class IndexNLJoinVecExecutor : public VecExecutor {
  public:
@@ -349,41 +624,45 @@ class IndexNLJoinVecExecutor : public VecExecutor {
 
   Status Init() override {
     outer_width_ = plan_.children[0]->output_columns.size();
+    PSE_RETURN_NOT_OK(decoder_.Init(plan_, *inner_->schema));
     return outer_->Init();
   }
 
   Result<bool> InternalNext(TupleBatch* out) override {
-    Row inner_full;
     while (true) {
       PSE_ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_batch_));
       if (!has) return false;
-      out->Reset(outer_width_ + plan_.scan_column_idxs.size(), outer_batch_.size());
-      size_t emitted = 0;
+      // Copy the bytes of every outer row's index matches, in outer order
+      // and index order, then filter and decode them as one batch.
+      tuples_.Clear();
+      owners_.clear();
       const size_t n = outer_batch_.size();
       for (size_t i = 0; i < n; ++i) {
         const size_t p = outer_batch_.SelIndex(i);
-        const Value& key = outer_batch_.At(plan_.left_key_pos, p);
-        if (key.is_null() || key.type() != TypeId::kInt64) continue;
+        const std::optional<int64_t> key =
+            IndexProbeKey(outer_batch_.At(plan_.left_key_pos, p));
+        if (!key.has_value()) continue;
         rids_.clear();
-        PSE_RETURN_NOT_OK(tree_->ScanEqual(key.AsInt(), &rids_));
+        PSE_RETURN_NOT_OK(tree_->ScanEqual(*key, &rids_));
         for (const Rid& rid : rids_) {
-          PSE_RETURN_NOT_OK(inner_->heap->Get(rid, &inner_full));
-          bool pass = true;
-          if (plan_.scan_filter) {
-            PSE_ASSIGN_OR_RETURN(pass, EvalPredicate(*plan_.scan_filter, inner_full));
-          }
-          if (!pass) continue;
-          for (size_t c = 0; c < outer_width_; ++c) {
-            out->col(c).push_back(outer_batch_.At(c, p));
-          }
-          for (size_t c = 0; c < plan_.scan_column_idxs.size(); ++c) {
-            out->col(outer_width_ + c).push_back(inner_full[plan_.scan_column_idxs[c]]);
-          }
-          ++emitted;
+          PSE_RETURN_NOT_OK(inner_->heap->CopyTuple(rid, &tuples_));
+          owners_.push_back(static_cast<uint32_t>(p));
         }
       }
-      if (emitted == 0) continue;
-      out->SetNumRows(emitted);
+      if (tuples_.size() == 0) continue;
+      PSE_ASSIGN_OR_RETURN(size_t live, decoder_.Decode(tuples_, &inner_batch_));
+      if (live == 0) continue;
+      const size_t inner_width = plan_.scan_column_idxs.size();
+      out->Reset(outer_width_ + inner_width, live);
+      matched_.clear();
+      for (uint32_t t : decoder_.survivors()) matched_.push_back(owners_[t]);
+      for (size_t c = 0; c < outer_width_; ++c) {
+        AppendRows(&outer_batch_.col(c), matched_, &out->col(c));
+      }
+      for (size_t c = 0; c < inner_width; ++c) {
+        out->col(outer_width_ + c) = std::move(inner_batch_.col(c));
+      }
+      out->SetNumRows(live);
       return true;
     }
   }
@@ -393,8 +672,13 @@ class IndexNLJoinVecExecutor : public VecExecutor {
   std::unique_ptr<VecExecutor> outer_;
   TableInfo* inner_;
   const BPlusTree* tree_;
+  ScanDecoder decoder_;
   TupleBatch outer_batch_;
+  TupleBatch inner_batch_;
+  TupleBytes tuples_;
   std::vector<Rid> rids_;
+  std::vector<uint32_t> owners_;   ///< per copied tuple: its physical outer row
+  std::vector<uint32_t> matched_;  ///< per output row: its physical outer row
   size_t outer_width_ = 0;
 };
 
@@ -404,7 +688,8 @@ class DistinctVecExecutor : public VecExecutor {
       : child_(std::move(child)) {}
 
   Status Init() override {
-    seen_.clear();
+    cols_.clear();
+    seen_.Reset(0);
     return child_->Init();
   }
 
@@ -412,11 +697,19 @@ class DistinctVecExecutor : public VecExecutor {
     while (true) {
       PSE_ASSIGN_OR_RETURN(bool has, child_->Next(out));
       if (!has) return false;
+      if (cols_.size() != out->num_cols()) {  // first batch: key = every column
+        cols_.resize(out->num_cols());
+        std::iota(cols_.begin(), cols_.end(), size_t{0});
+        seen_.Reset(cols_.size());
+      }
+      // Keep first occurrences, in input order.
       sel_.clear();
       const size_t n = out->size();
       for (size_t i = 0; i < n; ++i) {
         const size_t p = out->SelIndex(i);
-        if (seen_.insert(out->RowAt(p)).second) sel_.push_back(static_cast<uint32_t>(p));
+        bool inserted = false;
+        seen_.FindOrInsert(*out, cols_, p, &inserted);
+        if (inserted) sel_.push_back(static_cast<uint32_t>(p));
       }
       if (sel_.empty()) continue;
       out->SetSel(std::move(sel_));
@@ -426,37 +719,48 @@ class DistinctVecExecutor : public VecExecutor {
 
  private:
   std::unique_ptr<VecExecutor> child_;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  std::vector<size_t> cols_;
+  KeyedRowTable seen_;
   std::vector<uint32_t> sel_;
 };
 
-/// Accumulator for one aggregate within one group.
+/// Accumulator for one aggregate within one group. Each function updates
+/// only the fields its result reads.
 struct AggState {
-  int64_t count = 0;  ///< rows seen (non-null for arg-based functions)
-  int64_t sum_int = 0;
+  /// Rows (COUNT(*)), non-NULL values (COUNT, SUM, AVG) or distinct
+  /// non-NULL values (COUNT(DISTINCT)).
+  int64_t count = 0;
+  int64_t sum_int = 0;  ///< SUM/AVG
   double sum_double = 0.0;
   bool any_double = false;
-  Value min, max;  ///< NULL until first value
-  bool has_value = false;
-  std::unordered_set<Value, ValueHash, ValueEq> distinct;  ///< COUNT(DISTINCT)
+  Value extreme;  ///< MIN/MAX so far; NULL until the first value
 };
 
-/// Folds one non-COUNT(*) argument value into the accumulator (NULL args
-/// must be skipped by the caller; COUNT(*) just increments `count`).
+/// Folds one non-NULL argument value into the accumulator of a COUNT, SUM,
+/// AVG, MIN or MAX (COUNT(*) and COUNT(DISTINCT) count elsewhere).
 void AggAccumulate(AggFunc func, const Value& v, AggState* st) {
-  ++st->count;
-  st->has_value = true;
-  if (func == AggFunc::kCountDistinct) {
-    st->distinct.insert(v);
-    return;
+  switch (func) {
+    case AggFunc::kCount:
+      ++st->count;
+      return;
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      ++st->count;
+      if (v.type() == TypeId::kDouble) st->any_double = true;
+      if (v.type() == TypeId::kInt64) st->sum_int += v.AsInt();
+      st->sum_double += v.AsDouble();
+      return;
+    case AggFunc::kMin:
+      if (st->extreme.is_null() || v.Compare(st->extreme) < 0) st->extreme = v;
+      return;
+    case AggFunc::kMax:
+      if (st->extreme.is_null() || v.Compare(st->extreme) > 0) st->extreme = v;
+      return;
+    case AggFunc::kNone:
+    case AggFunc::kCountStar:
+    case AggFunc::kCountDistinct:
+      return;
   }
-  if (v.type() == TypeId::kDouble) st->any_double = true;
-  if (func == AggFunc::kSum || func == AggFunc::kAvg) {
-    if (v.type() == TypeId::kInt64) st->sum_int += v.AsInt();
-    st->sum_double += v.AsDouble();
-  }
-  if (st->min.is_null() || v.Compare(st->min) < 0) st->min = v;
-  if (st->max.is_null() || v.Compare(st->max) > 0) st->max = v;
 }
 
 /// Finalizes one aggregate into its output value.
@@ -464,20 +768,18 @@ Result<Value> AggFinalize(AggFunc func, const AggState& st) {
   switch (func) {
     case AggFunc::kCountStar:
     case AggFunc::kCount:
-      return Value::Int(st.count);
     case AggFunc::kCountDistinct:
-      return Value::Int(static_cast<int64_t>(st.distinct.size()));
+      return Value::Int(st.count);
     case AggFunc::kSum:
-      if (!st.has_value) return Value::Null(TypeId::kDouble);
+      if (st.count == 0) return Value::Null(TypeId::kDouble);
       if (st.any_double) return Value::Double(st.sum_double);
       return Value::Int(st.sum_int);
     case AggFunc::kAvg:
-      return st.has_value ? Value::Double(st.sum_double / static_cast<double>(st.count))
+      return st.count > 0 ? Value::Double(st.sum_double / static_cast<double>(st.count))
                           : Value::Null(TypeId::kDouble);
     case AggFunc::kMin:
-      return st.min;
     case AggFunc::kMax:
-      return st.max;
+      return st.extreme;
     case AggFunc::kNone:
       break;
   }
@@ -491,72 +793,88 @@ class AggregateVecExecutor : public VecExecutor {
 
   Status Init() override {
     PSE_RETURN_NOT_OK(child_->Init());
-    groups_.clear();
-    order_.clear();
-    bool saw_any = false;
+    const size_t num_aggs = plan_.aggs.size();
+    groups_.Reset(plan_.group_by_pos.size());
+    states_.clear();
+    // COUNT(DISTINCT x) counts the distinct (group key, x) rows it sees.
+    distinct_.assign(num_aggs, KeyedRowTable());
+    distinct_cols_.assign(num_aggs, plan_.group_by_pos);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      distinct_cols_[a].push_back(plan_.aggs[a].arg_pos);
+      distinct_[a].Reset(distinct_cols_[a].size());
+    }
     TupleBatch batch;
-    Row key;
     while (true) {
       PSE_ASSIGN_OR_RETURN(bool has, child_->Next(&batch));
       if (!has) break;
       const size_t n = batch.size();
-      if (n > 0) saw_any = true;
       for (size_t i = 0; i < n; ++i) {
         const size_t p = batch.SelIndex(i);
-        key.clear();
-        key.reserve(plan_.group_by_pos.size());
-        for (size_t g : plan_.group_by_pos) key.push_back(batch.At(g, p));
-        auto [it, fresh] = groups_.try_emplace(key, std::vector<AggState>(plan_.aggs.size()));
-        if (fresh) order_.push_back(key);
-        for (size_t a = 0; a < plan_.aggs.size(); ++a) {
+        bool fresh = false;
+        const uint32_t g = groups_.FindOrInsert(batch, plan_.group_by_pos, p, &fresh);
+        if (fresh) states_.resize(states_.size() + num_aggs);
+        AggState* st = states_.data() + static_cast<size_t>(g) * num_aggs;
+        for (size_t a = 0; a < num_aggs; ++a) {
           const PlanAggSpec& spec = plan_.aggs[a];
-          AggState& st = it->second[a];
           if (spec.func == AggFunc::kCountStar) {
-            ++st.count;
+            ++st[a].count;
             continue;
           }
           const Value& v = batch.At(spec.arg_pos, p);
           if (v.is_null()) continue;
-          AggAccumulate(spec.func, v, &st);
+          if (spec.func == AggFunc::kCountDistinct) {
+            bool new_value = false;
+            distinct_[a].FindOrInsert(batch, distinct_cols_[a], p, &new_value);
+            if (new_value) ++st[a].count;
+            continue;
+          }
+          AggAccumulate(spec.func, v, &st[a]);
         }
       }
     }
-    // Scalar aggregate over an empty input still yields one row.
-    if (!saw_any && plan_.group_by_pos.empty()) {
-      Row empty_key;
-      groups_.try_emplace(empty_key, std::vector<AggState>(plan_.aggs.size()));
-      order_.push_back(empty_key);
+    // Groups come out in first-seen order. A scalar aggregate over an empty
+    // input still yields one row.
+    num_groups_ = groups_.size();
+    if (num_groups_ == 0 && plan_.group_by_pos.empty()) {
+      states_.resize(num_aggs);
+      num_groups_ = 1;
     }
     pos_ = 0;
     return Status::OK();
   }
 
   Result<bool> InternalNext(TupleBatch* out) override {
-    if (pos_ >= order_.size()) return false;
-    const size_t width = plan_.group_by_pos.size() + plan_.aggs.size();
-    const size_t take = std::min(TupleBatch::kDefaultRows, order_.size() - pos_);
-    out->Reset(width, take);
-    Row row;
-    for (size_t i = 0; i < take; ++i, ++pos_) {
-      const Row& key = order_[pos_];
-      const std::vector<AggState>& states = groups_.at(key);
-      row.clear();
-      row.reserve(width);
-      row.insert(row.end(), key.begin(), key.end());
-      for (size_t a = 0; a < plan_.aggs.size(); ++a) {
-        PSE_ASSIGN_OR_RETURN(Value v, AggFinalize(plan_.aggs[a].func, states[a]));
-        row.push_back(std::move(v));
-      }
-      out->AppendRow(std::move(row));
+    if (pos_ >= num_groups_) return false;
+    const size_t num_keys = plan_.group_by_pos.size();
+    const size_t num_aggs = plan_.aggs.size();
+    const size_t take = std::min(TupleBatch::kDefaultRows, num_groups_ - pos_);
+    out->Reset(num_keys + num_aggs, take);
+    for (size_t k = 0; k < num_keys; ++k) {
+      std::vector<Value>& keys = groups_.key_col(k);
+      std::vector<Value>& dst = out->col(k);
+      for (size_t g = pos_; g < pos_ + take; ++g) dst.push_back(std::move(keys[g]));
     }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      std::vector<Value>& dst = out->col(num_keys + a);
+      for (size_t g = pos_; g < pos_ + take; ++g) {
+        PSE_ASSIGN_OR_RETURN(Value v,
+                             AggFinalize(plan_.aggs[a].func, states_[g * num_aggs + a]));
+        dst.push_back(std::move(v));
+      }
+    }
+    out->SetNumRows(take);
+    pos_ += take;
     return true;
   }
 
  private:
   const PlanNode& plan_;
   std::unique_ptr<VecExecutor> child_;
-  std::unordered_map<Row, std::vector<AggState>, RowHash, RowEq> groups_;
-  std::vector<Row> order_;  // first-seen group order (deterministic output)
+  KeyedRowTable groups_;
+  std::vector<AggState> states_;  ///< group g's aggregates at [g * aggs, (g + 1) * aggs)
+  std::vector<KeyedRowTable> distinct_;  ///< per aggregate; used by COUNT(DISTINCT)
+  std::vector<std::vector<size_t>> distinct_cols_;  ///< group key columns + argument
+  size_t num_groups_ = 0;
   size_t pos_ = 0;
 };
 
@@ -567,19 +885,26 @@ class SortVecExecutor : public VecExecutor {
 
   Status Init() override {
     PSE_RETURN_NOT_OK(child_->Init());
-    rows_.clear();
-    TupleBatch batch;
+    batches_.clear();
+    order_.clear();
     while (true) {
+      TupleBatch batch;
       PSE_ASSIGN_OR_RETURN(bool has, child_->Next(&batch));
       if (!has) break;
-      batch.EmitRows(&rows_);
+      const auto b = static_cast<uint32_t>(batches_.size());
+      const size_t n = batch.size();
+      for (size_t i = 0; i < n; ++i) {
+        order_.push_back(RowLoc{b, static_cast<uint32_t>(batch.SelIndex(i))});
+      }
+      batches_.push_back(std::move(batch));
     }
-    // Stable over the child's batch order (heap order for a scan), so ties
+    // Stable over the child's row order (heap order for a scan), so ties
     // break deterministically under Sort+Limit.
     const auto& keys = plan_.sort_keys;
-    std::stable_sort(rows_.begin(), rows_.end(), [&keys](const Row& a, const Row& b) {
+    std::stable_sort(order_.begin(), order_.end(), [&](RowLoc x, RowLoc y) {
       for (const auto& k : keys) {
-        int c = a[k.pos].Compare(b[k.pos]);
+        const Value& vx = batches_[x.batch].At(k.pos, x.row);
+        const int c = vx.Compare(batches_[y.batch].At(k.pos, y.row));
         if (c != 0) return k.desc ? c > 0 : c < 0;
       }
       return false;
@@ -589,18 +914,27 @@ class SortVecExecutor : public VecExecutor {
   }
 
   Result<bool> InternalNext(TupleBatch* out) override {
-    if (pos_ >= rows_.size()) return false;
-    const size_t width = rows_[pos_].size();
-    const size_t take = std::min(TupleBatch::kDefaultRows, rows_.size() - pos_);
+    if (pos_ >= order_.size()) return false;
+    const size_t width = batches_[0].num_cols();
+    const size_t take = std::min(TupleBatch::kDefaultRows, order_.size() - pos_);
     out->Reset(width, take);
-    for (size_t i = 0; i < take; ++i, ++pos_) out->AppendRow(std::move(rows_[pos_]));
+    // Each row is emitted once, so its values move out.
+    for (size_t c = 0; c < width; ++c) {
+      std::vector<Value>& dst = out->col(c);
+      for (size_t i = pos_; i < pos_ + take; ++i) {
+        dst.push_back(std::move(batches_[order_[i].batch].col(c)[order_[i].row]));
+      }
+    }
+    out->SetNumRows(take);
+    pos_ += take;
     return true;
   }
 
  private:
   const PlanNode& plan_;
   std::unique_ptr<VecExecutor> child_;
-  std::vector<Row> rows_;
+  std::vector<TupleBatch> batches_;  ///< the input, as produced
+  std::vector<RowLoc> order_;        ///< live input rows in output order
   size_t pos_ = 0;
 };
 

@@ -1,8 +1,18 @@
 // Batch-at-a-time executors: every planned query runs here, over
-// TupleBatch instead of one Row per virtual call. Scans fill
-// TupleBatch::kDefaultRows-row batches straight off heap pages (one page pin
-// per page, not per tuple), filters narrow selection vectors without copying
-// values, and expressions run through compiled ExprVecExecutors.
+// TupleBatch instead of one Row per virtual call. Operators do per-row work
+// only for rows that survive and allocate nothing per row:
+//   - scans copy TupleBatch::kDefaultRows tuples' bytes per batch off heap
+//     pages (one pin per page, in the same page order whatever the filter),
+//     decode the pushed-down filter's columns, run the filter, and decode
+//     the other projected columns for the survivors only;
+//   - hash join, aggregation and DISTINCT key rows through one
+//     open-addressing table of row ids; the hash join and sort keep their
+//     input batches by move instead of copying rows out of them;
+//   - filters narrow selection vectors without copying values, and
+//     expressions run through compiled ExprVecExecutors.
+// Output order is defined: scans in heap (or index) order, hash joins
+// probe-major with each probe row's build matches in build order, groups and
+// DISTINCT rows in first-seen order, sorts stable.
 //
 // Latching: the operators take no latches. ExecutePlan (engine/executor.h),
 // the one way to run a plan, holds the shared content latch of every table
@@ -34,7 +44,7 @@ struct VecExecutorStats {
 ///
 /// Subclasses implement InternalNext(); the public Next() wraps it with
 /// output-size stats. A produced batch may carry a selection vector;
-/// consumers must index live rows through SelIndex()/EmitRows().
+/// consumers must index live rows through SelIndex().
 class VecExecutor {
  public:
   virtual ~VecExecutor() = default;

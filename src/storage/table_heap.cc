@@ -108,6 +108,16 @@ Status TableHeap::Get(const Rid& rid, Row* out) const {
   return TupleCodec::Deserialize(*schema_, p + s.offset, s.size, out);
 }
 
+Status TableHeap::CopyTuple(const Rid& rid, TupleBytes* out) const {
+  PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
+  const char* p = guard.data();
+  if (rid.slot >= GetU16(p, 4)) return Status::NotFound("rid slot out of range");
+  Slot s = GetSlot(p, rid.slot);
+  if (s.offset == 0) return Status::NotFound("tuple deleted");
+  out->Append(p + s.offset, s.size);
+  return Status::OK();
+}
+
 Status TableHeap::Delete(const Rid& rid) {
   PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
   char* p = guard.mutable_data();
@@ -237,18 +247,14 @@ Result<size_t> TableHeap::Iterator::FillBatch(size_t max_rows, std::vector<Row>*
   return added;
 }
 
-Result<size_t> TableHeap::Iterator::FillBatchColumns(size_t max_rows,
-                                                     const std::vector<size_t>& wanted,
-                                                     const std::vector<std::vector<Value>*>& cols) {
+Result<size_t> TableHeap::Iterator::FillTupleBytes(size_t max_rows, TupleBytes* out) {
   if (at_end_ || max_rows == 0) return size_t{0};
-  // The current tuple is already a deserialized Row; scatter its wanted
-  // columns (row_ is re-established before this batch ends, see below).
-  for (size_t k = 0; k < wanted.size(); ++k) {
-    cols[k]->push_back(std::move(row_[wanted[k]]));
-  }
-  size_t added = 1;
+  // Start AT the current tuple: its page is the first one fetched anyway
+  // (as in FillBatch), so its bytes come from there rather than from the
+  // already-decoded row_.
+  size_t added = 0;
   PageId pid = rid_.page_id;
-  uint32_t slot = rid_.slot + 1u;
+  uint32_t slot = rid_.slot;
   while (pid != kInvalidPageId) {
     PSE_ASSIGN_OR_RETURN(PageGuard guard, heap_->pool_->FetchPage(pid));
     const char* p = guard.data();
@@ -262,8 +268,7 @@ Result<size_t> TableHeap::Iterator::FillBatchColumns(size_t max_rows,
           PSE_RETURN_NOT_OK(TupleCodec::Deserialize(*heap_->schema_, p + s.offset, s.size, &row_));
           return added;
         }
-        PSE_RETURN_NOT_OK(
-            TupleCodec::DeserializeColumns(*heap_->schema_, p + s.offset, s.size, wanted, cols));
+        out->Append(p + s.offset, s.size);
         ++added;
       }
       ++slot;

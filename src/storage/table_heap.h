@@ -37,6 +37,9 @@ class TableHeap {
   Result<Rid> Insert(const Row& row);
   /// Reads the row at `rid`. NotFound for deleted/invalid slots.
   Status Get(const Rid& rid, Row* out) const;
+  /// Appends the serialized bytes of the row at `rid` to `out` — Get's page
+  /// fetch without its decode. NotFound for deleted/invalid slots.
+  Status CopyTuple(const Rid& rid, TupleBytes* out) const;
   /// Deletes the row at `rid`.
   Status Delete(const Rid& rid);
   /// Replaces the row at `rid`; returns the (possibly new) Rid.
@@ -73,15 +76,16 @@ class TableHeap {
     /// Returns the number appended (0 at end of stream).
     Result<size_t> FillBatch(size_t max_rows, std::vector<Row>* out);
 
-    /// \brief Column-pruned FillBatch feeding the engine's scan directly.
+    /// \brief Copies up to `max_rows` live tuples' serialized bytes into
+    /// `out`, advancing past them — the engine's scan.
     ///
-    /// Decodes only the columns named by `wanted` (strictly ascending
-    /// positions), appending one value per consumed tuple to each matching
-    /// `cols[k]` vector — no intermediate Row and no allocation for skipped
-    /// columns (see TupleCodec::DeserializeColumns). Advances exactly like
-    /// FillBatch and returns the number of tuples consumed.
-    Result<size_t> FillBatchColumns(size_t max_rows, const std::vector<size_t>& wanted,
-                                    const std::vector<std::vector<Value>*>& cols);
+    /// Fetches exactly the pages FillBatch would, in the same order (the
+    /// current tuple's page first), but decodes none of the copied tuples:
+    /// each tuple's bytes are copied while its page is pinned, and the
+    /// caller decodes columns afterwards (TupleCodec::DeserializeColumns),
+    /// for only the tuples it keeps. Returns the number of tuples copied
+    /// (0 at end of stream).
+    Result<size_t> FillTupleBytes(size_t max_rows, TupleBytes* out);
 
    private:
     friend class TableHeap;

@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "engine/catalog_view.h"
 #include "engine/cost_model.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
+#include "sql/session.h"
+#include "tests/common/test_db_builder.h"
 #include "tests/engine/engine_test_util.h"
 
 namespace pse {
@@ -118,6 +121,53 @@ TEST_F(InljTest, NullJoinKeysProduceNoMatches) {
   auto rows = ExecutePlan(**plan, db_.get());
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
+}
+
+// A DOUBLE join key equals the BIGINT of the same value (Value::Compare),
+// so the answer must not depend on which join the planner picks: the hash
+// join matches a.x = 10.0 with b.id = 10, and so must the index probe.
+TEST(InljKeyTypes, IntegralDoubleKeysJoinAlikeUnderEitherPlan) {
+  auto run = [](int64_t b_rows, PlanNode::Kind want_kind) -> std::vector<Row> {
+    Database db(256);
+    Session session(&db);
+    auto must = [&session](const std::string& sql) {
+      auto r = session.Execute(sql);
+      EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+      return r.ok() ? std::move(r->rows) : std::vector<Row>{};
+    };
+    must("CREATE TABLE a (id BIGINT NOT NULL, x DOUBLE, PRIMARY KEY (id))");
+    must("CREATE TABLE b (id BIGINT NOT NULL, pad VARCHAR(200), PRIMARY KEY (id))");
+    for (int i = 0; i < 3; ++i) {
+      must("INSERT INTO a VALUES (" + std::to_string(i) + ", " + std::to_string(10 * i) +
+           ".0)");
+    }
+    // A fractional key and a NULL key equal no BIGINT.
+    must("INSERT INTO a VALUES (3, 10.5)");
+    must("INSERT INTO a VALUES (4, NULL)");
+    const std::string pad(150, 'p');
+    for (int64_t i = 0; i < b_rows; ++i) {
+      must("INSERT INTO b VALUES (" + std::to_string(i) + ", '" + pad + "')");
+    }
+    must("ANALYZE");
+    const std::string sql = "SELECT a.id, b.id FROM a JOIN b ON a.x = b.id";
+    auto bound = session.Bind(sql);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    if (!bound.ok()) return {};
+    auto plan = PlanQuery(*bound, session.catalog_view());
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return {};
+    EXPECT_NE(FindPlanNode(plan->get(), want_kind), nullptr) << (*plan)->ToString();
+    return testutil::SortRows(must(sql));
+  };
+  const std::vector<Row> want = {{Value::Int(0), Value::Int(0)},
+                                 {Value::Int(1), Value::Int(10)},
+                                 {Value::Int(2), Value::Int(20)}};
+  std::vector<Row> hash = run(30, PlanNode::Kind::kHashJoin);
+  std::vector<Row> inlj = run(3000, PlanNode::Kind::kIndexNLJoin);
+  EXPECT_TRUE(testutil::SameRows(hash, want))
+      << hash.size() << " rows under the hash join";
+  EXPECT_TRUE(testutil::SameRows(inlj, want))
+      << inlj.size() << " rows under the index join";
 }
 
 TEST_F(InljTest, CostModelCoversInlj) {

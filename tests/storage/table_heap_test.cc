@@ -177,11 +177,13 @@ TEST_P(TableHeapProperty, MatchesReferenceModel) {
   EXPECT_EQ(scanned, model.size());
 }
 
-// The engine's column-pruned scan (FillBatchColumns) must decode exactly what
-// the copy loop's full-row scan (FillBatch) decodes, projected onto the
-// wanted columns: across page boundaries and batch sizes, over deleted
-// slots, NULLs of every type, and 300-character varchars.
-TEST_P(TableHeapProperty, FillBatchColumnsMatchesProjectedFillBatch) {
+// The engine's scan (FillTupleBytes, then TupleCodec::DeserializeColumns
+// on the copied bytes) must decode exactly what the copy loop's full-row
+// scan (FillBatch) decodes, projected onto the wanted columns — across
+// batch boundaries in the middle of pages, over deleted slots, NULLs of
+// every type, and 300-character varchars — and must fetch the same pages
+// the same number of times.
+TEST_P(TableHeapProperty, FillTupleBytesMatchesProjectedFillBatch) {
   InMemoryDiskManager dm;
   BufferPool pool(&dm, 128);
   TableSchema schema("w", {Column("id", TypeId::kInt64),
@@ -211,6 +213,7 @@ TEST_P(TableHeapProperty, FillBatchColumnsMatchesProjectedFillBatch) {
     }
   }
   ASSERT_GT(heap->NumPages(), 20u);
+  auto page_fetches = [&pool] { return pool.stats().hits + pool.stats().misses; };
 
   const size_t width = schema.num_columns();
   for (int trial = 0; trial < 40; ++trial) {
@@ -218,29 +221,42 @@ TEST_P(TableHeapProperty, FillBatchColumnsMatchesProjectedFillBatch) {
     for (size_t c = 0; c < width; ++c) {
       if (rng.Bernoulli(0.5)) wanted.push_back(c);
     }
+    // Most sizes end batches mid-page (a page holds a handful of rows).
     const size_t batch_rows = 1 + rng.Index(300);
 
     std::vector<Row> full;
+    const uint64_t full_start = page_fetches();
     auto it = heap->Begin();
     while (true) {
       auto n = it.FillBatch(batch_rows, &full);
       ASSERT_TRUE(n.ok()) << n.status().ToString();
       if (*n == 0) break;
     }
+    const uint64_t full_fetches = page_fetches() - full_start;
 
     std::vector<std::vector<Value>> cols(wanted.size());
     std::vector<std::vector<Value>*> col_ptrs;
     for (auto& c : cols) col_ptrs.push_back(&c);
     size_t consumed = 0;
-    auto cit = heap->Begin();
+    TupleBytes tuples;
+    const uint64_t bytes_start = page_fetches();
+    auto bit = heap->Begin();
     while (true) {
-      auto n = cit.FillBatchColumns(batch_rows, wanted, col_ptrs);
+      tuples.Clear();
+      auto n = bit.FillTupleBytes(batch_rows, &tuples);
       ASSERT_TRUE(n.ok()) << n.status().ToString();
       if (*n == 0) break;
       ASSERT_LE(*n, batch_rows);
+      ASSERT_EQ(tuples.size(), *n);
       consumed += *n;
+      for (size_t t = 0; t < tuples.size(); ++t) {
+        ASSERT_TRUE(TupleCodec::DeserializeColumns(schema, tuples.tuple(t),
+                                                   tuples.tuple_size(t), wanted, col_ptrs)
+                        .ok());
+      }
       for (const auto& c : cols) ASSERT_EQ(c.size(), consumed);
     }
+    EXPECT_EQ(page_fetches() - bytes_start, full_fetches) << "batch " << batch_rows;
 
     ASSERT_EQ(consumed, full.size()) << "batch " << batch_rows;
     for (size_t r = 0; r < full.size(); ++r) {
@@ -255,6 +271,27 @@ TEST_P(TableHeapProperty, FillBatchColumnsMatchesProjectedFillBatch) {
       }
     }
   }
+}
+
+// CopyTuple hands over the bytes Get decodes, and fails alike on a deleted
+// or out-of-range slot.
+TEST_F(TableHeapTest, CopyTupleMatchesGet) {
+  auto heap = TableHeap::Create(&pool_, &schema_);
+  ASSERT_TRUE(heap.ok());
+  auto kept = heap->Insert({Value::Int(1), Value::Varchar("kept")});
+  auto gone = heap->Insert({Value::Int(2), Value::Null(TypeId::kVarchar)});
+  ASSERT_TRUE(kept.ok() && gone.ok());
+  ASSERT_TRUE(heap->Delete(*gone).ok());
+  TupleBytes tuples;
+  ASSERT_TRUE(heap->CopyTuple(*kept, &tuples).ok());
+  ASSERT_EQ(tuples.size(), 1u);
+  Row row;
+  ASSERT_TRUE(
+      TupleCodec::Deserialize(schema_, tuples.tuple(0), tuples.tuple_size(0), &row).ok());
+  EXPECT_EQ(RowToString(row), "(1, kept)");
+  EXPECT_TRUE(heap->CopyTuple(*gone, &tuples).IsNotFound());
+  EXPECT_TRUE(heap->CopyTuple(Rid{heap->first_page(), 9}, &tuples).IsNotFound());
+  EXPECT_EQ(tuples.size(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableHeapProperty, ::testing::Values(11, 22, 33));
