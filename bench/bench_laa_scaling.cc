@@ -208,12 +208,8 @@ int RunOnline(std::vector<OnlineRow>* out) {
 struct ServeRow {
   size_t sessions = 0;
   size_t phase = 0;
-  uint64_t queries = 0;      ///< foreground queries answered this phase
-  uint64_t unservable = 0;   ///< BindError on the intermediate (counted, not failed)
-  uint64_t batches = 0;      ///< migration batches committed this phase
-  double wall_ms = 0;        ///< serve-window wall clock
-  double throughput_qps = 0; ///< answered queries / wall seconds
-  double p50_ms = 0, p95_ms = 0, p99_ms = 0;  ///< per-query latency quantiles
+  uint64_t batches = 0;  ///< migration batches committed this phase
+  ServeMetrics serve;
 };
 
 /// Runs the Pro-Schema situation with live concurrent sessions for each
@@ -246,14 +242,8 @@ int RunServe(std::vector<ServeRow>* out) {
       ServeRow row;
       row.sessions = sessions;
       row.phase = p;
-      row.queries = ph.serve_queries;
-      row.unservable = ph.serve_unservable;
       row.batches = ph.online_batches;
-      row.wall_ms = ph.serve_wall_ms;
-      row.throughput_qps = ph.serve_throughput_qps;
-      row.p50_ms = ph.serve_p50_ms;
-      row.p95_ms = ph.serve_p95_ms;
-      row.p99_ms = ph.serve_p99_ms;
+      row.serve = ph.serve;
       out->push_back(row);
     }
   }
@@ -267,16 +257,9 @@ int RunServe(std::vector<ServeRow>* out) {
 struct MixedRwRow {
   size_t sessions = 0;
   double write_fraction = 0;
-  uint64_t queries = 0;            ///< foreground reads answered
-  uint64_t writes = 0;             ///< foreground statements applied
-  uint64_t unservable = 0;         ///< reads+writes skipped on the intermediate
-  uint64_t unservable_writes = 0;  ///< the write share of `unservable`
-  uint64_t errors = 0;             ///< non-bind failures (must stay 0)
-  uint64_t fragment_writes = 0;    ///< physical row writes the fan-out did
-  uint64_t dual_applied = 0;       ///< statements also applied to live targets
-  double wall_ms = 0;
-  double throughput_qps = 0;  ///< (queries + writes) / wall seconds
-  double p50_ms = 0, p95_ms = 0, p99_ms = 0;
+  uint64_t fragment_writes = 0;  ///< physical row writes the fan-out did
+  uint64_t dual_applied = 0;     ///< statements also applied to live targets
+  ServeMetrics serve;
 };
 
 /// Runs the full migration under a mixed read/write foreground load for each
@@ -359,18 +342,9 @@ int RunMixedRw(std::vector<MixedRwRow>* out) {
     MixedRwRow row;
     row.sessions = sessions;
     row.write_fraction = serve.write_fraction;
-    row.queries = metrics->queries;
-    row.writes = metrics->writes;
-    row.unservable = metrics->unservable;
-    row.unservable_writes = metrics->unservable_writes;
-    row.errors = metrics->errors;
     row.fragment_writes = router.stats().fragment_writes;
     row.dual_applied = router.stats().dual_applied;
-    row.wall_ms = metrics->wall_ms;
-    row.throughput_qps = metrics->throughput_qps;
-    row.p50_ms = metrics->p50_ms;
-    row.p95_ms = metrics->p95_ms;
-    row.p99_ms = metrics->p99_ms;
+    row.serve = *metrics;
     out->push_back(row);
   }
   return 0;
@@ -522,11 +496,12 @@ void PrintServe(const std::vector<ServeRow>& rows) {
       "sessions", "phase", "queries", "unservable", "batches", "wall-ms", "thr-qps", "p50-ms",
       "p95-ms", "p99-ms");
   for (const ServeRow& r : rows) {
+    const ServeMetrics& m = r.serve;
     std::printf("%-8zu %-5zu %8llu %10llu %8llu %9.1f %10.1f %8.2f %8.2f %8.2f\n",
-                r.sessions, r.phase, static_cast<unsigned long long>(r.queries),
-                static_cast<unsigned long long>(r.unservable),
-                static_cast<unsigned long long>(r.batches), r.wall_ms, r.throughput_qps,
-                r.p50_ms, r.p95_ms, r.p99_ms);
+                r.sessions, r.phase, static_cast<unsigned long long>(m.queries),
+                static_cast<unsigned long long>(m.unservable),
+                static_cast<unsigned long long>(r.batches), m.wall_ms, m.throughput_qps,
+                m.p50_ms, m.p95_ms, m.p99_ms);
   }
 }
 
@@ -537,14 +512,15 @@ void PrintMixedRw(const std::vector<MixedRwRow>& rows) {
       "sessions", "w-frac", "queries", "writes", "unservable", "unsrv-w", "errors", "wall-ms",
       "thr-qps", "p50-ms", "p95-ms", "p99-ms");
   for (const MixedRwRow& r : rows) {
+    const ServeMetrics& m = r.serve;
     std::printf("%-8zu %-6.2f %8llu %7llu %10llu %8llu %7llu %9.1f %10.1f %8.2f %8.2f "
                 "%8.2f\n",
-                r.sessions, r.write_fraction, static_cast<unsigned long long>(r.queries),
-                static_cast<unsigned long long>(r.writes),
-                static_cast<unsigned long long>(r.unservable),
-                static_cast<unsigned long long>(r.unservable_writes),
-                static_cast<unsigned long long>(r.errors), r.wall_ms, r.throughput_qps, r.p50_ms,
-                r.p95_ms, r.p99_ms);
+                r.sessions, r.write_fraction, static_cast<unsigned long long>(m.queries),
+                static_cast<unsigned long long>(m.writes),
+                static_cast<unsigned long long>(m.unservable),
+                static_cast<unsigned long long>(m.unservable_writes),
+                static_cast<unsigned long long>(m.errors), m.wall_ms, m.throughput_qps, m.p50_ms,
+                m.p95_ms, m.p99_ms);
   }
 }
 
@@ -600,33 +576,35 @@ void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
   std::fprintf(f, "  ],\n  \"concurrent_serving\": [\n");
   for (size_t i = 0; i < serve.size(); ++i) {
     const ServeRow& r = serve[i];
+    const ServeMetrics& m = r.serve;
     std::fprintf(f,
                  "    {\"sessions\": %zu, \"phase\": %zu, \"queries\": %llu, "
                  "\"unservable\": %llu, \"batches\": %llu, \"wall_ms\": %.2f, "
                  "\"throughput_qps\": %.2f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
                  "\"p99_ms\": %.3f}%s\n",
-                 r.sessions, r.phase, static_cast<unsigned long long>(r.queries),
-                 static_cast<unsigned long long>(r.unservable),
-                 static_cast<unsigned long long>(r.batches), r.wall_ms, r.throughput_qps,
-                 r.p50_ms, r.p95_ms, r.p99_ms, i + 1 < serve.size() ? "," : "");
+                 r.sessions, r.phase, static_cast<unsigned long long>(m.queries),
+                 static_cast<unsigned long long>(m.unservable),
+                 static_cast<unsigned long long>(r.batches), m.wall_ms, m.throughput_qps,
+                 m.p50_ms, m.p95_ms, m.p99_ms, i + 1 < serve.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"mixed_rw_serving\": [\n");
   for (size_t i = 0; i < mixed.size(); ++i) {
     const MixedRwRow& r = mixed[i];
+    const ServeMetrics& m = r.serve;
     std::fprintf(f,
                  "    {\"sessions\": %zu, \"write_fraction\": %.2f, \"queries\": %llu, "
                  "\"writes\": %llu, \"unservable\": %llu, \"unservable_writes\": %llu, "
                  "\"errors\": %llu, \"fragment_writes\": %llu, \"dual_applied\": %llu, "
                  "\"wall_ms\": %.2f, \"throughput_qps\": %.2f, \"p50_ms\": %.3f, "
                  "\"p95_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-                 r.sessions, r.write_fraction, static_cast<unsigned long long>(r.queries),
-                 static_cast<unsigned long long>(r.writes),
-                 static_cast<unsigned long long>(r.unservable),
-                 static_cast<unsigned long long>(r.unservable_writes),
-                 static_cast<unsigned long long>(r.errors),
+                 r.sessions, r.write_fraction, static_cast<unsigned long long>(m.queries),
+                 static_cast<unsigned long long>(m.writes),
+                 static_cast<unsigned long long>(m.unservable),
+                 static_cast<unsigned long long>(m.unservable_writes),
+                 static_cast<unsigned long long>(m.errors),
                  static_cast<unsigned long long>(r.fragment_writes),
-                 static_cast<unsigned long long>(r.dual_applied), r.wall_ms, r.throughput_qps,
-                 r.p50_ms, r.p95_ms, r.p99_ms, i + 1 < mixed.size() ? "," : "");
+                 static_cast<unsigned long long>(r.dual_applied), m.wall_ms, m.throughput_qps,
+                 m.p50_ms, m.p95_ms, m.p99_ms, i + 1 < mixed.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

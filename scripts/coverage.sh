@@ -9,8 +9,9 @@
 # path), src/analysis (the static verification stack), the execution
 # engine core, and the multi-tenant fleet layer; the floor gates
 # src/core/migration_executor.cc, src/core/rewriter_dml.cc (the write
-# rewriter), src/analysis/writability.cc, src/engine/vec_executor.cc, and
-# src/fleet/scheduler.cc (the fleet scheduler). With gcovr
+# rewriter), src/analysis/writability.cc, src/engine/vec_executor.cc,
+# src/fleet/scheduler.cc (the fleet scheduler), and src/core/serving.cc (the
+# serve driver). With gcovr
 # installed, writes coverage.xml (Cobertura) and coverage.txt into the build
 # dir for CI to upload; without it, falls back to plain gcov for the floor
 # check and skips the report artifact.
@@ -42,6 +43,7 @@ target_files=(
   "src/analysis/writability.cc"
   "src/engine/vec_executor.cc"
   "src/fleet/scheduler.cc"
+  "src/core/serving.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then

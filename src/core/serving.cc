@@ -1,12 +1,13 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <random>
 #include <shared_mutex>
 
+#include "common/latency_histogram.h"
 #include "common/lock_registry.h"
 #include "common/thread_pool.h"
 #include "core/rewriter.h"
@@ -24,19 +25,11 @@ double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// Sorted-sample percentile (nearest-rank on the closed [0,1] interpolation
-/// grid); `sorted` must be non-empty and ascending.
-double Percentile(const std::vector<double>& sorted, double q) {
-  double pos = q * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-/// Per-lane tallies, merged serially after the join.
-struct LaneResult {
-  std::vector<double> latencies_ms;  // reads and writes together
+/// One serve lane's tallies, merged serially after the pool joins (gtest
+/// assertions never run inside lanes).
+struct LaneTally {
+  LatencyHistogram latency;  // reads and writes together
+  uint64_t queries = 0;
   uint64_t writes = 0;
   uint64_t unservable = 0;
   uint64_t unservable_writes = 0;
@@ -46,6 +39,163 @@ struct LaneResult {
 
 }  // namespace
 
+Result<ServeMetrics> ServeWhile(const ServeWindow& window,
+                                const std::vector<WorkloadQuery>& queries,
+                                const std::vector<double>& freqs,
+                                const std::vector<BackgroundLane>& background) {
+  if (freqs.size() != queries.size()) {
+    return Status::InvalidArgument("serve frequency vector does not match the workload");
+  }
+  if (window.targets.empty() || !window.rewrite) {
+    return Status::InvalidArgument("serve window needs targets and a read rewrite");
+  }
+  const std::vector<double>& w = window.target_weights;
+  if (!w.empty() &&
+      (w.size() != window.targets.size() ||
+       !std::all_of(w.begin(), w.end(), [](double x) { return std::isfinite(x) && x >= 0; }) ||
+       std::accumulate(w.begin(), w.end(), 0.0) <= 0)) {
+    return Status::InvalidArgument(
+        "serve target weights need one finite, non-negative weight per target, not all zero");
+  }
+  // The mix: active queries, weighted by frequency. Both versions' queries
+  // land here — old ones serve throughout, new ones start serving the
+  // moment their operators publish.
+  std::vector<size_t> active;
+  std::vector<double> query_weights;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    if (freqs[q] > 0) {
+      active.push_back(q);
+      query_weights.push_back(freqs[q]);
+    }
+  }
+  std::vector<double> target_weights = window.target_weights;
+  if (target_weights.empty()) target_weights.assign(window.targets.size(), 1.0);
+  const bool writes_on =
+      window.write_fraction > 0 && window.make_write &&
+      std::all_of(window.targets.begin(), window.targets.end(),
+                  [](const ServeTarget& t) { return t.router != nullptr; });
+
+  std::vector<LaneTally> tallies(window.lanes);
+  std::vector<Status> background_status(background.size());
+  std::atomic<size_t> running{background.size()};
+  std::atomic<bool> abort{false};
+
+  // Background lanes take the low indices: the pool hands indices out in
+  // order, so each background lane has a thread before any serve lane
+  // starts waiting for it to finish.
+  const size_t lanes = background.size() + window.lanes;
+  Clock::time_point window_start = Clock::now();
+  ThreadPool pool(std::max<size_t>(lanes, 1));
+  pool.ParallelFor(lanes, [&](size_t lane) {
+    if (lane < background.size()) {
+      Status s = background[lane](abort);
+      if (!s.ok()) {
+        background_status[lane] = std::move(s);
+        abort.store(true, std::memory_order_release);
+      }
+      running.fetch_sub(1, std::memory_order_acq_rel);
+      return;
+    }
+    LaneTally& tally = tallies[lane - background.size()];
+    if (active.empty() && !writes_on) return;
+    std::mt19937_64 rng(window.seed + lane);
+    std::discrete_distribution<size_t> pick_query;
+    if (!active.empty()) {
+      pick_query = std::discrete_distribution<size_t>(query_weights.begin(), query_weights.end());
+    }
+    std::discrete_distribution<size_t> pick_target(target_weights.begin(), target_weights.end());
+    std::bernoulli_distribution write_coin(writes_on ? window.write_fraction : 0.0);
+    uint64_t lane_writes = 0;
+    // The floor counts *attempts*, not successes: a window whose every
+    // active statement is still unservable must not spin a lane forever.
+    for (uint64_t attempts = 0;
+         !abort.load(std::memory_order_acquire) &&
+         (running.load(std::memory_order_acquire) > 0 ||
+          attempts < window.min_statements_per_lane);
+         ++attempts) {
+      // A single target draws nothing, so a one-database window's mix is
+      // the same sequence it would be without a target pick.
+      const size_t t = window.targets.size() == 1 ? 0 : pick_target(rng);
+      const ServeTarget& target = window.targets[t];
+      const bool do_write = writes_on && (active.empty() || write_coin(rng));
+      const Clock::time_point t0 = Clock::now();
+      Status status;
+      bool unservable = false;
+      if (do_write) {
+        LogicalDml dml = window.make_write(t, lane_writes++, rng);
+        PSE_LOCKDEP_SCOPE("ServeWhile::write");
+        // Catalog latch shared, then the router's write mutex (rank 25) and
+        // table latches (rank 30) underneath — the canonical ascending order.
+        std::shared_lock<SharedMutex> schema_lock(target.db->schema_latch());
+        std::shared_ptr<const PhysicalSchema> schema = target.serving->Get();
+        status = target.router->Execute(dml, *schema);
+        unservable = status.IsBindError();
+      } else {
+        const LogicalQuery& query = queries[active[pick_query(rng)]].query;
+        PSE_LOCKDEP_SCOPE("ServeWhile::read");
+        // The snapshot is taken under the same latch the migration publishes
+        // under, so it always matches the physical catalog (serving.h).
+        std::shared_lock<SharedMutex> schema_lock(target.db->schema_latch());
+        std::shared_ptr<const PhysicalSchema> schema = target.serving->Get();
+        Result<BoundQuery> bound = window.rewrite(t, query, *schema);
+        // Only the rewrite's BindError means "not servable yet"; one from
+        // the planner is a real failure.
+        unservable = bound.status().IsBindError();
+        status = bound.status();
+        if (bound.ok()) {
+          DatabaseCatalogView view(target.db);
+          Result<PlanPtr> plan = PlanQuery(*bound, view);
+          status = plan.ok() ? ExecutePlan(**plan, target.db).status() : plan.status();
+        }
+      }
+      if (unservable) {
+        ++tally.unservable;
+        if (do_write) ++tally.unservable_writes;
+      } else if (!status.ok()) {
+        ++tally.errors;
+        if (tally.first_error.ok()) tally.first_error = status;
+      } else {
+        if (do_write) {
+          ++tally.writes;
+        } else {
+          ++tally.queries;
+        }
+        tally.latency.Record(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count()));
+      }
+    }
+  });
+
+  ServeMetrics m;
+  m.wall_ms = MsSince(window_start);
+  LatencyHistogram latency;
+  Status first_error;
+  for (const LaneTally& t : tallies) {
+    m.queries += t.queries;
+    m.writes += t.writes;
+    m.unservable += t.unservable;
+    m.unservable_writes += t.unservable_writes;
+    m.errors += t.errors;
+    if (first_error.ok()) first_error = t.first_error;
+    latency.Merge(t.latency);
+  }
+  if (m.wall_ms > 0) {
+    m.throughput_qps = static_cast<double>(m.queries + m.writes) / (m.wall_ms / 1000.0);
+  }
+  m.p50_ms = static_cast<double>(latency.Quantile(0.50)) / 1e6;
+  m.p95_ms = static_cast<double>(latency.Quantile(0.95)) / 1e6;
+  m.p99_ms = static_cast<double>(latency.Quantile(0.99)) / 1e6;
+  for (const Status& s : background_status) {
+    if (!s.ok()) return s;
+  }
+  if (m.errors > 0) {
+    return Status(first_error.code(),
+                  "foreground session failed during migration: " + first_error.message() +
+                      " (" + std::to_string(m.errors) + " errors)");
+  }
+  return m;
+}
+
 Result<ServeMetrics> ServeDuringMigration(Database* db, ServingSchema* serving,
                                           const std::vector<WorkloadQuery>& queries,
                                           const std::vector<double>& freqs,
@@ -54,154 +204,22 @@ Result<ServeMetrics> ServeDuringMigration(Database* db, ServingSchema* serving,
   if (options.sessions == 0) {
     return Status::InvalidArgument("serve window needs at least one session");
   }
-  if (freqs.size() != queries.size()) {
-    return Status::InvalidArgument("serve frequency vector does not match the workload");
+  ServeWindow window;
+  window.targets = {ServeTarget{db, serving, options.router}};
+  window.rewrite = [](size_t, const LogicalQuery& query, const PhysicalSchema& schema) {
+    return RewriteQuery(query, schema);
+  };
+  window.lanes = options.sessions;
+  window.min_statements_per_lane = options.min_queries_per_lane;
+  window.seed = options.seed;
+  window.write_fraction = options.write_fraction;
+  if (options.make_write) {
+    window.make_write = [&options](size_t, uint64_t i, std::mt19937_64& rng) {
+      return options.make_write(i, rng);
+    };
   }
-  // The mix: active queries of the phase, weighted by frequency. Both
-  // versions' queries land here — old ones serve throughout, new ones start
-  // serving the moment their operators publish.
-  std::vector<size_t> active;
-  std::vector<double> weights;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (freqs[q] > 0) {
-      active.push_back(q);
-      weights.push_back(freqs[q]);
-    }
-  }
-
-  const size_t lanes = options.sessions + 1;  // lane 0 drives the migration
-  std::vector<LaneResult> results(lanes);
-  std::atomic<bool> stop{false};
-  Status migrate_status;
-
-  Clock::time_point window_start = Clock::now();
-  ThreadPool pool(lanes);
-  pool.ParallelFor(lanes, [&](size_t lane) {
-    if (lane == 0) {
-      migrate_status = migrate();
-      stop.store(true, std::memory_order_release);
-      return;
-    }
-    LaneResult& r = results[lane];
-    const bool writes_on =
-        options.router != nullptr && options.write_fraction > 0 && options.make_write;
-    if (active.empty() && !writes_on) return;
-    std::mt19937_64 rng(options.seed + lane);
-    std::discrete_distribution<size_t> pick;
-    if (!active.empty()) {
-      pick = std::discrete_distribution<size_t>(weights.begin(), weights.end());
-    }
-    std::bernoulli_distribution write_coin(writes_on ? options.write_fraction : 0.0);
-    uint64_t lane_writes = 0;
-    // The floor counts *attempts*, not successes: a phase whose every active
-    // statement is still unservable must not spin a lane forever.
-    uint64_t attempts = 0;
-    while (!stop.load(std::memory_order_acquire) ||
-           attempts < options.min_queries_per_lane) {
-      ++attempts;
-      const bool do_write = writes_on && (active.empty() || write_coin(rng));
-      Clock::time_point t0 = Clock::now();
-      Status failed;
-      bool ran = false;
-      if (do_write) {
-        LogicalDml dml = options.make_write(lane_writes++, rng);
-        PSE_LOCKDEP_SCOPE("ServeDuringMigration::writer");
-        // Same latch discipline as the read path, then the router's write
-        // mutex (rank 25) and table latches (rank 30) underneath — the
-        // canonical ascending order.
-        std::shared_lock<SharedMutex> schema_lock(db->schema_latch());
-        std::shared_ptr<const PhysicalSchema> schema = serving->Get();
-        Status s = options.router->Execute(dml, *schema);
-        if (!s.ok()) {
-          if (s.IsBindError()) {
-            // A planned write-unsafe window (writability cell kUnservable):
-            // the statement is skipped, not failed — accounting parity with
-            // unservable reads.
-            ++r.unservable;
-            ++r.unservable_writes;
-            continue;
-          }
-          failed = s;
-        } else {
-          ran = true;
-        }
-        if (!ran) {
-          ++r.errors;
-          if (r.first_error.ok()) r.first_error = failed;
-          continue;
-        }
-        ++r.writes;
-        r.latencies_ms.push_back(MsSince(t0));
-        continue;
-      }
-      const LogicalQuery& query = queries[active[pick(rng)]].query;
-      {
-        PSE_LOCKDEP_SCOPE("ServeDuringMigration::lane");
-        // Catalog latch shared across rewrite+plan+execute; the snapshot is
-        // taken under the same latch the migration publishes under, so it
-        // always matches the physical catalog (file comment in serving.h).
-        std::shared_lock<SharedMutex> schema_lock(db->schema_latch());
-        std::shared_ptr<const PhysicalSchema> schema = serving->Get();
-        Result<BoundQuery> bound = RewriteQuery(query, *schema);
-        if (!bound.ok()) {
-          if (bound.status().IsBindError()) {
-            ++r.unservable;
-            continue;
-          }
-          failed = bound.status();
-        } else {
-          DatabaseCatalogView view(db);
-          Result<PlanPtr> plan = PlanQuery(*bound, view);
-          if (!plan.ok()) {
-            failed = plan.status();
-          } else {
-            Status s = ExecutePlan(**plan, db).status();
-            if (!s.ok()) {
-              failed = s;
-            } else {
-              ran = true;
-            }
-          }
-        }
-      }
-      if (!ran) {
-        ++r.errors;
-        if (r.first_error.ok()) r.first_error = failed;
-        continue;
-      }
-      r.latencies_ms.push_back(MsSince(t0));
-    }
-  });
-
-  ServeMetrics m;
-  m.wall_ms = MsSince(window_start);
-  std::vector<double> all;
-  Status first_error;
-  for (const LaneResult& r : results) {
-    m.queries += r.latencies_ms.size() - r.writes;
-    m.writes += r.writes;
-    m.unservable += r.unservable;
-    m.unservable_writes += r.unservable_writes;
-    m.errors += r.errors;
-    if (first_error.ok() && !r.first_error.ok()) first_error = r.first_error;
-    all.insert(all.end(), r.latencies_ms.begin(), r.latencies_ms.end());
-  }
-  if (m.wall_ms > 0) {
-    m.throughput_qps = static_cast<double>(m.queries + m.writes) / (m.wall_ms / 1000.0);
-  }
-  if (!all.empty()) {
-    std::sort(all.begin(), all.end());
-    m.p50_ms = Percentile(all, 0.50);
-    m.p95_ms = Percentile(all, 0.95);
-    m.p99_ms = Percentile(all, 0.99);
-  }
-  if (!migrate_status.ok()) return migrate_status;
-  if (m.errors > 0) {
-    return Status(first_error.code(),
-                  "foreground session failed during migration: " + first_error.message() +
-                      " (" + std::to_string(m.errors) + " errors)");
-  }
-  return m;
+  return ServeWhile(window, queries, freqs,
+                    {[&migrate](const std::atomic<bool>&) { return migrate(); }});
 }
 
 }  // namespace pse

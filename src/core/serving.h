@@ -1,19 +1,24 @@
 // Concurrent multi-version serving: the load-generation side of the paper's
-// premise that old- and new-version applications keep issuing queries while
-// the schema evolves underneath them. ServeDuringMigration runs a migration
-// step on one lane of a thread pool while N worker lanes execute a weighted
-// query mix through the Rewriter against the currently *published* schema,
-// and reports throughput plus latency percentiles for the window.
+// premise that old- and new-version applications keep issuing statements
+// while the schema evolves underneath them.
 //
-// The consistency contract (DESIGN.md §15): a worker acquires the
-// database's catalog latch shared, snapshots the serving schema, and keeps
+// ServeWhile is the one serve driver: it runs the caller's background lanes
+// (migrations) next to N serve lanes that execute a weighted statement mix
+// against each target's currently *published* schema, and reports
+// throughput plus latency percentiles. ServeDuringMigration is the driver
+// over one database; FleetScheduler::Run (fleet/scheduler.h) is the driver
+// over its shards.
+//
+// The consistency contract (DESIGN.md §15): a serve lane acquires the
+// target's catalog latch shared, snapshots its serving schema, and keeps
 // the latch across rewrite + plan + execute. The migration executor
 // publishes each operator's post-op schema from inside its exclusive-latch
-// quiesce window (MigrationOptions::on_publish), so a worker's snapshot can
-// never disagree with the catalog it executes against — every query sees
-// either the pre-op or the post-op layout.
+// quiesce window (MigrationOptions::on_publish), so a lane's snapshot can
+// never disagree with the catalog it executes against — every statement
+// sees either the pre-op or the post-op layout.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,6 +31,7 @@
 #include "core/physical_schema.h"
 #include "core/rewriter_dml.h"
 #include "core/workload.h"
+#include "engine/bound_query.h"
 #include "storage/database.h"
 
 namespace pse {
@@ -67,7 +73,9 @@ struct ServeMetrics {
   uint64_t errors = 0;       ///< non-bind failures (must stay 0)
   double wall_ms = 0;        ///< window duration (migration + drain)
   double throughput_qps = 0; ///< (queries + writes) / wall
-  double p50_ms = 0;         ///< median statement latency
+  /// Statement latency quantiles, read off the lanes' merged
+  /// LatencyHistogram (within its kRelativeError of the exact ones).
+  double p50_ms = 0;
   double p95_ms = 0;
   double p99_ms = 0;
 };
@@ -103,20 +111,68 @@ class ServingSchema {
   std::shared_ptr<const PhysicalSchema> current_;
 };
 
-/// \brief Runs `migrate` while `options.sessions` lanes serve `queries`.
+/// One database the serve driver issues statements against.
+struct ServeTarget {
+  Database* db = nullptr;
+  ServingSchema* serving = nullptr;
+  /// Router the target's writes execute through; null makes it read-only.
+  DmlRouter* router = nullptr;
+};
+
+/// Rewrites `query` onto `schema`, the snapshot of targets[target]. The
+/// driver calls it while holding that target's catalog latch shared.
+using ReadRewrite = std::function<Result<BoundQuery>(
+    size_t target, const LogicalQuery& query, const PhysicalSchema& schema)>;
+
+/// A lane that runs next to the serve lanes, typically a migration. `abort`
+/// turns true once any background lane has failed.
+using BackgroundLane = std::function<Status(const std::atomic<bool>& abort)>;
+
+/// What the serve lanes of one window issue, and against what.
+struct ServeWindow {
+  std::vector<ServeTarget> targets;
+  /// A lane's pick among `targets`: proportional to these weights, which
+  /// must be finite and non-negative with a positive sum. Empty = uniform.
+  std::vector<double> target_weights;
+  ReadRewrite rewrite;  ///< required
+  size_t lanes = 0;
+  /// Statements each lane attempts even if the background lanes finish at
+  /// once, so op-less windows still produce latency samples.
+  uint64_t min_statements_per_lane = 0;
+  /// Serve lane l (numbered after the background lanes) draws from
+  /// seed + l, so a window's mix is reproducible.
+  uint64_t seed = 0;
+  /// Probability a lane iteration issues a write. Writes need make_write and
+  /// a router on every target; otherwise the window is read-only.
+  double write_fraction = 0.0;
+  /// Produces the i-th write of a lane against targets[target].
+  std::function<LogicalDml(size_t target, uint64_t i, std::mt19937_64& rng)> make_write;
+};
+
+/// \brief Runs every `background` lane while `window.lanes` serve lanes
+/// drive `queries` (weighted by `freqs`; entries <= 0 never run) across the
+/// window's targets.
 ///
-/// Workers pick queries with probability proportional to `freqs` (entries
-/// <= 0 never run — both application versions' active queries should carry
-/// positive frequency). They loop until `migrate` returns *and* each lane
-/// has executed min_queries_per_lane, then the merged metrics are computed.
-/// A worker whose query is unservable on the live schema (BindError — its
-/// new attribute has no physical home yet) counts it as `unservable` and
-/// moves on; any other failure counts as an error and is also carried in
-/// the returned status if `migrate` itself succeeded.
+/// Serve lanes loop until every background lane has returned *and* each
+/// has attempted min_statements_per_lane; a failed background lane stops
+/// them at once. A statement that is unservable on the live schema (a
+/// BindError from the rewrite or the router: its attributes have no
+/// physical home yet, or its write window is planned unsafe) counts as
+/// `unservable`; any other failure counts as an error. The first background
+/// failure is returned; else any error fails the window, carrying the first
+/// error's code and message.
+Result<ServeMetrics> ServeWhile(const ServeWindow& window,
+                                const std::vector<WorkloadQuery>& queries,
+                                const std::vector<double>& freqs,
+                                const std::vector<BackgroundLane>& background);
+
+/// \brief Runs `migrate` while `options.sessions` lanes serve `queries`:
+/// ServeWhile over one target, with `migrate` as its one background lane
+/// and RewriteQuery as the read rewrite.
 ///
 /// The caller wires `serving` to the executor via
-/// MigrationOptions::on_publish before calling. `migrate` runs exactly once,
-/// on one lane of an internal pool; it may apply any number of operators.
+/// MigrationOptions::on_publish before calling. `migrate` runs exactly once;
+/// it may apply any number of operators.
 Result<ServeMetrics> ServeDuringMigration(Database* db, ServingSchema* serving,
                                           const std::vector<WorkloadQuery>& queries,
                                           const std::vector<double>& freqs,

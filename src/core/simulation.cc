@@ -201,6 +201,14 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
   bool have_gaa_plan = false;
   WorkloadCollector collector(queries_->size());
 
+  // Batch sizing of the serve and probe modes. Plain mode keeps the
+  // executor's defaults, which the Fig 8 page counts are measured with.
+  auto batch_options = [this] {
+    MigrationOptions mo;
+    mo.batch_rows = config_.migration_batch_rows;
+    mo.batch_io_budget = config_.migration_io_budget;
+    return mo;
+  };
   std::vector<std::vector<double>> planning_freqs = phase_freqs_;
   for (size_t p = 0; p < num_phases; ++p) {
     if (grows) {
@@ -268,6 +276,15 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       }
       to_apply = ordered;
     }
+    auto apply_ops = [&]() -> Status {
+      for (int op : to_apply) {
+        PSE_ASSIGN_OR_RETURN(uint64_t io,
+                             executor.Apply(opset.ops[static_cast<size_t>(op)], &current));
+        phase.migration_io += static_cast<double>(io);
+        applied[static_cast<size_t>(op)] = true;
+      }
+      return Status::OK();
+    };
     if (config_.serve_sessions > 0) {
       // Concurrent serving: real foreground sessions execute this phase's
       // query mix on worker threads while the operators apply. Each
@@ -277,9 +294,7 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       // approximate here (foreground and migration share the physical
       // counters); the single-threaded probe mode keeps the exact numbers.
       ServingSchema serving(current);
-      MigrationOptions mo;
-      mo.batch_rows = config_.migration_batch_rows;
-      mo.batch_io_budget = config_.migration_io_budget;
+      MigrationOptions mo = batch_options();
       mo.on_batch = [&phase](const MigrationBatchEvent&) -> Status {
         ++phase.online_batches;
         return Status::OK();
@@ -290,93 +305,48 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       so.sessions = config_.serve_sessions;
       so.min_queries_per_lane = config_.serve_min_queries;
       so.seed = config_.serve_seed + p;
-      uint64_t mig_io = 0;
-      auto migrate = [&]() -> Status {
-        for (int op : to_apply) {
-          auto io = executor.Apply(opset.ops[static_cast<size_t>(op)], &current);
-          if (!io.ok()) return io.status();
-          mig_io += *io;
-          applied[static_cast<size_t>(op)] = true;
+      PSE_ASSIGN_OR_RETURN(phase.serve, ServeDuringMigration(&db, &serving, *queries_,
+                                                             phase_freqs_[p], so, apply_ops));
+      // The hooks capture this iteration's locals; detach them (batch sizing
+      // stays in effect for the forced completion).
+      executor.set_options(batch_options());
+    } else {
+      // Online mode: between batches, run one of the phase's queries against
+      // the still-current schema (source tables stay live until the copy is
+      // durable), warm-cache, the way foreground traffic sees an online
+      // schema change. Probe I/O is tracked separately from migration I/O.
+      std::vector<size_t> probe_queries;
+      size_t next_probe = 0;
+      if (config_.online_migration) {
+        for (size_t q = 0; q < queries_->size(); ++q) {
+          if (phase_freqs_[p][q] > 0) probe_queries.push_back(q);
         }
-        return Status::OK();
-      };
-      PSE_ASSIGN_OR_RETURN(ServeMetrics sm,
-                           ServeDuringMigration(&db, &serving, *queries_, phase_freqs_[p],
-                                                so, migrate));
-      phase.migration_io += static_cast<double>(mig_io);
-      phase.serve_queries = sm.queries;
-      phase.serve_unservable = sm.unservable;
-      phase.serve_wall_ms = sm.wall_ms;
-      phase.serve_throughput_qps = sm.throughput_qps;
-      phase.serve_p50_ms = sm.p50_ms;
-      phase.serve_p95_ms = sm.p95_ms;
-      phase.serve_p99_ms = sm.p99_ms;
-      // Detach the hooks (they capture this iteration's locals); batch
-      // sizing stays in effect for the forced completion.
-      MigrationOptions detached;
-      detached.batch_rows = config_.migration_batch_rows;
-      detached.batch_io_budget = config_.migration_io_budget;
-      executor.set_options(std::move(detached));
-      phase.ops_applied = to_apply;
-      phase.schema_desc = std::to_string(current.tables().size()) + " tables";
-
-      PSE_ASSIGN_OR_RETURN(phase.query_cost,
-                           MeasurePhase(&db, current, phase_freqs_[p], StatsAt(p)));
-      report.phases.push_back(std::move(phase));
-      for (size_t q = 0; q < queries_->size(); ++q) {
-        PSE_RETURN_NOT_OK(collector.Record(q, phase_freqs_[p][q]));
+        MigrationOptions mo = batch_options();
+        mo.on_batch = [&](const MigrationBatchEvent&) -> Status {
+          ++phase.online_batches;
+          if (probe_queries.empty() || !config_.measure_actual) return Status::OK();
+          const WorkloadQuery& wq =
+              (*queries_)[probe_queries[next_probe % probe_queries.size()]];
+          ++next_probe;
+          Result<BoundQuery> bound = RewriteQuery(wq.query, current);
+          if (!bound.ok()) {
+            // Queries not yet servable mid-migration are simply skipped.
+            if (bound.status().IsBindError()) return Status::OK();
+            return bound.status();
+          }
+          DatabaseCatalogView view(&db);
+          PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*bound, view));
+          uint64_t before = db.TotalIo();
+          PSE_RETURN_NOT_OK(ExecutePlan(*plan, &db).status());
+          phase.online_probe_io += static_cast<double>(db.TotalIo() - before);
+          ++phase.online_probes;
+          return Status::OK();
+        };
+        executor.set_options(std::move(mo));
       }
-      collector.CloseWindow();
-      continue;
-    }
-
-    // Online mode: between batches, run one of the phase's queries against
-    // the still-current schema (source tables stay live until the copy is
-    // durable), warm-cache, the way foreground traffic sees an online
-    // schema change. Probe I/O is tracked separately from migration I/O.
-    std::vector<size_t> probe_queries;
-    size_t next_probe = 0;
-    if (config_.online_migration) {
-      for (size_t q = 0; q < queries_->size(); ++q) {
-        if (phase_freqs_[p][q] > 0) probe_queries.push_back(q);
-      }
-      MigrationOptions mo;
-      mo.batch_rows = config_.migration_batch_rows;
-      mo.batch_io_budget = config_.migration_io_budget;
-      mo.on_batch = [&](const MigrationBatchEvent&) -> Status {
-        ++phase.online_batches;
-        if (probe_queries.empty() || !config_.measure_actual) return Status::OK();
-        const WorkloadQuery& wq = (*queries_)[probe_queries[next_probe % probe_queries.size()]];
-        ++next_probe;
-        Result<BoundQuery> bound = RewriteQuery(wq.query, current);
-        if (!bound.ok()) {
-          // Queries not yet servable mid-migration are simply skipped.
-          if (bound.status().IsBindError()) return Status::OK();
-          return bound.status();
-        }
-        DatabaseCatalogView view(&db);
-        PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*bound, view));
-        uint64_t before = db.TotalIo();
-        PSE_RETURN_NOT_OK(ExecutePlan(*plan, &db).status());
-        phase.online_probe_io += static_cast<double>(db.TotalIo() - before);
-        ++phase.online_probes;
-        return Status::OK();
-      };
-      executor.set_options(std::move(mo));
-    }
-    for (int op : to_apply) {
-      PSE_ASSIGN_OR_RETURN(uint64_t io,
-                           executor.Apply(opset.ops[static_cast<size_t>(op)], &current));
-      phase.migration_io += static_cast<double>(io);
-      applied[static_cast<size_t>(op)] = true;
-    }
-    if (config_.online_migration) {
-      // The hook captures this iteration's locals; detach it before they go
-      // out of scope (batch sizing stays in effect for forced completion).
-      MigrationOptions mo;
-      mo.batch_rows = config_.migration_batch_rows;
-      mo.batch_io_budget = config_.migration_io_budget;
-      executor.set_options(std::move(mo));
+      PSE_RETURN_NOT_OK(apply_ops());
+      // Plain mode stays on the executor's default options.
+      if (config_.online_migration) executor.set_options(batch_options());
     }
     phase.ops_applied = to_apply;
     phase.schema_desc = std::to_string(current.tables().size()) + " tables";

@@ -20,6 +20,7 @@
 
 #include "core/logical_database.h"
 #include "core/migration_planner.h"
+#include "core/serving.h"
 #include "core/workload.h"
 #include "storage/database.h"
 
@@ -92,14 +93,8 @@ struct PhaseReport {
   double online_probe_io = 0;   ///< I/O of probe queries run between batches
   uint64_t online_batches = 0;  ///< migration batches committed this phase
   uint64_t online_probes = 0;   ///< probe queries executed this phase
-  // Concurrent-serving instrumentation (zero unless config.serve_sessions).
-  uint64_t serve_queries = 0;      ///< foreground queries served this phase
-  uint64_t serve_unservable = 0;   ///< skipped: not yet servable mid-phase
-  double serve_wall_ms = 0;        ///< serve-window duration
-  double serve_throughput_qps = 0; ///< queries per second across sessions
-  double serve_p50_ms = 0;         ///< median foreground query latency
-  double serve_p95_ms = 0;
-  double serve_p99_ms = 0;
+  /// The phase's serve window (zero unless config.serve_sessions).
+  ServeMetrics serve;
 };
 
 struct SituationReport {

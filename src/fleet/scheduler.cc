@@ -2,37 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <utility>
 
-#include "common/thread_pool.h"
-#include "engine/catalog_view.h"
-#include "engine/executor.h"
-#include "engine/planner.h"
-
 namespace pse {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-/// Sorted-sample percentile (same interpolation as core/serving.cc).
-double Percentile(const std::vector<double>& sorted, double q) {
-  double pos = q * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-}  // namespace
 
 void IoTokenBucket::Acquire() {
   PSE_LOCKDEP_SCOPE("IoTokenBucket::Acquire");
@@ -78,17 +52,6 @@ const char* FleetPolicyName(FleetPolicy policy) {
   }
   return "unknown";
 }
-
-/// Per-lane tallies, merged serially after the pool joins (gtest-unsafe
-/// assertions never run inside workers — same discipline as core serving).
-struct FleetScheduler::LaneResult {
-  std::vector<double> latencies_ms;
-  uint64_t writes = 0;
-  uint64_t unservable = 0;
-  uint64_t unservable_writes = 0;
-  uint64_t errors = 0;
-  Status first_error;
-};
 
 FleetScheduler::FleetScheduler(FleetSchedule schedule, SharedPlanCache* cache)
     : schedule_(std::move(schedule)), cache_(cache) {
@@ -149,25 +112,11 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
                                          const std::vector<double>& freqs,
                                          const FleetOptions& options) {
   if (shards_.empty()) return Status::InvalidArgument("fleet has no shards");
-  if (freqs.size() != queries.size()) {
-    return Status::InvalidArgument("fleet frequency vector does not match the workload");
+  // Serve lanes run until the migration lanes finish; with none, they would
+  // never stop.
+  if (options.migration_lanes == 0) {
+    return Status::InvalidArgument("fleet run needs at least one migration lane");
   }
-  if (!options.hotness.empty() && options.hotness.size() != shards_.size()) {
-    return Status::InvalidArgument("fleet hotness vector does not match the shard count");
-  }
-  const size_t n = shards_.size();
-
-  std::vector<size_t> active;
-  std::vector<double> weights;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (freqs[q] > 0) {
-      active.push_back(q);
-      weights.push_back(freqs[q]);
-    }
-  }
-  std::vector<double> shard_weights = options.hotness;
-  if (shard_weights.empty()) shard_weights.assign(n, 1.0);
-
   uint64_t remaining = 0;
   uint64_t io_before = 0;
   uint64_t batches_before = 0;
@@ -181,129 +130,54 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
   IoTokenBucket bucket(options.io_tokens);
   std::atomic<uint64_t> remaining_ops{remaining};
   std::atomic<uint64_t> applied_ops{0};
-  std::atomic<bool> abort{false};
-  Status migrate_error;
-  Mutex error_mu;  // plain data guard; deliberately unranked (leaf, error path)
-
-  const size_t lanes = options.migration_lanes + options.serve_lanes;
-  std::vector<LaneResult> results(lanes);
-
-  Clock::time_point window_start = Clock::now();
-  ThreadPool pool(lanes);
-  pool.ParallelFor(lanes, [&](size_t lane) {
-    if (lane < options.migration_lanes) {
-      // -- migration lane: drain the fleet's remaining operators --
-      while (!abort.load(std::memory_order_acquire) &&
-             remaining_ops.load(std::memory_order_acquire) != 0) {
-        int pick = PickNext(options);
-        if (pick < 0) {
-          std::this_thread::yield();
-          continue;
-        }
-        size_t shard = static_cast<size_t>(pick);
-        Status status = shards_[shard]->AdvanceOneOp(schedule_, options.migration, &bucket);
-        size_t new_step = shards_[shard]->step();
-        FinishShard(shard);
-        if (!status.ok()) {
-          {
-            std::lock_guard<Mutex> lock(error_mu);
-            if (migrate_error.ok()) migrate_error = status;
-          }
-          abort.store(true, std::memory_order_release);
-          break;
-        }
-        remaining_ops.fetch_sub(1, std::memory_order_acq_rel);
-        applied_ops.fetch_add(1, std::memory_order_relaxed);
-        if (options.on_shard_op) options.on_shard_op(shard, new_step);
-      }
-      return;
-    }
-
-    // -- serve lane: mixed-version foreground traffic across the fleet --
-    LaneResult& r = results[lane];
-    const bool writes_on = options.write_fraction > 0 && options.make_write;
-    if (active.empty() && !writes_on) return;
-    std::mt19937_64 rng(options.seed + lane);
-    std::discrete_distribution<size_t> pick_query;
-    if (!active.empty()) {
-      pick_query = std::discrete_distribution<size_t>(weights.begin(), weights.end());
-    }
-    std::discrete_distribution<size_t> pick_shard(shard_weights.begin(), shard_weights.end());
-    std::bernoulli_distribution write_coin(writes_on ? options.write_fraction : 0.0);
-    uint64_t lane_writes = 0;
-    uint64_t attempts = 0;
+  // A migration lane drains the fleet's remaining operators.
+  BackgroundLane migrate = [&](const std::atomic<bool>& abort) -> Status {
     while (!abort.load(std::memory_order_acquire) &&
-           (remaining_ops.load(std::memory_order_acquire) != 0 ||
-            attempts < options.min_queries_per_lane)) {
-      ++attempts;
-      TenantShard* shard = shards_[pick_shard(rng)].get();
-      const bool do_write = writes_on && (active.empty() || write_coin(rng));
-      Clock::time_point t0 = Clock::now();
-      Status failed;
-      bool ran = false;
-      if (do_write) {
-        LogicalDml dml = options.make_write(shard->id(), lane_writes++, rng);
-        PSE_LOCKDEP_SCOPE("FleetScheduler::serve_write");
-        // Shard catalog latch shared, then the shard's router write mutex
-        // (25) and table latches (30) underneath — single-database serving
-        // discipline, per shard.
-        std::shared_lock<SharedMutex> schema_lock(shard->db()->schema_latch());
-        std::shared_ptr<const PhysicalSchema> schema = shard->serving()->Get();
-        Status status = shard->router()->Execute(dml, *schema);
-        if (!status.ok()) {
-          if (status.IsBindError()) {
-            ++r.unservable;
-            ++r.unservable_writes;
-            continue;
-          }
-          failed = status;
-        } else {
-          ran = true;
-        }
-      } else {
-        const LogicalQuery& query = queries[active[pick_query(rng)]].query;
-        PSE_LOCKDEP_SCOPE("FleetScheduler::serve_read");
-        // The published step is read under the same catalog latch as the
-        // serving snapshot, so the (step, snapshot) pair is consistent and
-        // the fleet-shared rewrite for that step applies verbatim.
-        std::shared_lock<SharedMutex> schema_lock(shard->db()->schema_latch());
-        std::shared_ptr<const PhysicalSchema> schema = shard->serving()->Get();
-        size_t step = shard->published_step();
-        Result<BoundQuery> bound = cache_->GetOrRewrite(step, query, *schema);
-        if (!bound.ok()) {
-          if (bound.status().IsBindError()) {
-            ++r.unservable;
-            continue;
-          }
-          failed = bound.status();
-        } else {
-          DatabaseCatalogView view(shard->db());
-          Result<PlanPtr> plan = PlanQuery(*bound, view);
-          if (!plan.ok()) {
-            failed = plan.status();
-          } else {
-            Status status = ExecutePlan(**plan, shard->db()).status();
-            if (!status.ok()) {
-              failed = status;
-            } else {
-              ran = true;
-            }
-          }
-        }
-      }
-      if (!ran) {
-        ++r.errors;
-        if (r.first_error.ok()) r.first_error = failed;
+           remaining_ops.load(std::memory_order_acquire) != 0) {
+      int pick = PickNext(options);
+      if (pick < 0) {
+        std::this_thread::yield();
         continue;
       }
-      if (do_write) ++r.writes;
-      r.latencies_ms.push_back(MsSince(t0));
+      size_t shard = static_cast<size_t>(pick);
+      Status status = shards_[shard]->AdvanceOneOp(schedule_, options.migration, &bucket);
+      size_t new_step = shards_[shard]->step();
+      FinishShard(shard);
+      PSE_RETURN_NOT_OK(status);
+      remaining_ops.fetch_sub(1, std::memory_order_acq_rel);
+      applied_ops.fetch_add(1, std::memory_order_relaxed);
+      if (options.on_shard_op) options.on_shard_op(shard, new_step);
     }
-  });
+    return Status::OK();
+  };
+
+  ServeWindow window;
+  for (const auto& shard : shards_) {
+    window.targets.push_back(ServeTarget{shard->db(), shard->serving(), shard->router()});
+  }
+  window.target_weights = options.hotness;
+  // The published step is read under the same catalog latch as the serving
+  // snapshot, so the (step, snapshot) pair is consistent and the
+  // fleet-shared rewrite for that step applies verbatim.
+  window.rewrite = [this](size_t t, const LogicalQuery& query, const PhysicalSchema& schema) {
+    return cache_->GetOrRewrite(shards_[t]->published_step(), query, schema);
+  };
+  window.lanes = options.serve_lanes;
+  window.min_statements_per_lane = options.min_queries_per_lane;
+  window.seed = options.seed;
+  window.write_fraction = options.write_fraction;
+  if (options.make_write) {
+    window.make_write = [this, &options](size_t t, uint64_t i, std::mt19937_64& rng) {
+      return options.make_write(shards_[t]->id(), i, rng);
+    };
+  }
+  PSE_ASSIGN_OR_RETURN(ServeMetrics served,
+                       ServeWhile(window, queries, freqs,
+                                  std::vector<BackgroundLane>(options.migration_lanes, migrate)));
 
   FleetMetrics m;
-  m.wall_ms = MsSince(window_start);
-  m.tenants = n;
+  static_cast<ServeMetrics&>(m) = served;
+  m.tenants = shards_.size();
   for (const auto& shard : shards_) {
     if (shard->step() >= schedule_.steps()) ++m.tenants_migrated;
     m.migration_io += shard->migration_io();
@@ -312,38 +186,11 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
   m.migration_io -= io_before;
   m.batches -= batches_before;
   m.ops_applied = applied_ops.load(std::memory_order_relaxed);
-  std::vector<double> all;
-  Status first_error;
-  for (const LaneResult& r : results) {
-    m.queries += r.latencies_ms.size() - r.writes;
-    m.writes += r.writes;
-    m.unservable += r.unservable;
-    m.unservable_writes += r.unservable_writes;
-    m.errors += r.errors;
-    if (first_error.ok() && !r.first_error.ok()) first_error = r.first_error;
-    all.insert(all.end(), r.latencies_ms.begin(), r.latencies_ms.end());
-  }
-  if (m.wall_ms > 0) {
-    m.throughput_qps = static_cast<double>(m.queries + m.writes) / (m.wall_ms / 1000.0);
-  }
-  if (!all.empty()) {
-    std::sort(all.begin(), all.end());
-    m.p50_ms = Percentile(all, 0.50);
-    m.p95_ms = Percentile(all, 0.95);
-    m.p99_ms = Percentile(all, 0.99);
-  }
   const PlanCacheStats cache_after = cache_->Snapshot();
   m.plan_cache.hits = cache_after.hits - cache_before.hits;
   m.plan_cache.misses = cache_after.misses - cache_before.misses;
   m.io_capacity = bucket.capacity();
   m.io_peak_outstanding = bucket.peak_outstanding();
-
-  if (!migrate_error.ok()) return migrate_error;
-  if (m.errors > 0) {
-    return Status(first_error.code(),
-                  "fleet foreground session failed during migration: " + first_error.message() +
-                      " (" + std::to_string(m.errors) + " errors)");
-  }
   return m;
 }
 

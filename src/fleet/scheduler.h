@@ -17,13 +17,14 @@
 //                   keep serving; hot ones go last). Every policy drains the
 //                   whole fleet — deferral reorders, never starves.
 //
-//   serve lanes     foreground sessions that pick a shard, snapshot its
-//                   serving schema under its catalog latch, fetch the
-//                   rewrite from the fleet's SharedPlanCache keyed on the
-//                   shard's published step, then plan/execute against the
-//                   shard's own catalog (plans stay per-tenant; rewrites
-//                   amortize fleet-wide). Writes go through the shard's
-//                   DmlRouter exactly like single-database serving.
+//   serve lanes     core's one serve driver (ServeWhile, core/serving.h)
+//                   with the shards as its targets, hotness as the target
+//                   weights, and the migration lanes as its background
+//                   lanes. A lane's read rewrite comes from the fleet's
+//                   SharedPlanCache, keyed on the shard's published step
+//                   and fetched under the shard's catalog latch; plans stay
+//                   per-tenant, rewrites amortize fleet-wide. Writes go
+//                   through the shard's DmlRouter.
 //
 // Lock classes (DESIGN.md §17/§20): "fleet" (rank 4) guards pick/busy
 // state, "shard:<id>" (6) each shard's trajectory state, "fleet:iobudget"
@@ -43,6 +44,7 @@
 #include "common/status.h"
 #include "core/migration_executor.h"
 #include "core/rewriter_dml.h"
+#include "core/serving.h"
 #include "core/workload.h"
 #include "fleet/plan_cache.h"
 #include "fleet/schedule.h"
@@ -112,6 +114,7 @@ struct FleetOptions {
   MigrationOptions migration;
   /// Per-shard serve weight; hot-tenant-deferred migrates low weights first
   /// and serve lanes sample shards proportionally. Empty = uniform 1.0.
+  /// Weights must be finite and non-negative with a positive sum.
   std::vector<double> hotness;
   /// Observer called after every successfully applied operator (outside all
   /// fleet locks) with the shard index and its new step — the policy tests
@@ -119,23 +122,14 @@ struct FleetOptions {
   std::function<void(size_t shard, size_t step)> on_shard_op;
 };
 
-/// Fleet-wide outcome of one Run window.
-struct FleetMetrics {
+/// Fleet-wide outcome of one Run window: the serve lanes' ServeMetrics plus
+/// the migration side.
+struct FleetMetrics : ServeMetrics {
   size_t tenants = 0;
   size_t tenants_migrated = 0;  ///< shards that reached the end of the schedule
   uint64_t ops_applied = 0;
   uint64_t batches = 0;
   uint64_t migration_io = 0;
-  uint64_t queries = 0;
-  uint64_t writes = 0;
-  uint64_t unservable = 0;
-  uint64_t unservable_writes = 0;
-  uint64_t errors = 0;  ///< non-bind foreground failures (must stay 0)
-  double wall_ms = 0;
-  double throughput_qps = 0;  ///< (queries + writes) / wall seconds
-  double p50_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
   PlanCacheStats plan_cache;      ///< delta of this run
   uint64_t io_capacity = 0;       ///< bucket capacity of the run
   uint64_t io_peak_outstanding = 0;
@@ -159,12 +153,11 @@ class FleetScheduler {
   /// Returns the merged fleet metrics; fails on the first migration error
   /// or any non-bind foreground failure (unservable statements are counted,
   /// never errors — the single-database serving contract, fleet-wide).
+  /// Needs at least one migration lane.
   Result<FleetMetrics> Run(const std::vector<WorkloadQuery>& queries,
                            const std::vector<double>& freqs, const FleetOptions& options);
 
  private:
-  struct LaneResult;
-
   /// Picks and busy-marks the next shard per policy; -1 when none eligible.
   int PickNext(const FleetOptions& options);
   void FinishShard(size_t shard);

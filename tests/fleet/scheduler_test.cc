@@ -5,6 +5,7 @@
 // tenants while returning rewrites identical to a direct RewriteQuery.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -113,6 +114,29 @@ TEST_F(FleetSchedulerTest, RunValidatesItsInputs) {
   FleetOptions bad_hotness;
   bad_hotness.hotness = {1.0, 2.0, 3.0};
   EXPECT_FALSE(fleet->Run(queries_, freqs_, bad_hotness).ok());
+
+  // Hotness feeds a discrete distribution: all-zero weights give NaN
+  // probabilities and a negative one skews every pick, so both are refused,
+  // as is a non-finite weight.
+  for (const std::vector<double>& hotness :
+       {std::vector<double>{0.0, 0.0}, std::vector<double>{-1.0, 1.0},
+        std::vector<double>{std::numeric_limits<double>::infinity(), 1.0}}) {
+    FleetOptions options;
+    options.hotness = hotness;
+    auto result = fleet->Run(queries_, freqs_, options);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << hotness[0] << ", " << hotness[1] << ": " << result.status().ToString();
+  }
+
+  // Serve lanes run until the migration lanes finish, so a run with none
+  // is refused instead of serving forever.
+  FleetOptions no_migration;
+  no_migration.migration_lanes = 0;
+  no_migration.serve_lanes = 1;
+  EXPECT_TRUE(fleet->Run(queries_, freqs_, no_migration).status().IsInvalidArgument());
+  for (size_t i = 0; i < fleet->size(); ++i) {
+    EXPECT_EQ(fleet->shard(i)->step(), 0u) << "a refused run moved shard " << i;
+  }
 }
 
 // More migration lanes than tokens: the bucket, not the lane count, bounds
