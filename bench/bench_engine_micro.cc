@@ -72,10 +72,12 @@ void BM_HeapScan(benchmark::State& state) {
   auto t = db->GetTable("sale");
   for (auto _ : state) {
     uint64_t rows = 0;
-    for (auto it = (*t)->heap->Begin(); !it.AtEnd();) {
-      ++rows;
-      (void)it.Next();
+    auto it = (*t)->heap->Begin();
+    if (!it.ok()) {
+      state.SkipWithError(it.status().ToString().c_str());
+      break;
     }
+    for (; !it->AtEnd(); (void)it->Next()) ++rows;
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,6 +23,54 @@ std::vector<size_t> TablesOnlyIn(const PhysicalSchema& a, const PhysicalSchema& 
     if (!b.TableByName(a.tables()[i].name).ok()) out.push_back(i);
   }
   return out;
+}
+
+using KeySet = std::unordered_set<Value, ValueHash, ValueEq>;
+/// A combine's parent rows by join key.
+using ParentRows = std::unordered_map<Value, Row, ValueHash, ValueEq>;
+
+/// Adds to `out`, for every distinct non-NULL value of `right`'s column
+/// `key_pos` (every value in `*wanted` only, when set), the first row in
+/// heap order holding it. Callers hold `right`'s content latch shared.
+Status HashParents(const TableInfo& right, size_t key_pos, const KeySet* wanted,
+                   ParentRows* out) {
+  PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, right.heap->Begin());
+  while (!it.AtEnd()) {
+    const Value& k = it.row()[key_pos];
+    if (!k.is_null() && (wanted == nullptr || wanted->count(k) > 0)) out->emplace(k, it.row());
+    PSE_RETURN_NOT_OK(it.Next());
+  }
+  return Status::OK();
+}
+
+/// Adds to `out` the parent row of every distinct non-NULL key in `keys`:
+/// the first live row of `right` in rid order whose column `key_pos` equals
+/// it. Rid order is heap order (DESIGN.md §19 "Row location"), so this is
+/// the row HashParents keeps. BIGINT keys are probed in that column's B+
+/// tree, whose entries for one key ascend by rid; keys it cannot serve (no
+/// index on the column, or a non-BIGINT key) are found by one heap scan. A
+/// key with no parent stays absent. Callers hold `right`'s content latch
+/// shared.
+Status ProbeParents(const TableInfo& right, size_t key_pos, const std::vector<Value>& keys,
+                    ParentRows* out) {
+  const IndexInfo* index = right.FindIndex(right.schema->column(key_pos).name);
+  KeySet probed, unindexed;
+  std::vector<Rid> rids;
+  Row row;
+  for (const Value& k : keys) {
+    if (k.is_null() || !probed.insert(k).second) continue;
+    if (index == nullptr || k.type() != TypeId::kInt64) {
+      unindexed.insert(k);
+      continue;
+    }
+    rids.clear();
+    PSE_RETURN_NOT_OK(index->tree->ScanEqual(k.AsInt(), &rids));
+    if (rids.empty()) continue;
+    PSE_RETURN_NOT_OK(right.heap->Get(rids.front(), &row));
+    out->emplace(k, std::move(row));
+  }
+  if (unindexed.empty()) return Status::OK();
+  return HashParents(right, key_pos, &unindexed, out);
 }
 
 }  // namespace
@@ -205,10 +254,9 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
 
   // Foreground write co-operation (DESIGN.md §19): with a router attached,
   // the per-target key set shared with its dual-apply replaces the private
-  // dedup state, every batch runs under the router's write mutex, and the
-  // scan re-seeks from the journal frontier instead of trusting a live
-  // iterator across batches (the router may relocate or delete rows in the
-  // windows between them).
+  // dedup state, every batch runs under the router's write mutex, and each
+  // batch looks up its own parents (a foreground write may change the
+  // parent side between batches).
   DmlRouter* router = options_.dml_router;
   DmlRouter::TargetState* ts =
       router != nullptr && router->attached() ? router->FindTarget(t.schema.name()) : nullptr;
@@ -216,135 +264,119 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
   // Rebuild transient copy state from the durable cursor. All of it is a
   // deterministic function of (sources, cursor), which is what makes the
   // cursor a sufficient resume point.
-  std::unordered_set<Value, ValueHash, ValueEq> seen_keys;
+  KeySet seen_keys;
   if (t.dedup && ts == nullptr && j->targets[target_idx].dest_rows > 0) {
     // The destination holds exactly the first-seen keys inserted so far;
     // its column 0 is the dedup key.
     PSE_ASSIGN_OR_RETURN(TableInfo * dest, db_->GetTable(t.schema.name()));
-    for (auto it = dest->heap->Begin(); !it.AtEnd();) {
+    PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, dest->heap->Begin());
+    while (!it.AtEnd()) {
       seen_keys.insert(it.row()[0]);
       PSE_RETURN_NOT_OK(it.Next());
     }
   }
 
-  std::unordered_map<Value, Row, ValueHash, ValueEq> right_rows;
-  if (t.source == OpPlan::Source::kJoin && ts == nullptr) {
-    // Hash the parent side by its join key (unique: it is the key). The
-    // right table outlives the whole copy phase, so a resume can always
-    // rebuild this. With a router attached the hash is rebuilt per batch
-    // instead — a foreground write may change the parent side mid-copy.
-    PSE_ASSIGN_OR_RETURN(TableInfo * right_info, db_->GetTable(t.right_table));
-    std::shared_lock<SharedMutex> right_lock(right_info->latch);
-    for (auto it = right_info->heap->Begin(); !it.AtEnd();) {
-      const Value& k = it.row()[t.right_join_pos];
-      if (!k.is_null()) right_rows.emplace(k, it.row());
-      PSE_RETURN_NOT_OK(it.Next());
+  ParentRows parents;
+  TableInfo* right_info = nullptr;
+  if (t.source == OpPlan::Source::kJoin) {
+    PSE_ASSIGN_OR_RETURN(right_info, db_->GetTable(t.right_table));
+    if (ts == nullptr) {
+      // Without a router nothing changes the parent side mid-copy, so one
+      // scan hashes every parent for the whole copy. The parent table
+      // outlives the copy phase, so a resume rebuilds the same hash.
+      std::shared_lock<SharedMutex> right_lock(right_info->latch);
+      PSE_RETURN_NOT_OK(HashParents(*right_info, t.right_join_pos, nullptr, &parents));
     }
   }
 
-  // Position the source. The frontier (first unconsumed rid) is the
-  // authoritative resume point: rids are tail-append-monotone, so it stays
-  // correct when concurrent DML shifts row *counts* under the cursor. The
-  // count-skip is the fallback for pre-frontier journals and the very first
-  // batch. Heap scans have no random access, so a resume re-reads (but does
-  // not re-copy) the skipped prefix once.
-  uint64_t cursor = j->targets[target_idx].src_cursor;
   const std::vector<Row>* entity_rows = nullptr;
-  TableHeap::Iterator it;
   TableInfo* src_info = nullptr;  // scanned source; content-latched per batch
-  auto seek = [&]() -> Status {
-    it = src_info->heap->Begin();
-    if (j->targets[target_idx].frontier_valid) {
-      const uint64_t frontier = j->targets[target_idx].frontier;
-      while (!it.AtEnd() && it.rid().Pack() < frontier) {
-        PSE_RETURN_NOT_OK(it.Next());
-      }
-      return Status::OK();
-    }
-    for (uint64_t skipped = 0; skipped < cursor && !it.AtEnd(); ++skipped) {
-      PSE_RETURN_NOT_OK(it.Next());
-    }
-    return Status::OK();
-  };
   if (t.source == OpPlan::Source::kEntity) {
     entity_rows = &data_->Rows(t.entity);
   } else {
     const std::string& src = t.source == OpPlan::Source::kScan ? t.scan_table : t.left_table;
     PSE_ASSIGN_OR_RETURN(src_info, db_->GetTable(src));
-    if (ts == nullptr) {
-      std::shared_lock<SharedMutex> skip_lock(src_info->latch);
-      PSE_RETURN_NOT_OK(seek());
-    }
   }
 
-  bool src_exhausted = false;  // router path: refreshed at every batch end
-  auto exhausted = [&]() {
-    if (t.source == OpPlan::Source::kEntity) return cursor >= t.entity_limit;
-    return ts != nullptr ? src_exhausted : it.AtEnd();
+  // Every batch positions the source afresh at its first unconsumed tuple;
+  // no iterator lives across batches, where a router may relocate or delete
+  // rows. The frontier (that tuple's packed rid) is the authoritative resume
+  // point: rids are tail-append-monotone, so it stays correct when
+  // concurrent DML shifts row *counts* under the cursor, and Seek reaches it
+  // with one page fetch. The count-skip is the fallback for pre-frontier
+  // journals and the very first batch.
+  uint64_t cursor = j->targets[target_idx].src_cursor;
+  auto position = [&]() -> Result<TableHeap::Iterator> {
+    if (j->targets[target_idx].frontier_valid) {
+      return src_info->heap->Seek(Rid::Unpack(j->targets[target_idx].frontier));
+    }
+    PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, src_info->heap->Begin());
+    for (uint64_t skipped = 0; skipped < cursor && !it.AtEnd(); ++skipped) {
+      PSE_RETURN_NOT_OK(it.Next());
+    }
+    return it;
   };
 
-  while (!exhausted()) {
+  for (;;) {
     // With a router attached, the whole batch — scan through journal commit —
     // serializes against foreground statements on the router's write mutex
     // (rank kLockRankDmlRouter, below every table latch taken here), so the
     // shared key sets and the frontier stay consistent with dual-applies.
     std::unique_lock<Mutex> router_lock;
-    if (ts != nullptr) {
-      router_lock = std::unique_lock<Mutex>(router->write_mutex());
-      if (t.source == OpPlan::Source::kJoin) {
-        right_rows.clear();
-        PSE_ASSIGN_OR_RETURN(TableInfo * right_info, db_->GetTable(t.right_table));
-        std::shared_lock<SharedMutex> right_lock(right_info->latch);
-        for (auto rit = right_info->heap->Begin(); !rit.AtEnd();) {
-          const Value& k = rit.row()[t.right_join_pos];
-          if (!k.is_null()) right_rows.emplace(k, rit.row());
-          PSE_RETURN_NOT_OK(rit.Next());
-        }
-      }
-    }
+    if (ts != nullptr) router_lock = std::unique_lock<Mutex>(router->write_mutex());
 
     // --- scan-batch: pull raw source rows. The shared content latch on the
     // scanned source covers the batch only — released before the transform,
     // the commit, and the hook so foreground statements (and the hook's own
     // queries) never stack behind a whole operator.
-    uint64_t batch_io_start = db_->TotalIo();
+    const uint64_t batch_io_start = db_->TotalIo();
     std::vector<Row> scanned;
     scanned.reserve(options_.batch_rows);
+    bool exhausted = false;
+    std::optional<uint64_t> next_frontier;  // a heap source's first unconsumed rid
     if (t.source == OpPlan::Source::kEntity) {
       while (cursor + scanned.size() < t.entity_limit && scanned.size() < options_.batch_rows) {
         scanned.push_back((*entity_rows)[cursor + scanned.size()]);
       }
+      exhausted = cursor + scanned.size() >= t.entity_limit;
     } else {
       std::shared_lock<SharedMutex> batch_lock(src_info->latch);
-      if (ts != nullptr) PSE_RETURN_NOT_OK(seek());
+      PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, position());
       if (options_.batch_io_budget == 0) {
         // One page pin per heap page instead of one per tuple.
         PSE_RETURN_NOT_OK(it.FillBatch(options_.batch_rows, &scanned).status());
       } else {
-        // The budget is checked per scanned row, so the batch can stop
-        // mid-page the moment its I/O allowance runs out.
+        // The budget counts the batch's own I/O, positioning included, and
+        // is checked per scanned row, so the batch can stop mid-page the
+        // moment its allowance runs out. The first row is always taken: a
+        // batch whose positioning alone spends the budget still progresses.
         while (!it.AtEnd() && scanned.size() < options_.batch_rows &&
-               db_->TotalIo() - batch_io_start < options_.batch_io_budget) {
+               (scanned.empty() || db_->TotalIo() - batch_io_start < options_.batch_io_budget)) {
           scanned.push_back(it.row());
           PSE_RETURN_NOT_OK(it.Next());
         }
       }
-      // FillBatch leaves the iterator on the first unconsumed tuple: that
-      // rid is the new frontier. At end-of-source the completed flag below
-      // is the durable end-state instead.
-      if (!it.AtEnd()) {
-        j->targets[target_idx].frontier = it.rid().Pack();
-        j->targets[target_idx].frontier_valid = true;
-      }
-      src_exhausted = it.AtEnd();
+      // The iterator stops on the first unconsumed tuple: that rid is the
+      // new frontier, journaled at the commit point. At end-of-source the
+      // completed flag is the durable end-state instead.
+      exhausted = it.AtEnd();
+      if (!exhausted) next_frontier = it.rid().Pack();
+    }
+    if (scanned.empty()) {
+      // Nothing left before this batch took a row: the source was empty
+      // from the start, or foreground deletes removed every row past the
+      // frontier. No transform runs; the commit makes completion durable.
+      j->targets[target_idx].completed = true;
+      return CommitBatch();
     }
     const size_t batch_rows = scanned.size();
 
     // --- transform-batch: move the scanned rows through a TupleBatch and
-    // gather destination columns column-at-a-time, outside any latch. The
-    // dedup filter is a selection vector over the destination key column.
+    // gather destination columns column-at-a-time, with no source latch
+    // held. The dedup filter is a selection vector over the destination key
+    // column.
     TupleBatch src_batch;
-    src_batch.Reset(batch_rows == 0 ? 0 : scanned[0].size(), batch_rows);
+    src_batch.Reset(scanned[0].size(), batch_rows);
     for (Row& r : scanned) src_batch.AppendRow(std::move(r));
 
     std::vector<Row> staged;
@@ -389,14 +421,22 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
         break;
       }
       case OpPlan::Source::kJoin: {
+        const std::vector<Value>& jks = src_batch.col(t.left_join_pos);
+        if (ts != nullptr) {
+          // This batch's parents only, through the parent key's B+ tree:
+          // after the source latch dropped (one table latch at a time) and
+          // under the router mutex (no write lands between probe and insert).
+          parents.clear();
+          std::shared_lock<SharedMutex> right_lock(right_info->latch);
+          PSE_RETURN_NOT_OK(ProbeParents(*right_info, t.right_join_pos, jks, &parents));
+        }
         // Resolve each left row's parent once, before the join-key column
         // may be moved out by the gather below.
         std::vector<const Row*> matched(batch_rows, nullptr);
-        const std::vector<Value>& jks = src_batch.col(t.left_join_pos);
         for (size_t i = 0; i < batch_rows; ++i) {
           if (jks[i].is_null()) continue;
-          auto found = right_rows.find(jks[i]);
-          if (found != right_rows.end()) matched[i] = &found->second;
+          auto found = parents.find(jks[i]);
+          if (found != parents.end()) matched[i] = &found->second;
         }
         dst_batch.Reset(t.join_mapping.size(), batch_rows);
         for (size_t c = 0; c < t.join_mapping.size(); ++c) {
@@ -449,11 +489,17 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
     // Commit point: data + journal cursor + frontier become durable
     // together. A crash after this survives with the cursor; a crash before
     // it re-runs the batch (detected by the dest-row count disagreeing with
-    // the journal). The router lock (when held) covers the commit too, so
+    // the journal). Until here the journal holds the last committed batch's
+    // cursor and frontier, so a batch that fails while reading re-runs from
+    // the same place. The router lock (when held) covers the commit too, so
     // the checkpoint never races a dual-apply's journal bookkeeping — only
     // the hook runs outside it (it may execute foreground DML itself).
     j->targets[target_idx].src_cursor = cursor;
-    if (exhausted()) j->targets[target_idx].completed = true;
+    if (exhausted) j->targets[target_idx].completed = true;
+    if (next_frontier) {
+      j->targets[target_idx].frontier = *next_frontier;
+      j->targets[target_idx].frontier_valid = true;
+    }
     PSE_RETURN_NOT_OK(CommitBatch());
     ++j->batches_committed;
 
@@ -461,13 +507,8 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
     for (const auto& jt : j->targets) rows_copied += jt.dest_rows;
     if (router_lock.owns_lock()) router_lock.unlock();
     PSE_RETURN_NOT_OK(FireHook(rows_copied));
+    if (exhausted) return Status::OK();
   }
-  if (!j->targets[target_idx].completed) {
-    // Source was empty from the start: still mark the target done.
-    j->targets[target_idx].completed = true;
-    PSE_RETURN_NOT_OK(CommitBatch());
-  }
-  return Status::OK();
 }
 
 Status MigrationExecutor::RecoverTargets(const OpPlan& plan) {

@@ -16,10 +16,10 @@
 // Catalog-mutating phases (create-targets, drop-sources/finalize, recovery,
 // rollback) run under the database's exclusive catalog latch — a brief
 // quiesce that drains in-flight queries; the long copy phase holds no
-// catalog latch at all (targets are invisible to readers) and takes only a
-// per-batch shared content latch on the table it scans. Readers therefore
-// always see either the pre-op or the post-op layout, never a torn one.
-// See DESIGN.md §15.
+// catalog latch at all (targets are invisible to readers) and takes only
+// per-batch shared content latches on the tables it reads, one at a time.
+// Readers therefore always see either the pre-op or the post-op layout,
+// never a torn one. See DESIGN.md §15.
 #pragma once
 
 #include <functional>
@@ -78,9 +78,11 @@ struct MigrationOptions {
   /// the executor attaches the in-flight operator to it so concurrent DML
   /// dual-applies onto the copy targets: each copy batch runs under the
   /// router's write mutex, consults the shared per-target key sets instead
-  /// of private dedup state, and the pre-publish quiesce backfills
-  /// provenance-only rows before detaching. The router must outlive the
-  /// Apply/Resume call; the same router must serve every foreground writer.
+  /// of private dedup state, finds a combine's parents through the parent
+  /// key's B+ tree instead of a hash built once, and the pre-publish
+  /// quiesce backfills provenance-only rows before detaching. The router
+  /// must outlive the Apply/Resume call; the same router must serve every
+  /// foreground writer.
   DmlRouter* dml_router = nullptr;
 };
 

@@ -100,7 +100,8 @@ Status ForEachMatch(const TableInfo& info, size_t col, size_t probe_col, const V
   auto equal = [&](const Row& row) { return col < row.size() && row[col].SqlEquals(v); };
   const IndexInfo* index = info.FindIndex(info.schema->column(probe_col).name);
   if (index == nullptr || v.is_null() || v.type() != TypeId::kInt64) {
-    for (auto it = info.heap->Begin(); !it.AtEnd();) {
+    PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, info.heap->Begin());
+    while (!it.AtEnd()) {
       if (equal(it.row()) && !fn(it.rid(), it.row())) return Status::OK();
       PSE_RETURN_NOT_OK(it.Next());
     }
@@ -626,7 +627,8 @@ Status DmlRouter::RebuildKeys() {
     auto info = db_->GetTable(t.table);
     if (!info.ok()) continue;  // fresh path: target not created yet
     std::shared_lock<SharedMutex> latch((*info)->latch);
-    for (auto it = (*info)->heap->Begin(); !it.AtEnd();) {
+    PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, (*info)->heap->Begin());
+    while (!it.AtEnd()) {
       if (t.key_col < it.row().size() && !it.row()[t.key_col].is_null()) {
         t.keys.insert(it.row()[t.key_col]);
       }

@@ -169,7 +169,7 @@ class SeqScanVecExecutor : public VecExecutor {
 
   Status Init() override {
     PSE_RETURN_NOT_OK(decoder_.Init(plan_, *table_->schema));
-    it_ = table_->heap->Begin();
+    PSE_ASSIGN_OR_RETURN(it_, table_->heap->Begin());
     return Status::OK();
   }
 

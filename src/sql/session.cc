@@ -160,7 +160,8 @@ Status CollectMatches(TableInfo* t, const Expr* where,
   // Shared content latch for the scan only — released before the caller
   // re-enters Database::Update/Delete, which take it exclusive.
   std::shared_lock<SharedMutex> table_lock(t->latch);
-  for (auto it = t->heap->Begin(); !it.AtEnd();) {
+  PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, t->heap->Begin());
+  while (!it.AtEnd()) {
     bool pass = true;
     if (resolved) {
       PSE_ASSIGN_OR_RETURN(pass, EvalPredicate(*resolved, it.row()));

@@ -104,7 +104,8 @@ Status Database::CreateIndex(const std::string& table, const std::string& column
   PSE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool_.get()));
   idx->tree = std::make_unique<BPlusTree>(std::move(tree));
   // Backfill from existing rows.
-  for (auto it = t->heap->Begin(); !it.AtEnd();) {
+  PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, t->heap->Begin());
+  while (!it.AtEnd()) {
     const Value& v = it.row()[col_idx];
     if (!v.is_null()) {
       PSE_RETURN_NOT_OK(idx->tree->Insert(v.AsInt(), it.rid()));
@@ -120,7 +121,8 @@ Status Database::RebuildIndexes(const std::string& table) {
   for (auto& idx : t->indexes) {
     PSE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool_.get()));
     auto fresh = std::make_unique<BPlusTree>(std::move(tree));
-    for (auto it = t->heap->Begin(); !it.AtEnd();) {
+    PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, t->heap->Begin());
+    while (!it.AtEnd()) {
       const Value& v = it.row()[idx->column_idx];
       if (!v.is_null()) {
         PSE_RETURN_NOT_OK(fresh->Insert(v.AsInt(), it.rid()));
@@ -196,7 +198,8 @@ Status Database::Analyze(const std::string& table) {
   std::vector<ColumnStatistics> cols(schema.num_columns());
   uint64_t rows = 0;
   double width_sum = 0;
-  for (auto it = t->heap->Begin(); !it.AtEnd();) {
+  PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, t->heap->Begin());
+  while (!it.AtEnd()) {
     const Row& row = it.row();
     ++rows;
     width_sum += static_cast<double>(TupleCodec::SerializedSize(schema, row));

@@ -41,12 +41,13 @@ struct MigrationJournal {
     uint64_t src_cursor = 0;
     uint64_t dest_rows = 0;  ///< rows inserted (== cursor unless deduplicating)
     /// Copy frontier: packed Rid (rid.Pack()) of the first source row NOT
-    /// yet consumed. Resume semantics: re-scan the source and consume every
-    /// row with rid.Pack() >= frontier. Rids are tail-append-monotone, so
-    /// rows *behind* the frontier were all scanned, whatever concurrent DML
-    /// did to the count — an insert behind an already-valid frontier must be
-    /// propagated by the writer itself (the DmlRouter's dual-apply), never
-    /// by the copy loop.
+    /// yet consumed, as of the last committed batch. Every batch — the
+    /// first after a resume included — seeks the source there
+    /// (TableHeap::Seek) and consumes rows with rid.Pack() >= frontier.
+    /// Rids are tail-append-monotone, so rows *behind* the frontier were all
+    /// scanned, whatever concurrent DML did to the count — an insert behind
+    /// an already-valid frontier must be propagated by the writer itself
+    /// (the DmlRouter's dual-apply), never by the copy loop.
     uint64_t frontier = 0;
     bool frontier_valid = false;  ///< false on pre-frontier journals (use src_cursor)
   };

@@ -199,16 +199,13 @@ Status TableHeap::TruncateChain(uint64_t keep_pages) {
   return Status::OK();
 }
 
-TableHeap::Iterator TableHeap::Begin() const {
-  Iterator it(this);
-  Status s = it.LoadFirst();
-  if (!s.ok()) it.at_end_ = true;
-  return it;
-}
+Result<TableHeap::Iterator> TableHeap::Begin() const { return Seek(Rid{first_page_, 0}); }
 
-Status TableHeap::Iterator::LoadFirst() {
-  rid_ = Rid{heap_->first_page_, 0};
-  return Advance(/*include_current=*/true);
+Result<TableHeap::Iterator> TableHeap::Seek(const Rid& rid) const {
+  Iterator it(this);
+  it.rid_ = rid;
+  PSE_RETURN_NOT_OK(it.Advance(/*include_current=*/true));
+  return it;
 }
 
 Status TableHeap::Iterator::Next() { return Advance(/*include_current=*/false); }

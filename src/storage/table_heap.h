@@ -53,7 +53,9 @@ class TableHeap {
 
   /// \brief Forward scan over live tuples.
   ///
-  /// Usage: for (auto it = heap.Begin(); !it.AtEnd(); it.Next()) { it.row() }
+  /// Usage:
+  ///   PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, heap.Begin());
+  ///   while (!it.AtEnd()) { use(it.row()); PSE_RETURN_NOT_OK(it.Next()); }
   /// Iteration pins one page at a time.
   class Iterator {
    public:
@@ -90,8 +92,8 @@ class TableHeap {
    private:
     friend class TableHeap;
     Iterator(const TableHeap* heap) : heap_(heap) {}
-    Status LoadFirst();
-    /// Scans forward from current position (exclusive) to the next live slot.
+    /// Scans forward from the current position to the next live slot; the
+    /// current slot itself counts when `include_current`.
     Status Advance(bool include_current);
 
     const TableHeap* heap_ = nullptr;
@@ -100,9 +102,22 @@ class TableHeap {
     Row row_;
   };
 
-  /// Iterator positioned at the first live tuple. Errors surface through
-  /// Next(); a Begin() on an unreadable heap yields AtEnd().
-  Iterator Begin() const;
+  /// Iterator positioned at the first live tuple (AtEnd() on an empty heap).
+  /// Fails with the page fetch's error when a page it reads cannot be read;
+  /// later errors surface through Next().
+  Result<Iterator> Begin() const;
+
+  /// \brief Iterator positioned at the first live tuple whose packed rid is
+  /// >= rid.Pack() (AtEnd() when there is none).
+  ///
+  /// Fetches `rid`'s page, then walks forward: one page fetch when the
+  /// tuple at `rid` is live. Exact because page ids ascend along a heap
+  /// chain — pages are only appended, and both disk managers allocate ids
+  /// monotonically and never reuse them — and slots within a page ascend
+  /// in insertion order. `rid.page_id` must be a page of this heap's chain;
+  /// the slot may lie past that page's slot count. The migration copy loop
+  /// re-positions at its journal frontier this way at every batch.
+  Result<Iterator> Seek(const Rid& rid) const;
 
   /// \brief Counts live tuples without deserializing them, defensively.
   ///

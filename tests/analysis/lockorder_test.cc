@@ -16,6 +16,7 @@
 #include "common/lock_registry.h"
 #include "common/rw_latch.h"
 #include "core/migration_executor.h"
+#include "core/rewriter_dml.h"
 #include "storage/database.h"
 #include "tests/common/test_db_builder.h"
 
@@ -262,7 +263,9 @@ TEST(LockOrderLive, SharedMutexHooksFlagRecursiveSharedAcquisition) {
 // — destination inserts under the source's shared batch latch — acquired
 // table latches against the sorted-name order. The fix stages each batch and
 // inserts after the source latch drops; the acquisition graph must therefore
-// contain no table->table edge at all from the copy path.
+// contain no table->table edge at all from the copy path. A combine copied
+// with the write router attached probes the parent's key index per batch;
+// it too takes the parent's latch only after the source's drops.
 TEST(LockOrderLive, CopyBatchHoldsOneTableLatchAtATime) {
   if (!kLockdepEnabled) GTEST_SKIP() << "built without PROGSCHEMA_LOCKDEP";
   LockRegistry& reg = LockRegistry::Instance();
@@ -287,6 +290,20 @@ TEST(LockOrderLive, CopyBatchHoldsOneTableLatchAtATime) {
   auto io = exec.Apply(op, &schema);
   ASSERT_TRUE(io.ok()) << io.status().ToString();
   EXPECT_EQ(TableRows(&db, "m7a_user").size(), 60u);
+
+  MigrationOperator combine;
+  combine.kind = OperatorKind::kCombineTable;
+  combine.id = 8;
+  combine.combine_left_rep = bs->b_title;
+  combine.combine_right_rep = bs->a_name;
+  DmlRouter router(&db);
+  MigrationOptions routed;
+  routed.batch_rows = 16;  // several batches over 40 book rows
+  routed.dml_router = &router;
+  exec.set_options(std::move(routed));
+  io = exec.Apply(combine, &schema);
+  ASSERT_TRUE(io.ok()) << io.status().ToString();
+  EXPECT_EQ(TableRows(&db, OperatorResultName(combine, bs->logical)).size(), 40u);
 
   LockOrderGraph g = reg.Snapshot();
   EXPECT_GT(g.acquisitions, 0u);

@@ -18,16 +18,24 @@ std::vector<Row> SortRows(std::vector<Row> rows) {
   return rows;
 }
 
-std::vector<Row> TableRows(Database* db, const std::string& name) {
+std::vector<Row> HeapRows(Database* db, const std::string& name) {
   auto info = db->GetTable(name);
   EXPECT_TRUE(info.ok()) << info.status().ToString();
   std::vector<Row> out;
   if (!info.ok()) return out;
-  for (auto it = (*info)->heap->Begin(); !it.AtEnd();) {
-    out.push_back(it.row());
-    EXPECT_TRUE(it.Next().ok());
+  auto it = (*info)->heap->Begin();
+  EXPECT_TRUE(it.ok()) << name << ": " << it.status().ToString();
+  while (it.ok() && !it->AtEnd()) {
+    out.push_back(it->row());
+    Status next = it->Next();
+    EXPECT_TRUE(next.ok()) << name << ": " << next.ToString();
+    if (!next.ok()) break;
   }
-  return SortRows(std::move(out));
+  return out;
+}
+
+std::vector<Row> TableRows(Database* db, const std::string& name) {
+  return SortRows(HeapRows(db, name));
 }
 
 bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {

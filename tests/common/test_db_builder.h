@@ -28,8 +28,12 @@ namespace testutil {
 /// width) so order-insensitive result sets can be compared index-wise.
 std::vector<Row> SortRows(std::vector<Row> rows);
 
-/// Sorted contents of one table (whole rows). Reports a gtest failure and
-/// returns empty when the table does not exist.
+/// Contents of one table (whole rows) in heap order. Reports a gtest
+/// failure, and returns what it read so far, when the table does not exist
+/// or a page cannot be read.
+std::vector<Row> HeapRows(Database* db, const std::string& name);
+
+/// HeapRows, sorted.
 std::vector<Row> TableRows(Database* db, const std::string& name);
 
 /// Element-wise equality of two row sets (same order, same arity, Compare==0

@@ -456,9 +456,12 @@ size_t ExpectEmbeddedKeysFollowTheirFks(Database* db, const PhysicalSchema& sche
 std::optional<Rid> RidOfKey(Database* db, const std::string& table, int64_t key) {
   auto info = db->GetTable(table);
   if (!info.ok()) return std::nullopt;
-  for (auto it = (*info)->heap->Begin(); !it.AtEnd();) {
-    if (it.row()[0].SqlEquals(Value::Int(key))) return it.rid();
-    if (!it.Next().ok()) break;
+  auto it = (*info)->heap->Begin();
+  EXPECT_TRUE(it.ok()) << it.status().ToString();
+  if (!it.ok()) return std::nullopt;
+  while (!it->AtEnd()) {
+    if (it->row()[0].SqlEquals(Value::Int(key))) return it->rid();
+    if (!it->Next().ok()) break;
   }
   return std::nullopt;
 }

@@ -234,5 +234,31 @@ TEST_F(SessionTest, ScalarExpressionProjection) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 31);
 }
 
+// A sequential scan whose first page cannot be read fails the query with
+// the read's error instead of returning no rows.
+TEST(SessionFaultTest, UnreadableFirstPageFailsTheScan) {
+  auto disk = std::make_unique<FaultInjectionDiskManager>(std::make_unique<InMemoryDiskManager>());
+  FaultInjectionDiskManager* fault = disk.get();
+  Database db(8, std::move(disk));
+  Session session(&db);
+  ASSERT_TRUE(
+      session.Execute("CREATE TABLE t (id BIGINT NOT NULL, pad VARCHAR(64), PRIMARY KEY (id))")
+          .ok());
+  for (int64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(db.Insert("t", {Value::Int(i), Value::Varchar(std::string(60, 'p'))}).ok());
+  }
+  ASSERT_TRUE(db.pool()->EvictAll().ok());
+
+  fault->set_read_budget(fault->reads_done());
+  auto failed = session.Execute("SELECT id FROM t");
+  fault->set_read_budget(FaultInjectionDiskManager::kNoLimit);
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
+      << (failed.ok() ? std::to_string(failed->rows.size()) + " rows" : failed.status().ToString());
+
+  auto rows = session.Execute("SELECT id FROM t");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 400u);
+}
+
 }  // namespace
 }  // namespace pse

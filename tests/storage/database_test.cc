@@ -170,9 +170,11 @@ TEST(DatabaseTest, IoCountersAdvanceOnColdScan) {
   db.ResetIoStats();
   auto t = db.GetTable("book");
   uint64_t rows = 0;
-  for (auto it = (*t)->heap->Begin(); !it.AtEnd();) {
+  auto it = (*t)->heap->Begin();
+  ASSERT_TRUE(it.ok()) << it.status().ToString();
+  while (!it->AtEnd()) {
     ++rows;
-    ASSERT_TRUE(it.Next().ok());
+    ASSERT_TRUE(it->Next().ok());
   }
   EXPECT_EQ(rows, 2000u);
   EXPECT_GT(db.TotalIo(), 0u);

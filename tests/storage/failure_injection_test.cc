@@ -56,6 +56,43 @@ TEST(FailureInjectionTest, ScanSurfacesReadFailure) {
   }
 }
 
+// A heap whose first page cannot be read fails Begin() and Seek() with the
+// read's error rather than yielding an empty scan, and scans in full once
+// the page reads again.
+TEST(FailureInjectionTest, BeginAndSeekReportAnUnreadablePage) {
+  auto disk = FlakyDisk(FaultInjectionDiskManager::kNoLimit);
+  FaultInjectionDiskManager* handle = disk.get();
+  Database db(8, std::move(disk));
+  ASSERT_TRUE(db.CreateTable(WideSchema()).ok());
+  for (int64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(db.Insert("t", {Value::Int(i), Value::Varchar(std::string(60, 'r'))}).ok());
+  }
+  auto t = db.GetTable("t");
+  ASSERT_TRUE(t.ok());
+  const TableHeap& heap = *(*t)->heap;
+  ASSERT_GT(heap.NumPages(), 1u);
+  ASSERT_TRUE(db.pool()->EvictAll().ok());
+
+  handle->set_read_budget(handle->reads_done());
+  auto begin = heap.Begin();
+  EXPECT_EQ(begin.status().code(), StatusCode::kIOError);
+  auto seek = heap.Seek(Rid{heap.first_page(), 1});
+  EXPECT_EQ(seek.status().code(), StatusCode::kIOError);
+  EXPECT_NE(seek.status().message().find("page " + std::to_string(heap.first_page())),
+            std::string::npos)
+      << seek.status().ToString();
+
+  handle->set_read_budget(FaultInjectionDiskManager::kNoLimit);
+  begin = heap.Begin();
+  ASSERT_TRUE(begin.ok()) << begin.status().ToString();
+  uint64_t rows = 0;
+  while (!begin->AtEnd()) {
+    ++rows;
+    ASSERT_TRUE(begin->Next().ok());
+  }
+  EXPECT_EQ(rows, 400u);
+}
+
 TEST(FailureInjectionTest, FailedOperationsLeaveDatabaseUsable) {
   Database db(4, FlakyDisk(40));
   ASSERT_TRUE(db.CreateTable(WideSchema()).ok());

@@ -75,9 +75,11 @@ TEST_F(PersistenceTest, DataAndIndexesSurviveReopen) {
   EXPECT_EQ((*t)->row_count, static_cast<uint64_t>(kRows));
   // Scan sees every row.
   uint64_t scanned = 0;
-  for (auto it = (*t)->heap->Begin(); !it.AtEnd();) {
+  auto it = (*t)->heap->Begin();
+  ASSERT_TRUE(it.ok()) << it.status().ToString();
+  while (!it->AtEnd()) {
     ++scanned;
-    ASSERT_TRUE(it.Next().ok());
+    ASSERT_TRUE(it->Next().ok());
   }
   EXPECT_EQ(scanned, static_cast<uint64_t>(kRows));
   // Both indexes answer point queries.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -88,10 +90,12 @@ TEST_F(TableHeapTest, SpillsAcrossPages) {
   EXPECT_GT(heap->NumPages(), 5u);
   // Scan sees every row exactly once, in insertion order per page chain.
   int count = 0;
-  for (auto it = heap->Begin(); !it.AtEnd();) {
-    EXPECT_EQ(it.row()[0].AsInt(), count);
+  auto it = heap->Begin();
+  ASSERT_TRUE(it.ok());
+  while (!it->AtEnd()) {
+    EXPECT_EQ(it->row()[0].AsInt(), count);
     ++count;
-    ASSERT_TRUE(it.Next().ok());
+    ASSERT_TRUE(it->Next().ok());
   }
   EXPECT_EQ(count, kRows);
 }
@@ -107,9 +111,11 @@ TEST_F(TableHeapTest, ScanSkipsDeleted) {
   }
   for (int i = 0; i < 10; i += 2) ASSERT_TRUE(heap->Delete(rids[i]).ok());
   std::vector<int64_t> seen;
-  for (auto it = heap->Begin(); !it.AtEnd();) {
-    seen.push_back(it.row()[0].AsInt());
-    ASSERT_TRUE(it.Next().ok());
+  auto it = heap->Begin();
+  ASSERT_TRUE(it.ok());
+  while (!it->AtEnd()) {
+    seen.push_back(it->row()[0].AsInt());
+    ASSERT_TRUE(it->Next().ok());
   }
   EXPECT_EQ(seen, (std::vector<int64_t>{1, 3, 5, 7, 9}));
 }
@@ -118,7 +124,8 @@ TEST_F(TableHeapTest, EmptyHeapScan) {
   auto heap = TableHeap::Create(&pool_, &schema_);
   ASSERT_TRUE(heap.ok());
   auto it = heap->Begin();
-  EXPECT_TRUE(it.AtEnd());
+  ASSERT_TRUE(it.ok());
+  EXPECT_TRUE(it->AtEnd());
 }
 
 TEST_F(TableHeapTest, OversizeTupleRejected) {
@@ -166,13 +173,15 @@ TEST_P(TableHeapProperty, MatchesReferenceModel) {
   }
   // Verify via point reads and full scan.
   size_t scanned = 0;
-  for (auto it = heap->Begin(); !it.AtEnd();) {
-    auto found = model.find(it.rid().Pack());
+  auto it = heap->Begin();
+  ASSERT_TRUE(it.ok());
+  while (!it->AtEnd()) {
+    auto found = model.find(it->rid().Pack());
     ASSERT_NE(found, model.end());
-    EXPECT_EQ(it.row()[0].AsInt(), found->second.first);
-    EXPECT_EQ(it.row()[1].AsString(), found->second.second);
+    EXPECT_EQ(it->row()[0].AsInt(), found->second.first);
+    EXPECT_EQ(it->row()[1].AsString(), found->second.second);
     ++scanned;
-    ASSERT_TRUE(it.Next().ok());
+    ASSERT_TRUE(it->Next().ok());
   }
   EXPECT_EQ(scanned, model.size());
 }
@@ -227,8 +236,9 @@ TEST_P(TableHeapProperty, FillTupleBytesMatchesProjectedFillBatch) {
     std::vector<Row> full;
     const uint64_t full_start = page_fetches();
     auto it = heap->Begin();
+    ASSERT_TRUE(it.ok());
     while (true) {
-      auto n = it.FillBatch(batch_rows, &full);
+      auto n = it->FillBatch(batch_rows, &full);
       ASSERT_TRUE(n.ok()) << n.status().ToString();
       if (*n == 0) break;
     }
@@ -241,9 +251,10 @@ TEST_P(TableHeapProperty, FillTupleBytesMatchesProjectedFillBatch) {
     TupleBytes tuples;
     const uint64_t bytes_start = page_fetches();
     auto bit = heap->Begin();
+    ASSERT_TRUE(bit.ok());
     while (true) {
       tuples.Clear();
-      auto n = bit.FillTupleBytes(batch_rows, &tuples);
+      auto n = bit->FillTupleBytes(batch_rows, &tuples);
       ASSERT_TRUE(n.ok()) << n.status().ToString();
       if (*n == 0) break;
       ASSERT_LE(*n, batch_rows);
@@ -269,6 +280,95 @@ TEST_P(TableHeapProperty, FillTupleBytesMatchesProjectedFillBatch) {
             << "row " << r << " col " << wanted[k] << ": " << got.ToString() << " vs "
             << want.ToString();
       }
+    }
+  }
+}
+
+// Seek(r) yields exactly what Begin() yields after skipping every tuple
+// whose packed rid is below r's — for targets on live tuples, on deleted and
+// relocated-away slots, past a page's last slot, and past the end of the
+// last page — and fetches one page when the tuple at r is live.
+TEST_P(TableHeapProperty, SeekMatchesBeginAndSkip) {
+  InMemoryDiskManager dm;
+  BufferPool pool(&dm, 128);
+  TableSchema schema("t", {Column("id", TypeId::kInt64), Column("v", TypeId::kVarchar, 300)});
+  auto heap = TableHeap::Create(&pool, &schema);
+  ASSERT_TRUE(heap.ok());
+  Rng rng(GetParam() + 2000);
+  std::vector<Rid> live;
+  std::vector<Rid> dead;
+  std::map<PageId, uint16_t> slots;  // page -> slots it has handed out
+  auto note = [&slots](const Rid& rid) {
+    slots[rid.page_id] = std::max<uint16_t>(slots[rid.page_id], rid.slot + 1);
+  };
+  for (int step = 0; step < 700; ++step) {
+    const double roll = rng.UniformDouble();
+    if (roll < 0.6 || live.empty()) {
+      auto rid = heap->Insert({Value::Int(step), Value::Varchar(rng.AlphaString(rng.Index(200)))});
+      ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+      note(*rid);
+      live.push_back(*rid);
+      continue;
+    }
+    const size_t victim = rng.Index(live.size());
+    const Rid old = live[victim];
+    live[victim] = live.back();
+    live.pop_back();
+    if (roll < 0.8) {
+      ASSERT_TRUE(heap->Delete(old).ok());
+      dead.push_back(old);
+      continue;
+    }
+    // Up to 300 characters: often no longer fits in place and relocates.
+    auto rid =
+        heap->Update(old, {Value::Int(step), Value::Varchar(rng.AlphaString(rng.Index(301)))});
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    note(*rid);
+    live.push_back(*rid);
+    if (!(*rid == old)) dead.push_back(old);
+  }
+  ASSERT_GT(heap->NumPages(), 5u);
+  ASSERT_FALSE(dead.empty());
+
+  std::vector<Rid> targets = live;
+  targets.insert(targets.end(), dead.begin(), dead.end());
+  for (const auto& [page, count] : slots) targets.push_back(Rid{page, count});
+  targets.push_back(Rid{heap->last_page(), UINT16_MAX});
+
+  auto rows_from = [](TableHeap::Iterator it, std::vector<std::pair<Rid, Row>>* out) {
+    while (!it.AtEnd()) {
+      out->emplace_back(it.rid(), it.row());
+      ASSERT_TRUE(it.Next().ok());
+    }
+  };
+  auto page_fetches = [&pool] { return pool.stats().hits + pool.stats().misses; };
+  std::sort(live.begin(), live.end());
+  for (const Rid& target : targets) {
+    SCOPED_TRACE(::testing::Message() << "seek (" << target.page_id << "," << target.slot << ")");
+    auto begin = heap->Begin();
+    ASSERT_TRUE(begin.ok()) << begin.status().ToString();
+    while (!begin->AtEnd() && begin->rid().Pack() < target.Pack()) {
+      ASSERT_TRUE(begin->Next().ok());
+    }
+    std::vector<std::pair<Rid, Row>> want;
+    rows_from(*begin, &want);
+
+    const uint64_t before = page_fetches();
+    auto sought = heap->Seek(target);
+    ASSERT_TRUE(sought.ok()) << sought.status().ToString();
+    const uint64_t fetched = page_fetches() - before;
+    if (std::binary_search(live.begin(), live.end(), target)) {
+      EXPECT_EQ(fetched, 1u);
+      ASSERT_FALSE(sought->AtEnd());
+      EXPECT_EQ(sought->rid(), target);
+    }
+    std::vector<std::pair<Rid, Row>> got;
+    rows_from(*sought, &got);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].first, want[i].first) << "tuple " << i;
+      ASSERT_EQ(RowToString(got[i].second), RowToString(want[i].second)) << "tuple " << i;
     }
   }
 }
