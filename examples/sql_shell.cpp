@@ -14,7 +14,7 @@
 // the operator-interaction analysis of that migration (footprints,
 // interference clusters, plan-space reduction), ".coststats" runs cached +
 // parallel LAA planning over that migration twice and prints the cost-cache
-// hit/miss/collision counters, ".writability" prints the per-version DML
+// hit/miss/eviction counters, ".writability" prints the per-version DML
 // writability matrix over that migration's trajectory (operator lenses,
 // per-step Safe/NeedsPropagation/Unservable cells, WRITE_* findings),
 // ".migrate" executes that migration *online* (batched, journaled, with a

@@ -7,12 +7,14 @@
 #
 # The report covers src/core + src/storage (the online-migration execution
 # path), src/analysis (the static verification stack), the execution
-# engine core, and the multi-tenant fleet layer; the floor gates
-# src/core/migration_executor.cc, src/core/rewriter_dml.cc (the write
-# rewriter), src/analysis/writability.cc, src/engine/vec_executor.cc,
-# src/fleet/scheduler.cc (the fleet scheduler), src/core/serving.cc (the
-# serve driver), and src/storage/table_heap.cc (heap scans, the copy loop's
-# Seek, and their read-error paths). With gcovr
+# engine core, the planner's cost cache, and the multi-tenant fleet layer;
+# the floor gates src/core/migration_executor.cc, src/core/rewriter_dml.cc
+# (the write rewriter), src/analysis/writability.cc,
+# src/engine/vec_executor.cc, src/fleet/scheduler.cc (the fleet scheduler),
+# src/core/serving.cc (the serve driver), src/storage/table_heap.cc (heap
+# scans, the copy loop's Seek, and their read-error paths),
+# src/engine/cost_cache.cc (interning and the id-tuple outcome map) and
+# src/core/cost_estimator.cc (the planners' cost-cache keys). With gcovr
 # installed, writes coverage.xml (Cobertura) and coverage.txt into the build
 # dir for CI to upload; without it, falls back to plain gcov for the floor
 # check and skips the report artifact.
@@ -46,13 +48,16 @@ target_files=(
   "src/fleet/scheduler.cc"
   "src/core/serving.cc"
   "src/storage/table_heap.cc"
+  "src/engine/cost_cache.cc"
+  "src/core/cost_estimator.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then
-  echo "== coverage: gcovr report over src/core + src/storage + src/analysis + vec engine + fleet =="
+  echo "== coverage: gcovr report over src/core + src/storage + src/analysis + vec engine + cost cache + fleet =="
   gcovr --root . --object-directory "$build_dir" \
     --filter 'src/core/.*' --filter 'src/storage/.*' --filter 'src/analysis/.*' \
-    --filter 'src/engine/vec_executor\.cc' --filter 'src/fleet/.*' \
+    --filter 'src/engine/vec_executor\.cc' --filter 'src/engine/cost_cache\.cc' \
+    --filter 'src/fleet/.*' \
     --xml "$build_dir/coverage.xml" \
     --txt "$build_dir/coverage.txt" \
     --print-summary

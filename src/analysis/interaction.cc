@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 
 #include "analysis/verifier.h"
@@ -105,70 +104,6 @@ std::string JoinNames(const std::vector<std::string>& names) {
 }
 
 }  // namespace
-
-std::string LayoutKey(const std::set<AttrId>& support, const PhysicalSchema& schema) {
-  std::string out;
-  std::set<size_t> tables;
-  if (support.empty()) {
-    // Nothing to anchor on: the whole schema is the relevant layout.
-    for (size_t t = 0; t < schema.tables().size(); ++t) tables.insert(t);
-  } else {
-    for (AttrId a : support) {
-      auto ti = schema.TableOfNonKeyAttr(a);
-      if (ti.ok()) {
-        tables.insert(*ti);
-      } else {
-        out += '!';  // absent: the query cannot bind to it
-        out += std::to_string(a);
-        out += ';';
-      }
-    }
-  }
-  // Serialize the relevant tables structurally (anchor + attrs; names carry
-  // no cost information), sorted so the key is schema-order independent.
-  std::vector<std::string> parts;
-  parts.reserve(tables.size());
-  for (size_t t : tables) {
-    const PhysicalTable& table = schema.tables()[t];
-    std::string part = "T";
-    part += std::to_string(table.anchor);
-    part += ':';
-    for (AttrId a : table.attrs) {
-      part += std::to_string(a);
-      part += ',';
-    }
-    parts.push_back(std::move(part));
-  }
-  std::sort(parts.begin(), parts.end());
-  for (const std::string& part : parts) {
-    out += part;
-    out += ";";
-  }
-  return out;
-}
-
-uint64_t StatsFingerprint(const LogicalStats& stats) {
-  uint64_t h = 14695981039346656037ULL;  // FNV-1a over the 8-byte snapshot fields
-  auto mix = [&h](uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(stats.entity_rows.size());
-  for (uint64_t rows : stats.entity_rows) mix(rows);
-  mix(stats.attrs.size());
-  for (const LogicalAttrStats& a : stats.attrs) {
-    mix(a.num_distinct);
-    mix(a.min ? static_cast<uint64_t>(*a.min) : 0x5bd1e995ULL);
-    mix(a.max ? static_cast<uint64_t>(*a.max) : 0x5bd1e995ULL);
-    uint64_t null_bits = 0;
-    static_assert(sizeof(a.null_fraction) == sizeof(null_bits));
-    std::memcpy(&null_bits, &a.null_fraction, sizeof(null_bits));
-    mix(null_bits);
-  }
-  return h;
-}
 
 std::set<AttrId> SchemaDeltaAttrs(const PhysicalSchema& before, const PhysicalSchema& after) {
   const LogicalSchema& L = *before.logical();

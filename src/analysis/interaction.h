@@ -53,11 +53,13 @@ struct AnalysisOptions {
   /// SchemaAdvisor: when scoring a candidate operator, re-estimate only the
   /// queries whose support set intersects the operator's footprint.
   bool advisor_query_relevance = false;
-  /// Shared memoized query-cost cache (engine/cost_cache.h), keyed by the
-  /// layout fingerprints below. Caller-owned so it persists across subsets,
-  /// GA generations, and migration points; null = no caching. Exact: two
-  /// schemas share an entry only when the query's relevant tables agree
-  /// (DESIGN.md §13), and results stay bit-identical to uncached runs.
+  /// Shared memoized query-cost cache (engine/cost_cache.h), keyed by
+  /// interned ids of the query, the statistics and the tables storing the
+  /// query's support attributes (core/cost_estimator.h). Caller-owned so it
+  /// persists across subsets, GA generations, and migration points; null =
+  /// no caching. Exact: two schemas share an entry only when the query's
+  /// relevant tables agree (DESIGN.md §13), and results stay bit-identical
+  /// to uncached runs.
   QueryCostCache* cost_cache = nullptr;
   /// Thread pool (common/thread_pool.h) for parallel candidate costing:
   /// per-cluster powersets in LAA, per-individual GA evaluation, per-
@@ -146,21 +148,6 @@ std::set<AttrId> SchemaDeltaAttrs(const PhysicalSchema& before, const PhysicalSc
 /// the analysis nothing to anchor on (e.g. key-only selects) and callers
 /// must treat it as coupled to everything.
 std::set<AttrId> QuerySupportAttrs(const LogicalQuery& query, const LogicalSchema& logical);
-
-/// Canonical serialization of the physical layout `schema` gives to the
-/// attributes in `support`: the distinct tables storing them (anchor + full
-/// attribute list, names ignored — cost is structural), sorted, plus an
-/// explicit marker per absent attribute. Two schemas produce the same key
-/// iff they agree on every relevant table, which is exactly when a query
-/// with that support set rewrites, plans, and costs identically (DESIGN.md
-/// §13). An empty support set serializes the *whole* schema — the same
-/// conservative fallback the interference analysis uses for key-only
-/// queries.
-std::string LayoutKey(const std::set<AttrId>& support, const PhysicalSchema& schema);
-
-/// Stable content hash of a statistics snapshot, folded into cost-cache keys
-/// so phases with different predicted data statistics never share entries.
-uint64_t StatsFingerprint(const LogicalStats& stats);
 
 /// \brief Runs the analysis. `applied` marks operators already applied in
 /// earlier migration points (excluded from the graph); `queries` is optional

@@ -515,10 +515,6 @@ DiagnosticReport VerifyMigration(const VerifyInput& input, const VerifyOptions& 
   return report;
 }
 
-Status VerifyMigrationOrError(const VerifyInput& input, const VerifyOptions& options) {
-  return VerifyMigration(input, options).ToStatus();
-}
-
 DiagnosticReport VerifyContext(const MigrationContext& ctx, const VerifyOptions& options) {
   VerifyInput input;
   input.source = ctx.current;

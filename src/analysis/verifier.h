@@ -72,10 +72,6 @@ struct VerifyInput {
 /// diagnostics (report.ok() == no errors).
 DiagnosticReport VerifyMigration(const VerifyInput& input, const VerifyOptions& options = {});
 
-/// Convenience gate: OK when the report carries no errors, else
-/// InvalidArgument with the first error line.
-Status VerifyMigrationOrError(const VerifyInput& input, const VerifyOptions& options = {});
-
 /// Adapter: verifies a planner's MigrationContext (current schema, object,
 /// opset, applied mask, workload). Used by SelectOpsLaa/PlanGaa as a cheap
 /// well-formedness gate before costing candidates.

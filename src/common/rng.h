@@ -51,12 +51,6 @@ class Rng {
     }
   }
 
-  /// Picks a uniformly random element. Requires non-empty.
-  template <typename T>
-  const T& Choice(const std::vector<T>& v) {
-    return v[Index(v.size())];
-  }
-
  private:
   uint64_t s_[4];
 };

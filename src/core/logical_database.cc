@@ -233,11 +233,4 @@ Status LogicalDatabase::MaterializeRange(Database* db, const PhysicalSchema& sch
   return Status::OK();
 }
 
-Status LogicalDatabase::MaterializeDelta(Database* db, const PhysicalSchema& schema,
-                                         const std::vector<size_t>& first_row) const {
-  std::vector<size_t> to(logical_->num_entities());
-  for (EntityId e = 0; e < logical_->num_entities(); ++e) to[e] = rows_[e].size();
-  return MaterializeRange(db, schema, first_row, to);
-}
-
 }  // namespace pse

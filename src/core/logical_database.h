@@ -81,10 +81,6 @@ class LogicalDatabase {
                           const std::vector<size_t>& from,
                           const std::vector<size_t>& to) const;
 
-  /// Deprecated alias: loads rows [first_row, end).
-  Status MaterializeDelta(Database* db, const PhysicalSchema& schema,
-                          const std::vector<size_t>& first_row) const;
-
   /// Builds the physical row of `schema` table `table_idx` for one anchor
   /// row (exposed for the migration executor).
   Result<Row> BuildTableRow(const PhysicalSchema& schema, size_t table_idx,

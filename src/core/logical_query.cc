@@ -25,6 +25,7 @@ LogicalQuery LogicalQuery::Clone() const {
 std::string LogicalQuery::ToString(const LogicalSchema& logical) const {
   std::string out = name.empty() ? "query" : name;
   out += " [anchor=" + logical.entity(anchor).name + "] SELECT ";
+  if (distinct) out += "DISTINCT ";
   for (size_t i = 0; i < select.size(); ++i) {
     if (i > 0) out += ", ";
     if (select[i].agg == AggFunc::kCountStar) {
@@ -38,6 +39,19 @@ std::string LogicalQuery::ToString(const LogicalSchema& logical) const {
   for (size_t i = 0; i < filters.size(); ++i) {
     out += i == 0 ? " WHERE " : " AND ";
     out += filters[i]->ToString();
+  }
+  for (size_t i = 0; i < group_by.size(); ++i) {
+    out += i == 0 ? " GROUP BY " : ", ";
+    out += group_by[i]->ToString();
+  }
+  for (size_t i = 0; i < order_by.size(); ++i) {
+    out += i == 0 ? " ORDER BY #" : ", #";
+    out += std::to_string(order_by[i].select_index);
+    if (order_by[i].desc) out += " DESC";
+  }
+  if (limit.has_value()) {
+    out += " LIMIT ";
+    out += std::to_string(*limit);
   }
   return out;
 }

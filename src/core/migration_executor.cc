@@ -109,8 +109,6 @@ struct MigrationExecutor::OpPlan {
 
 bool MigrationExecutor::Durable() const {
   switch (options_.durability) {
-    case MigrationOptions::Durability::kEveryBatch:
-      return true;
     case MigrationOptions::Durability::kFinalOnly:
       return false;
     case MigrationOptions::Durability::kAuto:

@@ -47,8 +47,9 @@ struct MigrationOptions {
   /// When the per-batch journal commit runs. kAuto checkpoints every batch
   /// on persistent databases and only flushes once per operator on
   /// in-memory ones (whose journal could never survive a crash anyway,
-  /// and whose I/O numbers feed the cost-model validation tests).
-  enum class Durability { kAuto, kEveryBatch, kFinalOnly };
+  /// and whose I/O numbers feed the cost-model validation tests);
+  /// kFinalOnly flushes once per operator everywhere.
+  enum class Durability { kAuto, kFinalOnly };
 
   /// Rows moved per batch before committing and yielding to the hook.
   uint64_t batch_rows = 1024;

@@ -311,10 +311,32 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
   return result;
 }
 
+Result<const PhysicalSchema*> PhaseSchemaMemo::Apply(const PhysicalSchema& before, int op,
+                                                     std::vector<bool>* applied) {
+  (*applied)[static_cast<size_t>(op)] = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = schemas_.find(*applied);
+    if (it != schemas_.end()) return &it->second;
+  }
+  // Build outside the lock. Two threads racing on one set both build it;
+  // the first insert wins and both return that entry.
+  PhysicalSchema after = before;
+  PSE_RETURN_NOT_OK(ApplyOperator(ctx_->opset->ops[static_cast<size_t>(op)], &after));
+  std::lock_guard<std::mutex> lock(mu_);
+  return &schemas_.try_emplace(*applied, std::move(after)).first->second;
+}
+
+size_t PhaseSchemaMemo::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return schemas_.size();
+}
+
 Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_phase,
                                   const std::vector<int>& remaining_ops,
                                   const std::vector<int>& assignment,
-                                  const GaaOptions& options, CachedCostEstimator* estimator) {
+                                  const GaaOptions& options, CachedCostEstimator* estimator,
+                                  PhaseSchemaMemo* memo) {
   const size_t phases_left = ctx.num_phases() - current_phase;
   CostOptions cost_options;
   cost_options.fallback_schema = ctx.object;
@@ -335,7 +357,21 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
     offset_of[static_cast<size_t>(remaining_ops[i])] = assignment[i];
   }
 
-  PhysicalSchema schema = *ctx.current;
+  // `schema` is the schema after every operator applied so far: without a
+  // memo, `local` accumulates them; with one, it points into the memo.
+  PhysicalSchema local;
+  const PhysicalSchema* schema = ctx.current;
+  std::vector<bool> applied(memo != nullptr ? ctx.opset->size() : 0, false);
+  auto apply = [&](int i) -> Status {
+    if (memo != nullptr) {
+      PSE_ASSIGN_OR_RETURN(schema, memo->Apply(*schema, i, &applied));
+      return Status::OK();
+    }
+    if (schema != &local) local = *schema;
+    PSE_RETURN_NOT_OK(ApplyOperator(ctx.opset->ops[static_cast<size_t>(i)], &local));
+    schema = &local;
+    return Status::OK();
+  };
   double total = 0;
   // Offsets run 0..phases_left; the value phases_left means "defer to the
   // completion step after the last phase" (old users are gone by then, so
@@ -347,22 +383,22 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
       if (offset_of[static_cast<size_t>(i)] == static_cast<int>(off)) {
         if (options.include_migration_cost) {
           PSE_ASSIGN_OR_RETURN(
-              double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], schema,
+              double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], *schema,
                                             ctx.StatsAt(current_phase + off)));
           total += options.migration_io_weight * io;
         }
-        PSE_RETURN_NOT_OK(ApplyOperator(ctx.opset->ops[static_cast<size_t>(i)], &schema));
+        PSE_RETURN_NOT_OK(apply(i));
       }
     }
-    if (write_safety) total += WriteSafetyPenalty(schema, write_spec);
+    if (write_safety) total += WriteSafetyPenalty(*schema, write_spec);
     const std::vector<double>& freqs = (*ctx.phase_freqs)[current_phase + off];
     const LogicalStats& phase_stats = ctx.StatsAt(current_phase + off);
     double cost = 0;
     if (estimator != nullptr) {
-      PSE_ASSIGN_OR_RETURN(cost, estimator->WorkloadCost(schema, phase_stats, freqs,
+      PSE_ASSIGN_OR_RETURN(cost, estimator->WorkloadCost(*schema, phase_stats, freqs,
                                                          cost_options));
     } else {
-      PSE_ASSIGN_OR_RETURN(cost, EstimateWorkloadCost(schema, phase_stats, *ctx.queries, freqs,
+      PSE_ASSIGN_OR_RETURN(cost, EstimateWorkloadCost(*schema, phase_stats, *ctx.queries, freqs,
                                                       cost_options));
     }
     total += cost;
@@ -373,10 +409,10 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
     for (int i : topo) {
       if (offset_of[static_cast<size_t>(i)] == static_cast<int>(phases_left)) {
         PSE_ASSIGN_OR_RETURN(
-            double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], schema,
+            double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], *schema,
                                           ctx.StatsAt(ctx.num_phases() - 1)));
         total += options.migration_io_weight * io;
-        PSE_RETURN_NOT_OK(ApplyOperator(ctx.opset->ops[static_cast<size_t>(i)], &schema));
+        PSE_RETURN_NOT_OK(apply(i));
       }
     }
   }
@@ -458,6 +494,7 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
   const int phases_left = static_cast<int>(ctx.num_phases() - current_phase);
 
   CachedCostEstimator estimator(ctx.queries, ctx.current->logical(), options.analysis.cost_cache);
+  PhaseSchemaMemo memo(ctx);
   ThreadPool* pool = options.analysis.pool;
   result.threads = pool != nullptr ? pool->num_threads() : 1;
   const CostCacheStats cache_before = options.analysis.cost_cache != nullptr
@@ -516,15 +553,16 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
   problem.fitness = [&](const Chromosome& c) -> double {
     auto cached = fitness_cache.find(c);
     if (cached != fitness_cache.end()) return cached->second;
-    double fitness = to_fitness(
-        EvaluateAssignment(ctx, current_phase, result.remaining_ops, c, options, &estimator));
+    double fitness = to_fitness(EvaluateAssignment(ctx, current_phase, result.remaining_ops, c,
+                                                   options, &estimator, &memo));
     fitness_cache.emplace(c, fitness);
     return fitness;
   };
   if (pool != nullptr) {
-    // Fan one generation's unseen chromosomes across the pool. The memo
-    // cache is read and written only on this thread; workers touch nothing
-    // but their own result slot (and the internally-locked cost cache), and
+    // Fan one generation's unseen chromosomes across the pool. The fitness
+    // memo is read and written only on this thread; workers touch nothing
+    // but their own result slot (and the internally-locked cost cache and
+    // phase-schema memo), and
     // the serial fill-in order makes error reporting deterministic (first
     // failing cohort index wins, matching the element-wise path).
     problem.batch_fitness = [&](const std::vector<Chromosome>& cohort) {
@@ -545,7 +583,7 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
                                            Result<double>(Status::Internal("not evaluated")));
       pool->ParallelFor(misses.size(), [&](size_t j) {
         outcomes[j] = EvaluateAssignment(ctx, current_phase, result.remaining_ops,
-                                         cohort[misses[j]], options, &estimator);
+                                         cohort[misses[j]], options, &estimator, &memo);
       });
       for (size_t j = 0; j < misses.size(); ++j) {
         double fitness = to_fitness(outcomes[j]);
@@ -633,6 +671,7 @@ Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t curre
   }
   if (m == 0) return result;
   CachedCostEstimator estimator(ctx.queries, ctx.current->logical(), options.analysis.cost_cache);
+  PhaseSchemaMemo memo(ctx);
   std::vector<int> assignment(m, 0);
   double best = std::numeric_limits<double>::infinity();
   std::vector<int> best_assignment = assignment;
@@ -656,7 +695,7 @@ Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t curre
     if (valid()) {
       PSE_ASSIGN_OR_RETURN(double cost,
                            EvaluateAssignment(ctx, current_phase, result.remaining_ops,
-                                              assignment, options, &estimator));
+                                              assignment, options, &estimator, &memo));
       ++result.evaluations;
       if (cost < best) {
         best = cost;

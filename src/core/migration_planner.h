@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/interaction.h"
@@ -156,14 +158,45 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
 Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t current_phase,
                                        const GaaOptions& options, size_t max_ops = 10);
 
+/// \brief The phase schemas of one planning call, keyed by the set of
+/// operators applied on top of the call's current schema.
+///
+/// Algorithm 2 rebuilds the schema of every phase of every assignment it
+/// scores, yet assignments share most of those schemas. The memo builds and
+/// validates each distinct one once. It holds schemas, not costs, so the
+/// cost cache sees exactly the lookups it would see without it. Safe to
+/// share between threads; entries never move, so a returned pointer stays
+/// valid for the memo's lifetime.
+class PhaseSchemaMemo {
+ public:
+  /// `ctx` (its current schema is the empty set's) must outlive the memo.
+  explicit PhaseSchemaMemo(const MigrationContext& ctx) : ctx_(&ctx) {}
+
+  /// Adds `op` to `*applied` and returns that set's schema, building it from
+  /// `before` — the schema of `*applied` without `op` — on first use.
+  Result<const PhysicalSchema*> Apply(const PhysicalSchema& before, int op,
+                                      std::vector<bool>* applied);
+
+  /// Distinct schemas built so far.
+  size_t size() const;
+
+ private:
+  const MigrationContext* ctx_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::vector<bool>, PhysicalSchema> schemas_;
+};
+
 /// Shared evaluation function (Algorithm 2): total cost of executing the
 /// remaining phases under `assignment`. Exposed for tests and benches.
-/// `estimator` optionally memoizes the per-phase workload costings (null =
-/// uncached; results are identical either way).
+/// `estimator` optionally memoizes the per-phase workload costings and
+/// `memo` the phase schemas (null = rebuild every schema with
+/// ApplyOperator, the unmemoized reference; results are identical either
+/// way). A memo must come from the same `ctx`.
 Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_phase,
                                   const std::vector<int>& remaining_ops,
                                   const std::vector<int>& assignment,
                                   const GaaOptions& options,
-                                  CachedCostEstimator* estimator = nullptr);
+                                  CachedCostEstimator* estimator = nullptr,
+                                  PhaseSchemaMemo* memo = nullptr);
 
 }  // namespace pse

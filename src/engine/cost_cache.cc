@@ -5,14 +5,11 @@
 namespace pse {
 
 std::string CostCacheStats::ToString() const {
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "cost cache: %llu hits / %llu lookups (%.1f%%), %llu evictions, "
-                "%llu fingerprint collisions",
+  char line[128];
+  std::snprintf(line, sizeof(line), "cost cache: %llu hits / %llu lookups (%.1f%%), %llu evictions",
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(lookups()), hit_pct(),
-                static_cast<unsigned long long>(evictions),
-                static_cast<unsigned long long>(collisions));
+                static_cast<unsigned long long>(evictions));
   return line;
 }
 
@@ -21,40 +18,53 @@ CostCacheStats operator-(const CostCacheStats& a, const CostCacheStats& b) {
   d.hits = a.hits - b.hits;
   d.misses = a.misses - b.misses;
   d.evictions = a.evictions - b.evictions;
-  d.collisions = a.collisions - b.collisions;
   return d;
 }
 
-std::optional<QueryCostCache::Outcome> QueryCostCache::Lookup(uint64_t fingerprint,
-                                                              std::string_view key) {
+QueryCostCache::Id QueryCostCache::Intern(WordsMap<uint64_t, Id>* ids,
+                                          std::span<const uint64_t> content) {
+  auto it = ids->find(content);
+  if (it != ids->end()) return it->second;
+  const Id id = static_cast<Id>(ids->size());
+  ids->emplace(std::vector<uint64_t>(content.begin(), content.end()), id);
+  return id;
+}
+
+QueryCostCache::Id QueryCostCache::InternLayout(std::span<const uint64_t> layout) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = buckets_.find(fingerprint);
-  if (it != buckets_.end()) {
-    for (const auto& [stored_key, outcome] : it->second) {
-      if (stored_key == key) {
-        ++stats_.hits;
-        return outcome;
-      }
-    }
+  return Intern(&layout_ids_, layout);
+}
+
+QueryCostCache::Id QueryCostCache::InternStats(std::span<const uint64_t> content) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Intern(&stats_ids_, content);
+}
+
+QueryCostCache::Id QueryCostCache::InternQuery(std::string_view text) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return query_ids_.try_emplace(std::string(text), static_cast<Id>(query_ids_.size()))
+      .first->second;
+}
+
+std::optional<QueryCostCache::Outcome> QueryCostCache::Lookup(std::span<const Id> key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = outcomes_.find(key);
+  if (it != outcomes_.end()) {
+    ++stats_.hits;
+    return it->second;
   }
   ++stats_.misses;
   return std::nullopt;
 }
 
-void QueryCostCache::Insert(uint64_t fingerprint, std::string_view key, Outcome outcome) {
+void QueryCostCache::Insert(std::span<const Id> key, Outcome outcome) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (entries_ >= max_entries_) {
-    stats_.evictions += entries_;
-    buckets_.clear();
-    entries_ = 0;
+  if (outcomes_.find(key) != outcomes_.end()) return;  // deterministic outcome already present
+  if (outcomes_.size() >= max_entries_) {
+    stats_.evictions += outcomes_.size();
+    outcomes_.clear();
   }
-  std::vector<std::pair<std::string, Outcome>>& bucket = buckets_[fingerprint];
-  for (const auto& [stored_key, existing] : bucket) {
-    if (stored_key == key) return;  // deterministic outcome already present
-  }
-  if (!bucket.empty()) ++stats_.collisions;
-  bucket.emplace_back(std::string(key), outcome);
-  ++entries_;
+  outcomes_.emplace(std::vector<Id>(key.begin(), key.end()), outcome);
 }
 
 CostCacheStats QueryCostCache::Snapshot() const {
@@ -64,22 +74,12 @@ CostCacheStats QueryCostCache::Snapshot() const {
 
 size_t QueryCostCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_;
+  return outcomes_.size();
 }
 
 void QueryCostCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  buckets_.clear();
-  entries_ = 0;
-}
-
-uint64_t QueryCostCache::Fingerprint(std::string_view key) {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
+  outcomes_.clear();
 }
 
 }  // namespace pse

@@ -1,31 +1,32 @@
 // Memoized query-cost cache: the shared fast path under LAA/GAA/advisor
 // candidate costing.
 //
-// A query's estimated cost on a candidate schema depends only on the
-// physical tables storing its support attributes (DESIGN.md §12/§13), so the
-// planners key each EstimateQueryCost result by a *layout fingerprint* — a
-// stable 64-bit hash of a canonical serialization of exactly those tables
-// (src/analysis computes the serialization; this class stores outcomes).
+// A query's estimated cost on a candidate schema depends only on the query,
+// the statistics and the physical tables storing its support attributes
+// (DESIGN.md §12/§13), so the planners key each EstimateQueryCost result by
+// an exact tuple of small integers: the query's id, the statistics' id and
+// one table id per support attribute. This class interns the three kinds of
+// content behind those ids — workload queries (canonical text), statistics
+// snapshots (their full content words) and table layouts (anchor entity +
+// attribute ids) — and stores one outcome per key tuple
+// (src/core/cost_estimator.h builds the tuples). Interning compares content
+// exactly, so two keys are equal only when everything they stand for is.
 // Two candidate schemas that agree on a query's relevant tables then share
 // one cached estimate, and the cache keeps paying off across enumeration
 // subsets, GA generations, and migration points.
 //
-// Correctness does not rest on the hash: every entry stores its full
-// canonical key, a lookup compares it, and a hash collision between
-// different keys is counted in CostCacheStats and resolved exactly (the
-// bucket holds both entries).
-//
-// Thread-safe: a single mutex guards the map — the cached work (rewrite ->
+// Thread-safe: a single mutex guards the maps — the cached work (rewrite ->
 // plan -> cost, ~100µs+) dwarfs the critical section.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace pse {
@@ -38,10 +39,6 @@ struct CostCacheStats {
   /// Entries dropped by the size cap (the cache clears wholesale — an epoch
   /// eviction — when it would exceed max_entries).
   uint64_t evictions = 0;
-  /// Inserts that found the 64-bit fingerprint already occupied by a
-  /// *different* canonical key. Detected exactly via the stored keys; such
-  /// entries coexist in one bucket, so collisions never corrupt results.
-  uint64_t collisions = 0;
 
   uint64_t lookups() const { return hits + misses; }
   /// Hit percentage in [0, 100]; 0 when no lookups happened.
@@ -53,7 +50,8 @@ struct CostCacheStats {
 
 CostCacheStats operator-(const CostCacheStats& a, const CostCacheStats& b);
 
-/// \brief Thread-safe (fingerprint, canonical key) -> query-cost outcome map.
+/// \brief Thread-safe interning of key content plus an exact
+/// (id tuple) -> query-cost outcome map.
 class QueryCostCache {
  public:
   /// One memoized EstimateQueryCost outcome: either an I/O cost or the fact
@@ -64,30 +62,67 @@ class QueryCostCache {
     bool bind_error = false;
   };
 
+  /// Interned id: dense per content kind, fixed for the cache's lifetime.
+  using Id = uint32_t;
+  /// Key slot of a support attribute that no table stores. Never an
+  /// interned id.
+  static constexpr Id kAbsent = ~Id{0};
+
   explicit QueryCostCache(size_t max_entries = 1u << 20) : max_entries_(max_entries) {}
 
-  /// Returns the outcome stored under (fingerprint, key), if any. A
-  /// fingerprint hit whose stored key differs is a collision: counted,
-  /// searched exactly, never returned for the wrong key.
-  std::optional<Outcome> Lookup(uint64_t fingerprint, std::string_view key);
+  /// Id of a table layout: its anchor entity followed by its attribute ids.
+  Id InternLayout(std::span<const uint64_t> layout);
+  /// Id of a statistics snapshot, given as its full content words.
+  Id InternStats(std::span<const uint64_t> content);
+  /// Id of a workload query, given as its canonical text.
+  Id InternQuery(std::string_view text);
 
-  /// Stores `outcome` under (fingerprint, key). Re-inserting an existing key
-  /// is a no-op (outcomes are deterministic). When the cache would exceed
-  /// max_entries it is cleared wholesale first (epoch eviction).
-  void Insert(uint64_t fingerprint, std::string_view key, Outcome outcome);
+  /// Returns the outcome stored under `key`, if any.
+  std::optional<Outcome> Lookup(std::span<const Id> key);
+
+  /// Stores `outcome` under `key`. Re-inserting an existing key is a no-op
+  /// (outcomes are deterministic). When the cache would exceed max_entries
+  /// its outcomes are cleared wholesale first (epoch eviction).
+  void Insert(std::span<const Id> key, Outcome outcome);
 
   CostCacheStats Snapshot() const;
+  /// Stored outcomes (interned content is not counted).
   size_t size() const;
+  /// Drops every outcome. Interned ids survive — like eviction — so ids
+  /// an estimator already holds never change meaning.
   void Clear();
 
-  /// FNV-1a 64-bit hash of a canonical key.
-  static uint64_t Fingerprint(std::string_view key);
-
  private:
+  /// Hash and equality over integer sequences, usable with a span in place
+  /// of the stored vector (no allocation per lookup).
+  template <typename Word>
+  struct WordsHash {
+    using is_transparent = void;
+    size_t operator()(std::span<const Word> words) const noexcept {
+      uint64_t h = 0x9E3779B97F4A7C15ULL ^ words.size();
+      for (Word w : words) {
+        h ^= static_cast<uint64_t>(w) + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+      }
+      return static_cast<size_t>(h);
+    }
+  };
+  template <typename Word>
+  struct WordsEq {
+    using is_transparent = void;
+    bool operator()(std::span<const Word> a, std::span<const Word> b) const noexcept {
+      return std::ranges::equal(a, b);
+    }
+  };
+  template <typename Word, typename Value>
+  using WordsMap = std::unordered_map<std::vector<Word>, Value, WordsHash<Word>, WordsEq<Word>>;
+
+  static Id Intern(WordsMap<uint64_t, Id>* ids, std::span<const uint64_t> content);
+
   mutable std::mutex mu_;
-  /// fingerprint -> entries sharing it (singleton vector except on collision).
-  std::unordered_map<uint64_t, std::vector<std::pair<std::string, Outcome>>> buckets_;
-  size_t entries_ = 0;
+  WordsMap<uint64_t, Id> layout_ids_;
+  WordsMap<uint64_t, Id> stats_ids_;
+  std::unordered_map<std::string, Id> query_ids_;
+  WordsMap<Id, Outcome> outcomes_;
   size_t max_entries_;
   CostCacheStats stats_;
 };

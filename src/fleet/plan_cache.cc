@@ -15,11 +15,21 @@ uint64_t StepKey(size_t step, uint64_t fingerprint) {
   return fingerprint ^ (static_cast<uint64_t>(step) * 0x9E3779B97F4A7C15ULL + 0x2545F4914F6CDD1DULL);
 }
 
+/// FNV-1a 64-bit hash of a query's canonical text.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;  // FNV prime
+  }
+  return h;
+}
+
 }  // namespace
 
 uint64_t SharedPlanCache::FingerprintQuery(const LogicalQuery& query,
                                            const LogicalSchema& logical) {
-  return QueryCostCache::Fingerprint(query.name + "|" + query.ToString(logical));
+  return Fnv1a(query.name + "|" + query.ToString(logical));
 }
 
 Result<BoundQuery> SharedPlanCache::GetOrRewrite(size_t step, const LogicalQuery& query,

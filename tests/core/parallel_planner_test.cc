@@ -15,10 +15,15 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/mapping.h"
 #include "core/migration_planner.h"
 #include "engine/cost_cache.h"
 #include "engine/expr.h"
 #include "tests/core/core_test_util.h"
+#include "tpcw/datagen.h"
+#include "tpcw/queries.h"
+#include "tpcw/schema.h"
+#include "tpcw/workloads.h"
 
 namespace pse {
 namespace {
@@ -198,7 +203,6 @@ TEST_P(ParallelPlannerProperty, CachedParallelLaaEqualsSerialUncached) {
   }
   EXPECT_GT(instances, 0);
   EXPECT_GT(cache.Snapshot().hits, 0u);
-  EXPECT_EQ(cache.Snapshot().collisions, 0u);
 }
 
 // Same property for GAA: the batch-fitness path through the pool, with the
@@ -252,10 +256,177 @@ TEST_P(ParallelPlannerProperty, CachedParallelGaaEqualsSerialUncached) {
     EXPECT_GT(cached->cache_stats.lookups(), 0u);
   }
   EXPECT_GT(instances, 0);
-  EXPECT_EQ(cache.Snapshot().collisions, 0u);
+}
+
+/// Checks PlanGaa against the unmemoized reference: the returned best cost
+/// must equal, bit for bit, a fresh EvaluateAssignment of the returned
+/// assignment that uses neither a phase-schema memo nor a cost estimator.
+/// Runs serial and pooled, with and without migration cost in the
+/// objective. Small instances (m <= 5) also run PlanGaa without a cost
+/// cache, where the memo alone must not move the plan, and check
+/// PlanExhaustiveGlobal the same way.
+void ExpectPlansMatchUnmemoizedReference(const MigrationContext& ctx, GaaOptions base,
+                                         ThreadPool* pool) {
+  for (bool pooled : {false, true}) {
+    for (bool migration_cost : {false, true}) {
+      SCOPED_TRACE(std::string(pooled ? "pooled" : "serial") +
+                   (migration_cost ? ", with migration cost" : ""));
+      QueryCostCache cache;
+      GaaOptions options = base;
+      options.include_migration_cost = migration_cost;
+      options.analysis.cost_cache = &cache;
+      options.analysis.pool = pooled ? pool : nullptr;
+      GaaOptions reference = options;
+      reference.analysis.cost_cache = nullptr;
+      reference.analysis.pool = nullptr;
+
+      auto plan = PlanGaa(ctx, 0, options);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      auto ref = EvaluateAssignment(ctx, 0, plan->remaining_ops, plan->assignment, reference);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      EXPECT_EQ(plan->best_cost, *ref);  // bit for bit
+
+      if (plan->remaining_ops.size() <= 5) {
+        GaaOptions uncached_options = options;
+        uncached_options.analysis.cost_cache = nullptr;
+        auto uncached = PlanGaa(ctx, 0, uncached_options);
+        ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+        EXPECT_EQ(uncached->assignment, plan->assignment);
+        EXPECT_EQ(uncached->best_cost, plan->best_cost);
+
+        auto global = PlanExhaustiveGlobal(ctx, 0, options);
+        ASSERT_TRUE(global.ok()) << global.status().ToString();
+        auto global_ref =
+            EvaluateAssignment(ctx, 0, global->remaining_ops, global->assignment, reference);
+        ASSERT_TRUE(global_ref.ok()) << global_ref.status().ToString();
+        EXPECT_EQ(global->best_cost, *global_ref);
+      }
+    }
+  }
+}
+
+TEST_P(ParallelPlannerProperty, GaaBestCostEqualsUnmemoizedReference) {
+  auto bs = Bookstore::Make();
+  Bookstore& s = *bs;
+  auto data = s.MakeData(10, 30, 60);
+  std::vector<LogicalStats> stats{data->ComputeStats()};
+  Rng rng(GetParam() ^ 0x3c3c);
+  ThreadPool pool(4);
+
+  int instances = 0;
+  for (int iter = 0; iter < 8 && instances < 3; ++iter) {
+    auto inst = DrawInstance(s, &rng, /*max_m=*/8);
+    if (!inst.has_value()) continue;
+    ++instances;
+    MigrationContext ctx;
+    ctx.current = &s.source;
+    ctx.object = &inst->object;
+    ctx.opset = &inst->opset;
+    ctx.applied.assign(inst->opset.size(), false);
+    ctx.phase_freqs = &inst->freqs;
+    ctx.phase_stats = &stats;
+    ctx.queries = &inst->queries;
+    GaaOptions options;
+    options.seed = 7 + GetParam();
+    options.ga.population_size = 16;
+    options.ga.generations = 10;
+    ExpectPlansMatchUnmemoizedReference(ctx, options, &pool);
+  }
+  EXPECT_GT(instances, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelPlannerProperty, ::testing::Values(11, 211, 3111));
+
+/// The TPC-W migration with the Fig 9 workload at tiny scale.
+struct TpcwPlanning {
+  std::unique_ptr<TpcwSchema> schema = BuildTpcwSchema();
+  std::vector<LogicalStats> stats;
+  std::vector<WorkloadQuery> queries;
+  OperatorSet opset;
+  std::vector<std::vector<double>> freqs = Fig9IrregularFrequencies();
+  MigrationContext ctx;
+
+  TpcwPlanning() {
+    stats.push_back(GenerateTpcwData(*schema, ScaleTiny(), 42)->ComputeStats());
+    auto workload = BuildTpcwWorkload(*schema);
+    auto ops = ComputeOperatorSet(schema->source, schema->object);
+    EXPECT_TRUE(workload.ok() && ops.ok());
+    if (workload.ok()) queries = std::move(*workload);
+    if (ops.ok()) opset = std::move(*ops);
+    ctx.current = &schema->source;
+    ctx.object = &schema->object;
+    ctx.opset = &opset;
+    ctx.applied.assign(opset.size(), false);
+    ctx.phase_freqs = &freqs;
+    ctx.phase_stats = &stats;
+    ctx.queries = &queries;
+  }
+};
+
+TEST(PhaseSchemaMemoTest, TpcwGaaBestCostEqualsUnmemoizedReference) {
+  TpcwPlanning tpcw;
+  ASSERT_GT(tpcw.opset.size(), 5u);
+  ThreadPool pool(4);
+  GaaOptions options;
+  options.seed = 2009;
+  options.ga.population_size = 8;
+  options.ga.generations = 5;
+  ExpectPlansMatchUnmemoizedReference(tpcw.ctx, options, &pool);
+}
+
+// One memo and one cost cache shared by concurrent evaluations of random
+// dependency-respecting assignments return what the unmemoized, uncached
+// reference returns, and the memo builds each operator set's schema once.
+TEST(PhaseSchemaMemoTest, SharedMemoMatchesReferenceUnderThePool) {
+  TpcwPlanning tpcw;
+  const std::vector<int> remaining = tpcw.ctx.RemainingOps();
+  const int phases = static_cast<int>(tpcw.freqs.size());
+  Rng rng(99);
+  std::vector<std::vector<int>> assignments;
+  for (int draw = 0; draw < 4; ++draw) {
+    std::vector<int> offset(tpcw.opset.size(), 0);
+    std::vector<int> assignment(remaining.size());
+    // Clamp each op, in topological order, to its prerequisites' offsets.
+    auto topo = tpcw.opset.TopologicalOrder();
+    ASSERT_TRUE(topo.ok());
+    for (int op : *topo) {
+      int off = static_cast<int>(rng.UniformInt(0, phases));
+      for (int d : tpcw.opset.deps[static_cast<size_t>(op)]) {
+        off = std::max(off, offset[static_cast<size_t>(d)]);
+      }
+      offset[static_cast<size_t>(op)] = off;
+    }
+    for (size_t i = 0; i < remaining.size(); ++i) {
+      assignment[i] = offset[static_cast<size_t>(remaining[i])];
+    }
+    assignments.push_back(assignment);
+    assignments.push_back(std::move(assignment));  // every set is requested twice
+  }
+  for (bool migration_cost : {false, true}) {
+    GaaOptions options;
+    options.include_migration_cost = migration_cost;
+    PhaseSchemaMemo memo(tpcw.ctx);
+    QueryCostCache cache;
+    CachedCostEstimator estimator(&tpcw.queries, &tpcw.schema->logical, &cache);
+    ThreadPool pool(4);
+    std::vector<Result<double>> memoized(assignments.size(),
+                                         Result<double>(Status::Internal("not run")));
+    pool.ParallelFor(assignments.size(), [&](size_t i) {
+      memoized[i] =
+          EvaluateAssignment(tpcw.ctx, 0, remaining, assignments[i], options, &estimator, &memo);
+    });
+    for (size_t i = 0; i < assignments.size(); ++i) {
+      auto reference = EvaluateAssignment(tpcw.ctx, 0, remaining, assignments[i], options);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_TRUE(memoized[i].ok()) << memoized[i].status().ToString();
+      EXPECT_EQ(*memoized[i], *reference);  // bit for bit
+    }
+    // At most one schema per operator of each distinct assignment: twins
+    // reuse each other's schemas.
+    EXPECT_GT(memo.size(), 0u);
+    EXPECT_LE(memo.size(), assignments.size() / 2 * remaining.size());
+  }
+}
 
 }  // namespace
 }  // namespace pse

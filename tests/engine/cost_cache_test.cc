@@ -1,10 +1,12 @@
-// Tests for the memoized query-cost cache: exact hit/miss accounting,
-// collision resolution via stored canonical keys, epoch eviction, snapshot
-// deltas, and a concurrent mixed-load stress (the TSAN leg's main target).
+// Tests for the memoized query-cost cache: content interning, exact hit/miss
+// accounting over id-tuple keys, epoch eviction that keeps interned ids,
+// snapshot deltas, and a concurrent mixed-load stress (the TSAN leg's main
+// target).
 #include "engine/cost_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,15 +14,16 @@
 namespace pse {
 namespace {
 
+using Id = QueryCostCache::Id;
+using Key = std::vector<Id>;
 using Outcome = QueryCostCache::Outcome;
 
 TEST(CostCacheTest, MissThenHit) {
   QueryCostCache cache;
-  const std::string key = "q0|O1|s1|T0:1,2,;";
-  uint64_t fp = QueryCostCache::Fingerprint(key);
-  EXPECT_FALSE(cache.Lookup(fp, key).has_value());
-  cache.Insert(fp, key, Outcome{42.5, false});
-  auto hit = cache.Lookup(fp, key);
+  const Key key{0, 1, 2, 2};
+  EXPECT_FALSE(cache.Lookup(key).has_value());
+  cache.Insert(key, Outcome{42.5, false});
+  auto hit = cache.Lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->cost, 42.5);
   EXPECT_FALSE(hit->bind_error);
@@ -32,64 +35,95 @@ TEST(CostCacheTest, MissThenHit) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(CostCacheTest, FingerprintCollisionsAreResolvedExactly) {
+TEST(CostCacheTest, KeysAreComparedExactly) {
   QueryCostCache cache;
-  // The fingerprint is caller-supplied, so a collision is easy to force:
-  // two different canonical keys under one 64-bit hash.
-  const uint64_t fp = 42;
-  cache.Insert(fp, "alpha", Outcome{1.0, false});
-  cache.Insert(fp, "beta", Outcome{2.0, false});
-  EXPECT_EQ(cache.Snapshot().collisions, 1u);
-  EXPECT_EQ(cache.size(), 2u);
-  auto a = cache.Lookup(fp, "alpha");
-  auto b = cache.Lookup(fp, "beta");
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_DOUBLE_EQ(a->cost, 1.0);
-  EXPECT_DOUBLE_EQ(b->cost, 2.0);
-  // A third key sharing the fingerprint still misses (exact key compare).
-  EXPECT_FALSE(cache.Lookup(fp, "gamma").has_value());
+  cache.Insert(Key{0, 0, 1}, Outcome{1.0, false});
+  cache.Insert(Key{0, 0, 1, 1}, Outcome{2.0, false});  // a prefix is a different key
+  cache.Insert(Key{0, 0, QueryCostCache::kAbsent}, Outcome{3.0, false});
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_DOUBLE_EQ(cache.Lookup(Key{0, 0, 1})->cost, 1.0);
+  EXPECT_DOUBLE_EQ(cache.Lookup(Key{0, 0, 1, 1})->cost, 2.0);
+  EXPECT_DOUBLE_EQ(cache.Lookup(Key{0, 0, QueryCostCache::kAbsent})->cost, 3.0);
+  EXPECT_FALSE(cache.Lookup(Key{0, 0}).has_value());
+  EXPECT_FALSE(cache.Lookup(Key{0, 1, 1}).has_value());
+  EXPECT_FALSE(cache.Lookup(Key{}).has_value());
+}
+
+TEST(CostCacheTest, InterningIsDenseAndContentExact) {
+  QueryCostCache cache;
+  const std::vector<uint64_t> orders{3, 10, 11, 12};
+  const std::vector<uint64_t> orders_wider{3, 10, 11, 12, 13};
+  const std::vector<uint64_t> items{3, 10, 11};
+  EXPECT_EQ(cache.InternLayout(orders), 0u);
+  EXPECT_EQ(cache.InternLayout(orders_wider), 1u);
+  EXPECT_EQ(cache.InternLayout(items), 2u);
+  EXPECT_EQ(cache.InternLayout(std::vector<uint64_t>{3, 10, 11, 12}), 0u);
+  // Each kind has its own id space; equal content in two kinds is unrelated.
+  EXPECT_EQ(cache.InternStats(orders), 0u);
+  EXPECT_EQ(cache.InternStats(std::vector<uint64_t>{}), 1u);
+  EXPECT_EQ(cache.InternStats(std::vector<uint64_t>{}), 1u);
+  EXPECT_EQ(cache.InternQuery("Q|SELECT a"), 0u);
+  EXPECT_EQ(cache.InternQuery("Q|SELECT b"), 1u);
+  EXPECT_EQ(cache.InternQuery("Q|SELECT a"), 0u);
+  // Interning is not a lookup: it leaves the hit/miss counters alone.
+  EXPECT_EQ(cache.Snapshot().lookups(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(CostCacheTest, ReinsertingAnExistingKeyIsANoOp) {
   QueryCostCache cache;
-  uint64_t fp = QueryCostCache::Fingerprint("k");
-  cache.Insert(fp, "k", Outcome{7.0, false});
-  cache.Insert(fp, "k", Outcome{9.0, false});  // outcomes are deterministic
+  const Key key{7};
+  cache.Insert(key, Outcome{7.0, false});
+  cache.Insert(key, Outcome{9.0, false});  // outcomes are deterministic
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_DOUBLE_EQ(cache.Lookup(fp, "k")->cost, 7.0);
-  EXPECT_EQ(cache.Snapshot().collisions, 0u);
+  EXPECT_DOUBLE_EQ(cache.Lookup(key)->cost, 7.0);
 }
 
 TEST(CostCacheTest, BindErrorOutcomesRoundTrip) {
   QueryCostCache cache;
-  uint64_t fp = QueryCostCache::Fingerprint("unservable");
-  cache.Insert(fp, "unservable", Outcome{0.0, true});
-  auto hit = cache.Lookup(fp, "unservable");
+  const Key key{1, 0, QueryCostCache::kAbsent};
+  cache.Insert(key, Outcome{0.0, true});
+  auto hit = cache.Lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->bind_error);
 }
 
 TEST(CostCacheTest, EpochEvictionClearsWholesale) {
   QueryCostCache cache(/*max_entries=*/2);
-  cache.Insert(QueryCostCache::Fingerprint("a"), "a", Outcome{1, false});
-  cache.Insert(QueryCostCache::Fingerprint("b"), "b", Outcome{2, false});
+  cache.Insert(Key{0}, Outcome{1, false});
+  cache.Insert(Key{1}, Outcome{2, false});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.Snapshot().evictions, 0u);
-  cache.Insert(QueryCostCache::Fingerprint("c"), "c", Outcome{3, false});
-  EXPECT_EQ(cache.size(), 1u);  // a and b were dropped in one epoch
+  cache.Insert(Key{1}, Outcome{2, false});  // already present: no eviction
+  EXPECT_EQ(cache.Snapshot().evictions, 0u);
+  cache.Insert(Key{2}, Outcome{3, false});
+  EXPECT_EQ(cache.size(), 1u);  // both earlier entries were dropped in one epoch
   EXPECT_EQ(cache.Snapshot().evictions, 2u);
-  EXPECT_FALSE(cache.Lookup(QueryCostCache::Fingerprint("a"), "a").has_value());
-  EXPECT_TRUE(cache.Lookup(QueryCostCache::Fingerprint("c"), "c").has_value());
+  EXPECT_FALSE(cache.Lookup(Key{0}).has_value());
+  EXPECT_TRUE(cache.Lookup(Key{2}).has_value());
+}
+
+TEST(CostCacheTest, EvictionAndClearKeepInternedIds) {
+  QueryCostCache cache(/*max_entries=*/1);
+  const Id layout = cache.InternLayout(std::vector<uint64_t>{1, 2});
+  const Id query = cache.InternQuery("Q");
+  cache.Insert(Key{query, layout}, Outcome{1, false});
+  cache.Insert(Key{query, layout, layout}, Outcome{2, false});  // evicts
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  // An estimator still holding these ids must not see them reassigned.
+  EXPECT_EQ(cache.InternLayout(std::vector<uint64_t>{1, 2}), layout);
+  EXPECT_EQ(cache.InternQuery("Q"), query);
+  EXPECT_NE(cache.InternLayout(std::vector<uint64_t>{1, 3}), layout);
 }
 
 TEST(CostCacheTest, SnapshotDeltaIsolatesOneRun) {
   QueryCostCache cache;
-  cache.Insert(QueryCostCache::Fingerprint("x"), "x", Outcome{1, false});
-  (void)cache.Lookup(QueryCostCache::Fingerprint("x"), "x");
+  cache.Insert(Key{0}, Outcome{1, false});
+  (void)cache.Lookup(Key{0});
   CostCacheStats before = cache.Snapshot();
-  (void)cache.Lookup(QueryCostCache::Fingerprint("x"), "x");
-  (void)cache.Lookup(QueryCostCache::Fingerprint("y"), "y");
+  (void)cache.Lookup(Key{0});
+  (void)cache.Lookup(Key{1});
   CostCacheStats delta = cache.Snapshot() - before;
   EXPECT_EQ(delta.hits, 1u);
   EXPECT_EQ(delta.misses, 1u);
@@ -98,22 +132,16 @@ TEST(CostCacheTest, SnapshotDeltaIsolatesOneRun) {
 
 TEST(CostCacheTest, ToStringMentionsTheCounters) {
   QueryCostCache cache;
-  (void)cache.Lookup(1, "k");
+  (void)cache.Lookup(Key{1});
   std::string s = cache.Snapshot().ToString();
   EXPECT_NE(s.find("hits"), std::string::npos) << s;
-  EXPECT_NE(s.find("collisions"), std::string::npos) << s;
+  EXPECT_NE(s.find("evictions"), std::string::npos) << s;
 }
 
-TEST(CostCacheTest, FingerprintIsStableAndDiscriminating) {
-  EXPECT_EQ(QueryCostCache::Fingerprint("abc"), QueryCostCache::Fingerprint("abc"));
-  EXPECT_NE(QueryCostCache::Fingerprint("abc"), QueryCostCache::Fingerprint("abd"));
-  EXPECT_NE(QueryCostCache::Fingerprint(""), QueryCostCache::Fingerprint("a"));
-}
-
-// Concurrent mixed load: many threads race lookups and inserts over an
-// overlapping key population; every hit must return the key's one true
-// outcome and the counters must stay consistent. Run under TSAN via
-// scripts/check.sh --tsan.
+// Concurrent mixed load: many threads race interning, lookups and inserts
+// over an overlapping key population; every hit must return the key's one
+// true outcome, every thread must see one id per content, and the counters
+// must stay consistent. Run under TSAN via scripts/check.sh --tsan.
 TEST(CostCacheTest, ConcurrentMixedLoadKeepsExactOutcomes) {
   QueryCostCache cache;
   constexpr int kThreads = 8;
@@ -121,18 +149,20 @@ TEST(CostCacheTest, ConcurrentMixedLoadKeepsExactOutcomes) {
   constexpr int kIters = 2000;
   std::vector<std::thread> workers;
   std::atomic<int> wrong{0};
+  std::vector<std::vector<Id>> seen(kThreads, std::vector<Id>(kKeys, QueryCostCache::kAbsent));
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t, &cache, &wrong]() {
+    workers.emplace_back([t, &cache, &wrong, &seen]() {
       for (int i = 0; i < kIters; ++i) {
         int k = (t * 31 + i) % kKeys;
-        std::string key = "key";
-        key += std::to_string(k);
-        uint64_t fp = QueryCostCache::Fingerprint(key);
-        if (auto hit = cache.Lookup(fp, key)) {
+        const Id layout = cache.InternLayout(std::vector<uint64_t>{static_cast<uint64_t>(k)});
+        if (seen[t][k] != QueryCostCache::kAbsent && seen[t][k] != layout) wrong.fetch_add(1);
+        seen[t][k] = layout;
+        const Key key{layout};
+        if (auto hit = cache.Lookup(key)) {
           if (hit->cost != static_cast<double>(k)) wrong.fetch_add(1);
         } else {
-          cache.Insert(fp, key, Outcome{static_cast<double>(k), false});
+          cache.Insert(key, Outcome{static_cast<double>(k), false});
         }
       }
     });
@@ -142,12 +172,18 @@ TEST(CostCacheTest, ConcurrentMixedLoadKeepsExactOutcomes) {
   EXPECT_LE(cache.size(), static_cast<size_t>(kKeys));
   CostCacheStats stats = cache.Snapshot();
   EXPECT_EQ(stats.lookups(), static_cast<uint64_t>(kThreads) * kIters);
-  // Every key's outcome survived the race intact.
+  // Every thread saw the same id for each content, and every key's outcome
+  // survived the race intact.
   for (int k = 0; k < kKeys; ++k) {
-    std::string key = "key";
-    key += std::to_string(k);
-    auto hit = cache.Lookup(QueryCostCache::Fingerprint(key), key);
-    ASSERT_TRUE(hit.has_value()) << key;
+    const Id layout = cache.InternLayout(std::vector<uint64_t>{static_cast<uint64_t>(k)});
+    EXPECT_LT(layout, static_cast<Id>(kKeys));
+    for (int t = 0; t < kThreads; ++t) {
+      if (seen[t][k] != QueryCostCache::kAbsent) {
+        EXPECT_EQ(seen[t][k], layout);
+      }
+    }
+    auto hit = cache.Lookup(Key{layout});
+    ASSERT_TRUE(hit.has_value()) << k;
     EXPECT_DOUBLE_EQ(hit->cost, static_cast<double>(k));
   }
 }
