@@ -269,7 +269,7 @@ int RunMixedRw(std::vector<MixedRwRow>* out) {
     Synthetic s = MakeIndependent(4);
     FillData(&s, 512);
     Database db(2048);
-    if (!s.data->Materialize(&db, s.source).ok() || !db.AnalyzeAll().ok()) {
+    if (!s.data->Materialize(&db, s.source).ok()) {
       std::fprintf(stderr, "mixed-rw: materialize failed\n");
       return 1;
     }

@@ -109,32 +109,18 @@ const Row* LogicalDatabase::FindByKey(EntityId entity, int64_t key) const {
   return &rows_[entity][it->second];
 }
 
-Result<Value> LogicalDatabase::AttrOfRow(EntityId entity, const Row& row, AttrId attr) const {
+Result<size_t> LogicalDatabase::AttrPosition(EntityId entity, AttrId attr) const {
   const LogicalEntity& e = logical_->entity(entity);
   for (size_t i = 0; i < e.attributes.size(); ++i) {
-    if (e.attributes[i] == attr) return row[i];
+    if (e.attributes[i] == attr) return i;
   }
   return Status::InvalidArgument("attr '" + logical_->attr(attr).name +
                                  "' does not belong to entity '" + e.name + "'");
 }
 
-Result<Value> LogicalDatabase::ResolveAttr(EntityId anchor, const Row& anchor_row,
-                                           AttrId attr) const {
-  EntityId target = logical_->attr(attr).entity;
-  if (target == anchor) return AttrOfRow(anchor, anchor_row, attr);
-  PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, logical_->FkPath(anchor, target));
-  EntityId cur_entity = anchor;
-  const Row* cur_row = &anchor_row;
-  for (AttrId fk : path) {
-    PSE_ASSIGN_OR_RETURN(Value fk_value, AttrOfRow(cur_entity, *cur_row, fk));
-    if (fk_value.is_null()) return Value::Null(logical_->attr(attr).type);
-    EntityId next = *logical_->attr(fk).references;
-    const Row* next_row = FindByKey(next, fk_value.AsInt());
-    if (next_row == nullptr) return Value::Null(logical_->attr(attr).type);
-    cur_entity = next;
-    cur_row = next_row;
-  }
-  return AttrOfRow(cur_entity, *cur_row, attr);
+Result<Value> LogicalDatabase::AttrOfRow(EntityId entity, const Row& row, AttrId attr) const {
+  PSE_ASSIGN_OR_RETURN(size_t pos, AttrPosition(entity, attr));
+  return row[pos];
 }
 
 LogicalStats LogicalDatabase::ComputeStats() const {
@@ -178,18 +164,73 @@ LogicalStats LogicalDatabase::ComputeStatsPrefix(const std::vector<size_t>& visi
   return stats;
 }
 
-Result<Row> LogicalDatabase::BuildTableRow(const PhysicalSchema& schema, size_t table_idx,
-                                           const Row& anchor_row) const {
-  const PhysicalTable& t = schema.tables()[table_idx];
-  TableSchema ts = schema.ToTableSchema(table_idx);
-  Row out;
-  out.reserve(ts.num_columns());
+Result<TableRowPlan> LogicalDatabase::PlanTableRows(const PhysicalSchema& schema,
+                                                    size_t table_idx) const {
+  TableRowPlan plan;
+  plan.anchor = schema.tables()[table_idx].anchor;
+  const TableSchema ts = schema.ToTableSchema(table_idx);
+  plan.columns.reserve(ts.num_columns());
   for (const Column& col : ts.columns()) {
     PSE_ASSIGN_OR_RETURN(AttrId a, logical_->AttrByName(col.name));
-    PSE_ASSIGN_OR_RETURN(Value v, ResolveAttr(t.anchor, anchor_row, a));
-    out.push_back(std::move(v));
+    const LogicalAttribute& attr = logical_->attr(a);
+    PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, logical_->FkPath(plan.anchor, attr.entity));
+    TableRowPlan::Column out;
+    out.type = attr.type;
+    EntityId entity = plan.anchor;
+    for (AttrId fk : path) {
+      PSE_ASSIGN_OR_RETURN(size_t fk_pos, AttrPosition(entity, fk));
+      entity = *logical_->attr(fk).references;
+      // An earlier column's chain may already take this hop from this row.
+      size_t hop = 0;
+      while (hop < plan.hops.size() &&
+             (plan.hops[hop].from != out.row || plan.hops[hop].fk_pos != fk_pos)) {
+        ++hop;
+      }
+      if (hop == plan.hops.size()) plan.hops.push_back({out.row, fk_pos, entity});
+      out.row = hop + 1;
+    }
+    PSE_ASSIGN_OR_RETURN(out.pos, AttrPosition(entity, a));
+    plan.columns.push_back(out);
+  }
+  return plan;
+}
+
+Row LogicalDatabase::BuildRow(const TableRowPlan& plan, const Row& anchor_row) const {
+  // reached[0] is the anchor row, reached[h + 1] the row hop h reaches, or
+  // nullptr past a NULL or dangling FK. Plans rarely take more than a few
+  // hops, so the array lives on the stack.
+  constexpr size_t kInlineRows = 16;
+  const Row* inline_rows[kInlineRows] = {};
+  std::vector<const Row*> spilled;
+  const Row** reached = inline_rows;
+  if (plan.hops.size() >= kInlineRows) {
+    spilled.resize(plan.hops.size() + 1);
+    reached = spilled.data();
+  }
+  reached[0] = &anchor_row;
+  for (size_t h = 0; h < plan.hops.size(); ++h) {
+    const TableRowPlan::Hop& hop = plan.hops[h];
+    const Row* from = reached[hop.from];
+    const Value* fk = from != nullptr ? &(*from)[hop.fk_pos] : nullptr;
+    reached[h + 1] =
+        fk != nullptr && !fk->is_null() ? FindByKey(hop.parent, fk->AsInt()) : nullptr;
+  }
+  Row out;
+  out.reserve(plan.columns.size());
+  for (const TableRowPlan::Column& c : plan.columns) {
+    const Row* row = reached[c.row];
+    out.push_back(row != nullptr ? (*row)[c.pos] : Value::Null(c.type));
   }
   return out;
+}
+
+Status LogicalDatabase::LoadRows(Database* db, const std::string& table,
+                                 const TableRowPlan& plan, size_t begin, size_t end) const {
+  const std::vector<Row>& anchor_rows = rows_[plan.anchor];
+  for (size_t r = begin; r < end; ++r) {
+    PSE_RETURN_NOT_OK(db->Insert(table, BuildRow(plan, anchor_rows[r])).status());
+  }
+  return Status::OK();
 }
 
 Status LogicalDatabase::Materialize(Database* db, const PhysicalSchema& schema) const {
@@ -199,17 +240,14 @@ Status LogicalDatabase::Materialize(Database* db, const PhysicalSchema& schema) 
 Status LogicalDatabase::MaterializePrefix(Database* db, const PhysicalSchema& schema,
                                           const std::vector<size_t>& visible) const {
   for (size_t i = 0; i < schema.tables().size(); ++i) {
-    TableSchema ts = schema.ToTableSchema(i);
-    PSE_RETURN_NOT_OK(db->CreateTable(ts));
-    PSE_RETURN_NOT_OK(EnsureSecondaryIndexes(db, schema, i));
     const PhysicalTable& t = schema.tables()[i];
+    PSE_ASSIGN_OR_RETURN(TableRowPlan plan, PlanTableRows(schema, i));
+    PSE_RETURN_NOT_OK(db->CreateTable(schema.ToTableSchema(i)));
+    PSE_RETURN_NOT_OK(EnsureSecondaryIndexes(db, schema, i));
     size_t limit = t.anchor < visible.size() ? std::min(visible[t.anchor], rows_[t.anchor].size())
                                              : rows_[t.anchor].size();
-    for (size_t r = 0; r < limit; ++r) {
-      PSE_ASSIGN_OR_RETURN(Row row, BuildTableRow(schema, i, rows_[t.anchor][r]));
-      PSE_RETURN_NOT_OK(db->Insert(ts.name(), row).status());
-    }
-    PSE_RETURN_NOT_OK(db->Analyze(ts.name()));
+    PSE_RETURN_NOT_OK(LoadRows(db, t.name, plan, 0, limit));
+    PSE_RETURN_NOT_OK(db->Analyze(t.name));
   }
   return Status::OK();
 }
@@ -219,16 +257,13 @@ Status LogicalDatabase::MaterializeRange(Database* db, const PhysicalSchema& sch
                                          const std::vector<size_t>& to) const {
   for (size_t i = 0; i < schema.tables().size(); ++i) {
     const PhysicalTable& t = schema.tables()[i];
-    const std::string& name = schema.tables()[i].name;
     size_t start = t.anchor < from.size() ? from[t.anchor] : 0;
     size_t end = t.anchor < to.size() ? std::min(to[t.anchor], rows_[t.anchor].size())
                                       : rows_[t.anchor].size();
     if (start >= end) continue;
-    for (size_t r = start; r < end; ++r) {
-      PSE_ASSIGN_OR_RETURN(Row row, BuildTableRow(schema, i, rows_[t.anchor][r]));
-      PSE_RETURN_NOT_OK(db->Insert(name, row).status());
-    }
-    PSE_RETURN_NOT_OK(db->Analyze(name));
+    PSE_ASSIGN_OR_RETURN(TableRowPlan plan, PlanTableRows(schema, i));
+    PSE_RETURN_NOT_OK(LoadRows(db, t.name, plan, start, end));
+    PSE_RETURN_NOT_OK(db->Analyze(t.name));
   }
   return Status::OK();
 }

@@ -86,9 +86,11 @@ struct MigrationExecutor::OpPlan {
     size_t after_idx = 0;  ///< index in `after` (for EnsureSecondaryIndexes)
     Source source = Source::kScan;
 
-    // kEntity (create): rows come from the LogicalDatabase.
+    // kEntity (create): rows come from the LogicalDatabase, built by a row
+    // plan resolved once per operator.
     EntityId entity = kInvalidId;
     size_t entity_limit = 0;
+    TableRowPlan row_plan;
 
     // kScan (split): project columns of one source table.
     std::string scan_table;
@@ -151,6 +153,7 @@ Result<MigrationExecutor::OpPlan> MigrationExecutor::BuildPlan(const MigrationOp
       t.after_idx = added[0];
       t.source = OpPlan::Source::kEntity;
       t.entity = op.create_entity;
+      PSE_ASSIGN_OR_RETURN(t.row_plan, data_->PlanTableRows(after, added[0]));
       const auto& entity_rows = data_->Rows(op.create_entity);
       t.entity_limit = op.create_entity < visible_.size()
                            ? std::min(visible_[op.create_entity], entity_rows.size())
@@ -326,18 +329,22 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
     // --- scan-batch: pull raw source rows. The shared content latch on the
     // scanned source covers the batch only — released before the transform,
     // the commit, and the hook so foreground statements (and the hook's own
-    // queries) never stack behind a whole operator.
+    // queries) never stack behind a whole operator. An entity source is not
+    // copied: its batch is entity rows [cursor, cursor + batch_rows), read
+    // in place by the transform.
     const uint64_t batch_io_start = db_->TotalIo();
     std::vector<Row> scanned;
-    scanned.reserve(options_.batch_rows);
+    size_t batch_rows = 0;
     bool exhausted = false;
     std::optional<uint64_t> next_frontier;  // a heap source's first unconsumed rid
     if (t.source == OpPlan::Source::kEntity) {
-      while (cursor + scanned.size() < t.entity_limit && scanned.size() < options_.batch_rows) {
-        scanned.push_back((*entity_rows)[cursor + scanned.size()]);
+      if (cursor < t.entity_limit) {
+        batch_rows = static_cast<size_t>(std::min<uint64_t>(options_.batch_rows,
+                                                            t.entity_limit - cursor));
       }
-      exhausted = cursor + scanned.size() >= t.entity_limit;
+      exhausted = cursor + batch_rows >= t.entity_limit;
     } else {
+      scanned.reserve(options_.batch_rows);
       std::shared_lock<SharedMutex> batch_lock(src_info->latch);
       PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, position());
       if (options_.batch_io_budget == 0) {
@@ -359,23 +366,25 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
       // completed flag is the durable end-state instead.
       exhausted = it.AtEnd();
       if (!exhausted) next_frontier = it.rid().Pack();
+      batch_rows = scanned.size();
     }
-    if (scanned.empty()) {
+    if (batch_rows == 0) {
       // Nothing left before this batch took a row: the source was empty
       // from the start, or foreground deletes removed every row past the
       // frontier. No transform runs; the commit makes completion durable.
       j->targets[target_idx].completed = true;
       return CommitBatch();
     }
-    const size_t batch_rows = scanned.size();
 
-    // --- transform-batch: move the scanned rows through a TupleBatch and
-    // gather destination columns column-at-a-time, with no source latch
-    // held. The dedup filter is a selection vector over the destination key
-    // column.
+    // --- transform-batch: build entity rows through the row plan, or move
+    // the scanned rows through a TupleBatch and gather destination columns
+    // column-at-a-time, with no source latch held. The dedup filter is a
+    // selection vector over the destination key column.
     TupleBatch src_batch;
-    src_batch.Reset(scanned[0].size(), batch_rows);
-    for (Row& r : scanned) src_batch.AppendRow(std::move(r));
+    if (!scanned.empty()) {
+      src_batch.Reset(scanned[0].size(), batch_rows);
+      for (Row& r : scanned) src_batch.AppendRow(std::move(r));
+    }
 
     std::vector<Row> staged;
     staged.reserve(batch_rows);
@@ -383,10 +392,7 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
     switch (t.source) {
       case OpPlan::Source::kEntity: {
         for (size_t i = 0; i < batch_rows; ++i) {
-          Row src;
-          src_batch.MoveRowOut(i, &src);
-          PSE_ASSIGN_OR_RETURN(Row dst, data_->BuildTableRow(*plan.after, t.after_idx, src));
-          staged.push_back(std::move(dst));
+          staged.push_back(data_->BuildRow(t.row_plan, (*entity_rows)[cursor + i]));
         }
         break;
       }

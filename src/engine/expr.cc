@@ -1,8 +1,42 @@
 #include "engine/expr.h"
 
+#include <charconv>
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace pse {
+
+namespace {
+
+/// `text` as a SQL string literal: single-quoted, inner quotes doubled (the
+/// lexer's escape), so the literal ends exactly where the string does.
+std::string QuoteSql(const std::string& text) {
+  std::string out = "'";
+  for (char c : text) {
+    out += c;
+    if (c == '\'') out += c;
+  }
+  return out + "'";
+}
+
+/// A constant as text. A non-NULL one names exactly one (type, value)
+/// pair: strings quoted, doubles as their shortest round-trip decimal,
+/// always with a '.' or an exponent so that 1000.0 never reads as the
+/// BIGINT 1000. Query texts key the fleet's plan cache and the planner's
+/// cost cache, so two such constants must never render alike.
+std::string ConstantText(const Value& v) {
+  if (v.is_null()) return v.ToString();
+  if (v.type() == TypeId::kVarchar) return QuoteSql(v.AsString());
+  if (v.type() != TypeId::kDouble) return v.ToString();
+  char buf[32];
+  const double d = v.AsDouble();
+  std::string out(buf, std::to_chars(buf, buf + sizeof(buf), d).ptr);
+  if (std::isfinite(d) && out.find_first_of(".e") == std::string::npos) out += ".0";
+  return out;
+}
+
+}  // namespace
 
 const char* CompareOpToString(CompareOp op) {
   switch (op) {
@@ -43,12 +77,7 @@ std::unique_ptr<Expr> ColumnRefExpr::Clone() const {
   return e;
 }
 
-std::string ConstantExpr::ToString() const {
-  if (value_.type() == TypeId::kVarchar && !value_.is_null()) {
-    return "'" + value_.AsString() + "'";
-  }
-  return value_.ToString();
-}
+std::string ConstantExpr::ToString() const { return ConstantText(value_); }
 
 Result<Value> CompareExpr::Eval(const Row& row) const {
   PSE_ASSIGN_OR_RETURN(Value l, left_->Eval(row));
@@ -214,11 +243,15 @@ Result<Value> InListExpr::Eval(const Row& row) const {
   return Value::Bool(negated_);
 }
 
+std::string LikeExpr::ToString() const {
+  return child_->ToString() + (negated_ ? " NOT LIKE " : " LIKE ") + QuoteSql(pattern_);
+}
+
 std::string InListExpr::ToString() const {
   std::string out = child_->ToString() + (negated_ ? " NOT IN (" : " IN (");
   for (size_t i = 0; i < values_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    out += ConstantText(values_[i]);
   }
   return out + ")";
 }

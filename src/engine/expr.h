@@ -200,9 +200,7 @@ class LikeExpr : public Expr {
   std::unique_ptr<Expr> Clone() const override {
     return std::make_unique<LikeExpr>(child_->Clone(), pattern_, negated_);
   }
-  std::string ToString() const override {
-    return child_->ToString() + (negated_ ? " NOT LIKE '" : " LIKE '") + pattern_ + "'";
-  }
+  std::string ToString() const override;
   void CollectColumns(std::vector<std::string>* out) const override {
     child_->CollectColumns(out);
   }

@@ -1,6 +1,5 @@
 #include "engine/tuple_batch.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace pse {
@@ -26,39 +25,10 @@ void TupleBatch::AppendRow(Row&& row) {
   ++num_rows_;
 }
 
-Row TupleBatch::RowAt(size_t physical_row) const {
-  Row out;
-  out.reserve(cols_.size());
-  for (const auto& col : cols_) out.push_back(col[physical_row]);
-  return out;
-}
-
 void TupleBatch::MoveRowOut(size_t physical_row, Row* out) {
   out->clear();
   out->reserve(cols_.size());
   for (auto& col : cols_) out->push_back(std::move(col[physical_row]));
-}
-
-void TupleBatch::EmitRows(std::vector<Row>* out) const {
-  const size_t n = size();
-  // Grow geometrically: an exact reserve() per batch would reallocate `out`
-  // on every call, moving all previously emitted rows each time.
-  if (out->capacity() < out->size() + n) {
-    out->reserve(std::max(out->size() + n, out->capacity() * 2));
-  }
-  for (size_t i = 0; i < n; ++i) out->push_back(RowAt(SelIndex(i)));
-}
-
-void TupleBatch::Compact() {
-  if (!use_sel_) return;
-  for (auto& col : cols_) {
-    for (size_t i = 0; i < sel_.size(); ++i) {
-      if (i != sel_[i]) col[i] = std::move(col[sel_[i]]);
-    }
-    col.resize(sel_.size());
-  }
-  num_rows_ = sel_.size();
-  ClearSel();
 }
 
 }  // namespace pse

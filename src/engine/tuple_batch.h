@@ -46,11 +46,6 @@ class TupleBatch {
     sel_ = std::move(sel);
     use_sel_ = true;
   }
-  /// Drops the selection vector; every physical row is live again.
-  void ClearSel() {
-    use_sel_ = false;
-    sel_.clear();
-  }
 
   std::vector<Value>& col(size_t c) { return cols_[c]; }
   const std::vector<Value>& col(size_t c) const { return cols_[c]; }
@@ -65,17 +60,9 @@ class TupleBatch {
   /// (bypassing AppendRow). Every column must hold exactly `n` values.
   void SetNumRows(size_t n) { num_rows_ = n; }
 
-  /// Materializes the physical row at `physical_row`.
-  Row RowAt(size_t physical_row) const;
   /// Moves the physical row out, leaving moved-from values behind. Only
   /// valid when the caller owns the batch and will Reset() before reuse.
   void MoveRowOut(size_t physical_row, Row* out);
-  /// Appends every live row to `out` as materialized rows, in order.
-  void EmitRows(std::vector<Row>* out) const;
-
-  /// Rewrites live rows down to physical positions [0, size()) and drops
-  /// the selection vector.
-  void Compact();
 
  private:
   std::vector<std::vector<Value>> cols_;

@@ -9,32 +9,31 @@ namespace pse {
 
 namespace {
 
-/// Mixes the trajectory step into the query fingerprint (splitmix-style odd
-/// constant, so adjacent steps land far apart).
-uint64_t StepKey(size_t step, uint64_t fingerprint) {
-  return fingerprint ^ (static_cast<uint64_t>(step) * 0x9E3779B97F4A7C15ULL + 0x2545F4914F6CDD1DULL);
+/// Appends `text` behind its length, so that it cannot run into what
+/// follows.
+void AppendField(const std::string& text, std::string* key) {
+  *key += std::to_string(text.size());
+  *key += ':';
+  *key += text;
 }
 
-/// FNV-1a 64-bit hash of a query's canonical text.
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
+/// The exact key of (step, query): the step, the query's name, its full
+/// logical text, in which every constant names one (type, value) pair, and
+/// the output names, which the rewrite copies and the text omits.
+std::string KeyText(size_t step, const LogicalQuery& query, const LogicalSchema& logical) {
+  std::string key = std::to_string(step);
+  key += ':';
+  AppendField(query.name, &key);
+  AppendField(query.ToString(logical), &key);
+  for (const LogicalSelectItem& item : query.select) AppendField(item.name, &key);
+  return key;
 }
 
 }  // namespace
 
-uint64_t SharedPlanCache::FingerprintQuery(const LogicalQuery& query,
-                                           const LogicalSchema& logical) {
-  return Fnv1a(query.name + "|" + query.ToString(logical));
-}
-
 Result<BoundQuery> SharedPlanCache::GetOrRewrite(size_t step, const LogicalQuery& query,
                                                  const PhysicalSchema& schema) {
-  const uint64_t key = StepKey(step, FingerprintQuery(query, *schema.logical()));
+  std::string key = KeyText(step, query, *schema.logical());
   {
     std::lock_guard<Mutex> lock(mu_);
     auto it = entries_.find(key);
@@ -57,7 +56,7 @@ Result<BoundQuery> SharedPlanCache::GetOrRewrite(size_t step, const LogicalQuery
   }
   std::lock_guard<Mutex> lock(mu_);
   ++stats_.misses;
-  auto it = entries_.emplace(key, std::move(entry)).first;
+  auto it = entries_.emplace(std::move(key), std::move(entry)).first;
   if (!it->second.unservable.ok()) return it->second.unservable;
   return it->second.bound->Clone();
 }

@@ -1,5 +1,5 @@
 // SharedPlanCache: fleet-wide rewrite memoization keyed on (schema step,
-// query fingerprint).
+// query text).
 //
 // Every tenant shard walks the same migration trajectory, so two shards at
 // the same step have structurally identical schemas and a query rewrites to
@@ -48,7 +48,7 @@ struct PlanCacheStats {
   }
 };
 
-/// \brief Thread-safe (step, query fingerprint) -> rewrite outcome map.
+/// \brief Thread-safe (step, query text) -> rewrite outcome map.
 class SharedPlanCache {
  public:
   SharedPlanCache() {
@@ -72,10 +72,6 @@ class SharedPlanCache {
   /// The fleet-shared planner cost cache (schedule planning memoization).
   QueryCostCache* cost_cache() { return &cost_cache_; }
 
-  /// Stable 64-bit fingerprint of a query's canonical form (name + full
-  /// logical text). `logical` must be the fleet's shared logical schema.
-  static uint64_t FingerprintQuery(const LogicalQuery& query, const LogicalSchema& logical);
-
  private:
   struct Entry {
     std::shared_ptr<const BoundQuery> bound;  ///< null when unservable
@@ -83,7 +79,11 @@ class SharedPlanCache {
   };
 
   mutable Mutex mu_;
-  std::unordered_map<uint64_t, Entry> entries_;
+  /// By exact key text: the step, the query's name, its full logical text
+  /// and its output names. A hit compares the whole text, so two queries
+  /// share an entry only when they render alike, which their constants
+  /// cannot do unless equal (ConstantExpr::ToString).
+  std::unordered_map<std::string, Entry> entries_;
   PlanCacheStats stats_;
   QueryCostCache cost_cache_;
 };

@@ -52,9 +52,9 @@ Result<std::unique_ptr<TenantShard>> TenantShard::Create(size_t id, const Physic
   } else {
     db = std::make_unique<Database>(options.pool_pages);
   }
+  // Materialize ANALYZEs each table right after loading it; nothing writes
+  // a table after its own load, so those statistics are already final.
   Status s = data->Materialize(db.get(), source);
-  if (!s.ok()) return s;
-  s = db->AnalyzeAll();
   if (!s.ok()) return s;
   if (durable) {
     s = db->Checkpoint();

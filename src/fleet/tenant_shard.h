@@ -52,10 +52,11 @@ struct ShardOptions {
 /// \brief One tenant: embedded database + router + serving state.
 class TenantShard {
  public:
-  /// Creates a fresh shard at step 0: materializes `source` from `data`,
-  /// analyzes, and (when disk-backed) checkpoints so the shard is durable
-  /// from birth. `data` is the tenant's entity-level truth and must outlive
-  /// the shard (CreateTable steps load new-attribute values from it).
+  /// Creates a fresh shard at step 0: materializes `source` from `data`
+  /// (which ANALYZEs each table once, after its load), and (when
+  /// disk-backed) checkpoints so the shard is durable from birth. `data` is
+  /// the tenant's entity-level truth and must outlive the shard
+  /// (CreateTable steps load new-attribute values from it).
   static Result<std::unique_ptr<TenantShard>> Create(size_t id, const PhysicalSchema& source,
                                                      const LogicalDatabase* data,
                                                      ShardOptions options = {});

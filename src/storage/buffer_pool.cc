@@ -26,8 +26,8 @@ void PageGuard::Release() {
   dirty_ = false;
 }
 
-BufferPool::BufferPool(DiskManager* disk, size_t capacity, ReplacementPolicy policy)
-    : disk_(disk), capacity_(capacity), policy_(policy), frames_(capacity) {
+BufferPool::BufferPool(DiskManager* disk, size_t capacity)
+    : disk_(disk), capacity_(capacity), frames_(capacity) {
   // Leaf of the latch hierarchy; the miss path does disk I/O under mu_ by
   // design, hence allows_io.
   mu_.LockdepRegister("bufferpool", kLockRankBufferPool, /*allows_io=*/true);
@@ -42,35 +42,13 @@ Result<size_t> BufferPool::GetFreeFrame() {
     if (frames_[f].data == nullptr) frames_[f].data = std::make_unique<char[]>(kPageSize);
     return f;
   }
-  size_t victim = capacity_;
-  if (policy_ == ReplacementPolicy::kLru) {
-    if (lru_.empty()) {
-      return Status::ResourceExhausted("buffer pool: all frames pinned");
-    }
-    victim = lru_.back();
-    lru_.pop_back();
-    frames_[victim].in_lru = false;
-  } else {
-    // Clock sweep: skip pinned frames; clear a set ref bit (second chance),
-    // evict the first unpinned frame whose bit is already clear. Two full
-    // sweeps guarantee progress unless everything is pinned.
-    for (size_t step = 0; step < capacity_ * 2 + 1; ++step) {
-      Frame& cand = frames_[clock_hand_];
-      size_t idx = clock_hand_;
-      clock_hand_ = (clock_hand_ + 1) % capacity_;
-      if (cand.page_id == kInvalidPageId || cand.pin_count > 0) continue;
-      if (cand.ref) {
-        cand.ref = false;
-        continue;
-      }
-      victim = idx;
-      break;
-    }
-    if (victim == capacity_) {
-      return Status::ResourceExhausted("buffer pool: all frames pinned");
-    }
+  if (lru_.empty()) {
+    return Status::ResourceExhausted("buffer pool: all frames pinned");
   }
+  const size_t victim = lru_.back();
+  lru_.pop_back();
   Frame& fr = frames_[victim];
+  fr.in_lru = false;
   stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   if (fr.dirty) {
     PSE_RETURN_NOT_OK(disk_->WritePage(fr.page_id, fr.data.get()));
@@ -102,11 +80,10 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
   if (it != page_table_.end()) {
     stats_.hits.fetch_add(1, std::memory_order_relaxed);
     Frame& fr = frames_[it->second];
-    if (policy_ == ReplacementPolicy::kLru && fr.pin_count == 0 && fr.in_lru) {
+    if (fr.pin_count == 0 && fr.in_lru) {
       lru_.erase(fr.lru_it);
       fr.in_lru = false;
     }
-    fr.ref = true;
     ++fr.pin_count;
     return PageGuard(this, page_id, fr.data.get());
   }
@@ -132,8 +109,7 @@ void BufferPool::Unpin(PageId page_id, bool dirty) {
   Frame& fr = frames_[it->second];
   if (dirty) fr.dirty = true;
   if (fr.pin_count > 0) --fr.pin_count;
-  fr.ref = true;
-  if (policy_ == ReplacementPolicy::kLru && fr.pin_count == 0 && !fr.in_lru) {
+  if (fr.pin_count == 0 && !fr.in_lru) {
     lru_.push_front(it->second);
     fr.lru_it = lru_.begin();
     fr.in_lru = true;

@@ -83,16 +83,10 @@ struct BufferPoolStats {
   }
 };
 
-/// Page-replacement policies.
-enum class ReplacementPolicy {
-  kLru,    ///< exact LRU via an access-ordered list (default)
-  kClock,  ///< second-chance clock sweep (cheaper bookkeeping)
-};
-
-/// \brief Fixed-capacity page cache with pluggable replacement.
+/// \brief Fixed-capacity page cache with exact LRU replacement.
 ///
 /// Thread-safe: a single internal mutex guards the page table, frame
-/// metadata, and replacement state, and is held across the miss-path disk
+/// metadata, and the LRU list, and is held across the miss-path disk
 /// I/O so two threads can never race a fetch of the same page into two
 /// frames. Pinned frames are never evicted and frame buffers are allocated
 /// once and never freed, so the `char*` handed out inside a PageGuard stays
@@ -101,8 +95,7 @@ enum class ReplacementPolicy {
 class BufferPool {
  public:
   /// `capacity` is the number of resident frames.
-  BufferPool(DiskManager* disk, size_t capacity,
-             ReplacementPolicy policy = ReplacementPolicy::kLru);
+  BufferPool(DiskManager* disk, size_t capacity);
 
   /// Allocates a new page and returns it pinned (zeroed, dirty).
   Result<PageGuard> NewPage();
@@ -128,7 +121,6 @@ class BufferPool {
     PageId page_id = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
-    bool ref = false;  // clock second-chance bit
     std::unique_ptr<char[]> data;
     std::list<size_t>::iterator lru_it;  // valid iff pin_count == 0 and resident
     bool in_lru = false;
@@ -141,9 +133,7 @@ class BufferPool {
 
   DiskManager* disk_;
   size_t capacity_;
-  ReplacementPolicy policy_;
   mutable Mutex mu_;
-  size_t clock_hand_ = 0;
   std::vector<Frame> frames_;
   std::vector<size_t> free_frames_;
   std::unordered_map<PageId, size_t> page_table_;

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/logical_database.h"
 #include "core/logical_schema.h"
+#include "core/mapping.h"
 #include "core/physical_schema.h"
 #include "core/rewriter_dml.h"
 #include "storage/database.h"
@@ -39,6 +40,12 @@ std::vector<Row> TableRows(Database* db, const std::string& name);
 /// Element-wise equality of two row sets (same order, same arity, Compare==0
 /// per value). Combine with SortRows for order-insensitive comparison.
 bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b);
+
+/// A candidate schema: a random dependency-closed subset of `opset` applied
+/// to `source` in a random topological order (so table order varies too).
+/// `chosen` picks the subset before closing it; empty draws one.
+PhysicalSchema RandomCandidate(const PhysicalSchema& source, const OperatorSet& opset, Rng* rng,
+                               std::vector<bool> chosen = {});
 
 /// A random single-table instance plus its ground-truth row copy, for
 /// differential testing against a naive reference evaluator.

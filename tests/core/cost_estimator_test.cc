@@ -26,6 +26,7 @@ namespace pse {
 namespace {
 
 using coretest::Bookstore;
+using testutil::RandomCandidate;
 
 /// The string key the estimator built per lookup before keys were interned:
 /// for each support attribute the table storing it ("!<attr>;" when none
@@ -132,43 +133,6 @@ TEST(CostEstimatorTest, DifferentStatisticsNeverShareAnEntry) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(cache.Snapshot().hits, 1u);
   EXPECT_EQ(*again, *EstimateQueryCost((*workload)[0].query, schema->source, stats));
-}
-
-/// A candidate schema: a random dependency-closed subset of `opset` applied
-/// to `source` in a random topological order (so table order varies too).
-PhysicalSchema RandomCandidate(const PhysicalSchema& source, const OperatorSet& opset, Rng* rng,
-                               std::vector<bool> chosen) {
-  if (chosen.empty()) {
-    chosen.assign(opset.size(), false);
-    for (size_t i = 0; i < opset.size(); ++i) chosen[i] = rng->Bernoulli(0.5);
-  }
-  // Close under prerequisites.
-  for (bool grew = true; grew;) {
-    grew = false;
-    for (size_t i = 0; i < opset.size(); ++i) {
-      if (!chosen[i]) continue;
-      for (int d : opset.deps[i]) {
-        if (!chosen[static_cast<size_t>(d)]) chosen[static_cast<size_t>(d)] = grew = true;
-      }
-    }
-  }
-  PhysicalSchema schema = source;
-  std::vector<bool> done(opset.size(), false);
-  for (bool progress = true; progress;) {
-    progress = false;
-    std::vector<size_t> ready;
-    for (size_t i = 0; i < opset.size(); ++i) {
-      if (!chosen[i] || done[i]) continue;
-      bool deps_done = std::all_of(opset.deps[i].begin(), opset.deps[i].end(),
-                                   [&](int d) { return done[static_cast<size_t>(d)]; });
-      if (deps_done) ready.push_back(i);
-    }
-    if (ready.empty()) break;
-    const size_t pick = ready[rng->Index(ready.size())];
-    EXPECT_TRUE(ApplyOperator(opset.ops[pick], &schema).ok());
-    done[pick] = progress = true;
-  }
-  return schema;
 }
 
 struct KeyTally {

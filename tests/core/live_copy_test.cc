@@ -22,10 +22,9 @@
 #include "fleet/tenant_shard.h"
 #include "storage/disk_manager.h"
 #include "tests/common/test_db_builder.h"
+#include "tests/core/tpcw_trajectory.h"
 #include "tpcw/datagen.h"
-#include "tpcw/queries.h"
 #include "tpcw/schema.h"
-#include "tpcw/workloads.h"
 
 namespace pse {
 namespace {
@@ -33,21 +32,6 @@ namespace {
 using testutil::Bookstore;
 using testutil::HeapRows;
 using testutil::SameRows;
-
-/// The TPC-W fleet trajectory as the benchmark plans it: LAA over the five
-/// Fig 9 phases, with the statistics of a 300-item / 500-customer tenant.
-Result<FleetSchedule> PlanTpcwTrajectory(const TpcwSchema& tpcw) {
-  auto queries = BuildTpcwWorkload(tpcw);
-  if (!queries.ok()) return queries.status();
-  const std::vector<std::vector<double>> phase_freqs = Fig9IrregularFrequencies();
-  const LogicalStats stats =
-      GenerateTpcwData(tpcw, TpcwScale{"300 items / 500 customers", 300, 500}, 1)->ComputeStats();
-  FleetScheduleInputs inputs;
-  inputs.queries = &*queries;
-  inputs.phase_freqs = &phase_freqs;
-  inputs.stats = &stats;
-  return PlanFleetSchedule(tpcw.source, tpcw.object, inputs);
-}
 
 /// Names of the tables of `a` that `b` lacks: for (after, before) of one
 /// operator, the tables it builds; for (before, after), its sources.

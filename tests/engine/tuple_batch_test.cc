@@ -38,12 +38,8 @@ TEST(TupleBatchTest, EmptyBatch) {
 
   b.Reset(3);
   EXPECT_EQ(b.num_cols(), 3u);
-  EXPECT_TRUE(b.empty());
-  std::vector<Row> out;
-  b.EmitRows(&out);
-  EXPECT_TRUE(out.empty());
-  b.Compact();  // compacting an empty batch is a no-op
   EXPECT_EQ(b.num_rows(), 0u);
+  EXPECT_TRUE(b.empty());
 }
 
 TEST(TupleBatchTest, AppendAndSelect) {
@@ -58,21 +54,17 @@ TEST(TupleBatchTest, AppendAndSelect) {
   EXPECT_EQ(b.SelIndex(3), 3u);
 
   b.SetSel({1, 4});
+  EXPECT_TRUE(b.has_sel());
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(b.num_rows(), 5u);
+  EXPECT_EQ(b.SelIndex(0), 1u);
   EXPECT_EQ(b.SelIndex(1), 4u);
-  std::vector<Row> out;
-  b.EmitRows(&out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0][0].AsInt(), 1);
-  EXPECT_EQ(out[1][0].AsInt(), 4);
+  EXPECT_EQ(b.At(0, b.SelIndex(1)).AsInt(), 4);
+  EXPECT_EQ(b.At(1, b.SelIndex(1)).AsString(), "r4");
 
-  b.Compact();
+  b.Reset(2);  // drops the selection
   EXPECT_FALSE(b.has_sel());
-  EXPECT_EQ(b.num_rows(), 2u);
-  EXPECT_EQ(b.At(0, 0).AsInt(), 1);
-  EXPECT_EQ(b.At(0, 1).AsInt(), 4);
-  EXPECT_EQ(b.At(1, 1).AsString(), "r4");
+  EXPECT_TRUE(b.empty());
 }
 
 TEST(TupleBatchTest, AllFilteredBatch) {
@@ -82,13 +74,7 @@ TEST(TupleBatchTest, AllFilteredBatch) {
   b.SetSel({});
   EXPECT_EQ(b.size(), 0u);
   EXPECT_TRUE(b.empty());
-  EXPECT_EQ(b.num_rows(), 4u);  // physical rows survive until Compact
-  std::vector<Row> out;
-  b.EmitRows(&out);
-  EXPECT_TRUE(out.empty());
-  b.Compact();
-  EXPECT_EQ(b.num_rows(), 0u);
-  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.num_rows(), 4u);  // physical rows survive the selection
 }
 
 TEST(TupleBatchTest, NullValuesRoundTrip) {
@@ -96,9 +82,8 @@ TEST(TupleBatchTest, NullValuesRoundTrip) {
   b.Reset(2);
   b.AppendRow(Row{Value::Null(TypeId::kInt64), Value::Varchar("x")});
   b.AppendRow(Row{Value::Int(7), Value::Null(TypeId::kVarchar)});
-  Row r = b.RowAt(0);
-  EXPECT_TRUE(r[0].is_null());
-  EXPECT_EQ(r[1].AsString(), "x");
+  EXPECT_TRUE(b.At(0, 0).is_null());
+  EXPECT_EQ(b.At(1, 0).AsString(), "x");
   Row moved;
   b.MoveRowOut(1, &moved);
   EXPECT_EQ(moved[0].AsInt(), 7);

@@ -1,12 +1,14 @@
 // Fleet property tests: a fleet of randomized tenant shards, each crashed
 // and resumed at a random batch mid-schedule, must converge row-for-row to
 // uninterrupted single-tenant reference runs; per-shard ProvenanceStores
-// must never cross-contaminate; and TenantShard::Open must re-position a
-// durable shard anywhere on the shared trajectory.
+// must never cross-contaminate; TenantShard::Open must re-position a
+// durable shard anywhere on the shared trajectory; and the statistics
+// TenantShard::Create leaves are those a further full ANALYZE computes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "fleet/tenant_shard.h"
 #include "storage/disk_manager.h"
 #include "tests/common/test_db_builder.h"
+#include "tpcw/datagen.h"
+#include "tpcw/schema.h"
 
 namespace pse {
 namespace {
@@ -287,6 +291,60 @@ TEST_F(FleetPropertyTest, DeleteProvenanceNeverCrossesShards) {
   // The regression bite: neither shard ever sees the other's snapshot.
   EXPECT_FALSE(table_mentions(a, "alice-shard-b"));
   EXPECT_FALSE(table_mentions(b, "alice-shard-a"));
+}
+
+bool SameOptionalValue(const std::optional<Value>& a, const std::optional<Value>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a.has_value()) return true;
+  return a->type() == b->type() && a->is_null() == b->is_null() && a->Compare(*b) == 0;
+}
+
+// Create ANALYZEs each table once, right after loading it. Every table's
+// row count and statistics must already be, field for field, what one more
+// AnalyzeAll computes: on TPC-W's source and object layouts, in a pool far
+// smaller than the data.
+TEST(TenantShardCreateTest, OneAnalyzePerTableIsExact) {
+  std::unique_ptr<TpcwSchema> tpcw = BuildTpcwSchema();
+  auto data = GenerateTpcwData(*tpcw, ScaleTiny(), 5);
+  for (const PhysicalSchema* layout : {&tpcw->source, &tpcw->object}) {
+    ShardOptions options;
+    options.pool_pages = 16;
+    auto shard = TenantShard::Create(0, *layout, data.get(), std::move(options));
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    Database* db = (*shard)->db();
+    std::vector<uint64_t> row_counts;
+    std::vector<TableStatistics> stats;
+    for (const PhysicalTable& t : layout->tables()) {
+      auto info = db->GetTable(t.name);
+      ASSERT_TRUE(info.ok()) << t.name;
+      EXPECT_TRUE((*info)->stats_valid) << t.name;
+      row_counts.push_back((*info)->row_count);
+      stats.push_back((*info)->stats);
+    }
+    ASSERT_TRUE(db->AnalyzeAll().ok());
+    for (size_t i = 0; i < layout->tables().size(); ++i) {
+      const std::string& name = layout->tables()[i].name;
+      SCOPED_TRACE(name);
+      const TableInfo* info = *db->GetTable(name);
+      const TableStatistics& want = info->stats;
+      const TableStatistics& got = stats[i];
+      EXPECT_EQ(row_counts[i], info->row_count);
+      EXPECT_GT(want.row_count, 0u);
+      EXPECT_EQ(got.row_count, want.row_count);
+      EXPECT_EQ(got.page_count, want.page_count);
+      EXPECT_EQ(got.avg_tuple_width, want.avg_tuple_width);
+      ASSERT_EQ(got.columns.size(), want.columns.size());
+      for (const auto& [column, w] : want.columns) {
+        SCOPED_TRACE(column);
+        const ColumnStatistics* g = got.Column(column);
+        ASSERT_NE(g, nullptr);
+        EXPECT_EQ(g->null_count, w.null_count);
+        EXPECT_EQ(g->num_distinct, w.num_distinct);
+        EXPECT_TRUE(SameOptionalValue(g->min, w.min));
+        EXPECT_TRUE(SameOptionalValue(g->max, w.max));
+      }
+    }
+  }
 }
 
 }  // namespace

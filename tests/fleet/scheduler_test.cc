@@ -2,7 +2,8 @@
 // every staggering policy drains the whole fleet (deferral reorders, never
 // starves), pick order matches each policy's contract, and the
 // SharedPlanCache amortizes rewrites to (N-1)/N hits across same-step
-// tenants while returning rewrites identical to a direct RewriteQuery.
+// tenants while returning rewrites identical to a direct RewriteQuery, also
+// for same-named queries whose constants differ past the sixth digit.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -22,6 +23,8 @@
 #include "fleet/scheduler.h"
 #include "fleet/tenant_shard.h"
 #include "tests/common/test_db_builder.h"
+#include "tpcw/datagen.h"
+#include "tpcw/schema.h"
 
 namespace pse {
 namespace {
@@ -356,6 +359,62 @@ TEST_F(FleetSchedulerTest, CachedRewriteExecutesIdenticallyToDirectRewrite) {
         << "cached rewrite diverges (" << from_cache.size() << " vs " << from_direct.size()
         << " rows)";
   }
+}
+
+// Two same-named queries whose DOUBLE constants agree to six significant
+// digits are two entries: the second query returns its own rows, not those
+// of the first query's rewrite, which carries the first constant. A query
+// that differs only in an output name is a third.
+TEST(SharedPlanCacheTest, ConstantsDifferingPastTheSixthDigitDoNotShareARewrite) {
+  std::unique_ptr<TpcwSchema> tpcw = BuildTpcwSchema();
+  auto data = GenerateTpcwData(*tpcw, ScaleTiny(), 42);
+  // One order's total lies between the two constants.
+  const EntityId orders = tpcw->orders;
+  auto o_id = data->AttrOfRow(orders, data->Rows(orders)[0], tpcw->logical.entity(orders).key);
+  auto o_total = tpcw->logical.AttrByName("o_total");
+  ASSERT_TRUE(o_id.ok() && o_total.ok());
+  ASSERT_TRUE(data->UpdateRow(orders, o_id->AsInt(), {*o_total}, {Value::Double(1000.2025)}).ok());
+  auto shard = TenantShard::Create(0, tpcw->source, data.get());
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  Database* db = (*shard)->db();
+
+  auto low = LiftSqlToLogical("SELECT o_id, o_total FROM orders WHERE o_total > 1000.2",
+                              tpcw->source, "Q");
+  auto high = LiftSqlToLogical("SELECT o_id, o_total FROM orders WHERE o_total > 1000.2049",
+                               tpcw->source, "Q");
+  ASSERT_TRUE(low.ok() && high.ok());
+  DatabaseCatalogView view(db);
+  auto run = [&](const BoundQuery& bound) {
+    auto plan = PlanQuery(bound, view);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    auto rows = ExecutePlan(**plan, db);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return SortRows(std::move(*rows));
+  };
+  Result<BoundQuery> direct_low = RewriteQuery(*low, tpcw->source);
+  Result<BoundQuery> direct_high = RewriteQuery(*high, tpcw->source);
+  ASSERT_TRUE(direct_low.ok() && direct_high.ok());
+  const std::vector<Row> want_high = run(*direct_high);
+  ASSERT_EQ(run(*direct_low).size(), want_high.size() + 1)
+      << "exactly the order between the constants tells the queries apart";
+
+  SharedPlanCache cache;
+  ASSERT_TRUE(cache.GetOrRewrite(0, *low, tpcw->source).ok());
+  Result<BoundQuery> cached_high = cache.GetOrRewrite(0, *high, tpcw->source);
+  ASSERT_TRUE(cached_high.ok()) << cached_high.status().ToString();
+  EXPECT_TRUE(SameRows(run(*cached_high), want_high));
+
+  // Output names are part of the key too: the rewrite copies them.
+  auto renamed = LiftSqlToLogical(
+      "SELECT o_id, o_total AS total FROM orders WHERE o_total > 1000.2049", tpcw->source, "Q");
+  ASSERT_TRUE(renamed.ok());
+  Result<BoundQuery> cached_renamed = cache.GetOrRewrite(0, *renamed, tpcw->source);
+  ASSERT_TRUE(cached_renamed.ok()) << cached_renamed.status().ToString();
+  ASSERT_EQ(cached_renamed->select_items.size(), 2u);
+  EXPECT_EQ(cached_renamed->select_items[1].name, (*renamed).select[1].name);
+  EXPECT_NE(cached_renamed->select_items[1].name, cached_high->select_items[1].name);
+  EXPECT_EQ(cache.Snapshot().misses, 3u);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 }  // namespace
