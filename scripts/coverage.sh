@@ -14,9 +14,10 @@
 # src/core/serving.cc (the serve driver), src/storage/table_heap.cc (heap
 # scans, the copy loop's Seek, and their read-error paths),
 # src/engine/cost_cache.cc (interning and the id-tuple outcome map),
-# src/core/cost_estimator.cc (the planners' cost-cache keys) and
+# src/core/cost_estimator.cc (the planners' cost-cache keys),
 # src/core/logical_database.cc (entity rows, row plans and the tenant
-# load). With gcovr installed, writes coverage.xml (Cobertura) and
+# load) and src/storage/database.cc (the catalog, index maintenance and
+# ANALYZE). With gcovr installed, writes coverage.xml (Cobertura) and
 # coverage.txt into the build dir for CI to upload; without it, falls back
 # to plain gcov for the floor check and skips the report artifact.
 set -euo pipefail
@@ -52,6 +53,7 @@ target_files=(
   "src/engine/cost_cache.cc"
   "src/core/cost_estimator.cc"
   "src/core/logical_database.cc"
+  "src/storage/database.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then

@@ -15,6 +15,39 @@ void PutU64(std::string* out, uint64_t v) {
   std::memcpy(buf, &v, 8);
   out->append(buf, 8);
 }
+
+/// Reads the cursor's next column, which is non-NULL and of type `t`, and
+/// appends it to `out`; with `out` null, only steps over its bytes. False
+/// when the bytes run out (the cursor's Error() says where).
+inline bool ReadColumn(TupleCursor* cur, TypeId t, std::vector<Value>* out) {
+  switch (t) {
+    case TypeId::kBoolean: {
+      bool b = false;
+      if (!cur->ReadBool(&b)) return false;
+      if (out != nullptr) out->push_back(Value::Bool(b));
+      break;
+    }
+    case TypeId::kInt64: {
+      int64_t i = 0;
+      if (!cur->ReadInt(&i)) return false;
+      if (out != nullptr) out->push_back(Value::Int(i));
+      break;
+    }
+    case TypeId::kDouble: {
+      double d = 0;
+      if (!cur->ReadDouble(&d)) return false;
+      if (out != nullptr) out->push_back(Value::Double(d));
+      break;
+    }
+    case TypeId::kVarchar: {
+      std::string_view s;
+      if (!cur->ReadVarchar(&s)) return false;
+      if (out != nullptr) out->push_back(Value::Varchar(std::string(s)));
+      break;
+    }
+  }
+  return true;
+}
 }  // namespace
 
 Status TupleCodec::Serialize(const TableSchema& schema, const Row& row, std::string* out) {
@@ -60,55 +93,17 @@ Status TupleCodec::Serialize(const TableSchema& schema, const Row& row, std::str
 Status TupleCodec::Deserialize(const TableSchema& schema, const char* data, size_t size,
                                Row* out) {
   const size_t n = schema.num_columns();
-  const size_t bitmap_bytes = (n + 7) / 8;
-  if (size < bitmap_bytes) return Status::Internal("tuple too short for null bitmap");
-  const char* bitmap = data;
-  size_t pos = bitmap_bytes;
+  TupleCursor cur(data, size, n);
+  PSE_RETURN_NOT_OK(cur.Open());
   out->clear();
   out->reserve(n);
   for (size_t i = 0; i < n; ++i) {
     const TypeId t = schema.column(i).type;
-    bool is_null = (bitmap[i / 8] >> (i % 8)) & 1;
-    if (is_null) {
+    if (cur.IsNull(i)) {
       out->push_back(Value::Null(t));
       continue;
     }
-    switch (t) {
-      case TypeId::kBoolean: {
-        if (pos + 1 > size) return Status::Internal("tuple truncated (bool)");
-        out->push_back(Value::Bool(data[pos] != 0));
-        pos += 1;
-        break;
-      }
-      case TypeId::kInt64: {
-        if (pos + 8 > size) return Status::Internal("tuple truncated (int)");
-        uint64_t v;
-        std::memcpy(&v, data + pos, 8);
-        out->push_back(Value::Int(static_cast<int64_t>(v)));
-        pos += 8;
-        break;
-      }
-      case TypeId::kDouble: {
-        if (pos + 8 > size) return Status::Internal("tuple truncated (double)");
-        uint64_t bits;
-        std::memcpy(&bits, data + pos, 8);
-        double d;
-        std::memcpy(&d, &bits, 8);
-        out->push_back(Value::Double(d));
-        pos += 8;
-        break;
-      }
-      case TypeId::kVarchar: {
-        if (pos + 4 > size) return Status::Internal("tuple truncated (varchar len)");
-        uint32_t len;
-        std::memcpy(&len, data + pos, 4);
-        pos += 4;
-        if (pos + len > size) return Status::Internal("tuple truncated (varchar data)");
-        out->push_back(Value::Varchar(std::string(data + pos, len)));
-        pos += len;
-        break;
-      }
-    }
+    if (!ReadColumn(&cur, t, out)) return cur.Error();
   }
   return Status::OK();
 }
@@ -117,61 +112,16 @@ Status TupleCodec::DeserializeColumns(const TableSchema& schema, const char* dat
                                       const std::vector<size_t>& wanted,
                                       const std::vector<std::vector<Value>*>& cols) {
   const size_t n = schema.num_columns();
-  const size_t bitmap_bytes = (n + 7) / 8;
-  if (size < bitmap_bytes) return Status::Internal("tuple too short for null bitmap");
-  const char* bitmap = data;
-  size_t pos = bitmap_bytes;
+  TupleCursor cur(data, size, n);
+  PSE_RETURN_NOT_OK(cur.Open());
   size_t k = 0;  // next entry of `wanted` to satisfy
   for (size_t i = 0; i < n && k < wanted.size(); ++i) {
     const bool want = wanted[k] == i;
     const TypeId t = schema.column(i).type;
-    const bool is_null = (bitmap[i / 8] >> (i % 8)) & 1;
-    if (is_null) {
-      if (want) {
-        cols[k]->push_back(Value::Null(t));
-        ++k;
-      }
-      continue;
-    }
-    switch (t) {
-      case TypeId::kBoolean: {
-        if (pos + 1 > size) return Status::Internal("tuple truncated (bool)");
-        if (want) cols[k]->push_back(Value::Bool(data[pos] != 0));
-        pos += 1;
-        break;
-      }
-      case TypeId::kInt64: {
-        if (pos + 8 > size) return Status::Internal("tuple truncated (int)");
-        if (want) {
-          uint64_t v;
-          std::memcpy(&v, data + pos, 8);
-          cols[k]->push_back(Value::Int(static_cast<int64_t>(v)));
-        }
-        pos += 8;
-        break;
-      }
-      case TypeId::kDouble: {
-        if (pos + 8 > size) return Status::Internal("tuple truncated (double)");
-        if (want) {
-          uint64_t bits;
-          std::memcpy(&bits, data + pos, 8);
-          double d;
-          std::memcpy(&d, &bits, 8);
-          cols[k]->push_back(Value::Double(d));
-        }
-        pos += 8;
-        break;
-      }
-      case TypeId::kVarchar: {
-        if (pos + 4 > size) return Status::Internal("tuple truncated (varchar len)");
-        uint32_t len;
-        std::memcpy(&len, data + pos, 4);
-        pos += 4;
-        if (pos + len > size) return Status::Internal("tuple truncated (varchar data)");
-        if (want) cols[k]->push_back(Value::Varchar(std::string(data + pos, len)));
-        pos += len;
-        break;
-      }
+    if (cur.IsNull(i)) {
+      if (want) cols[k]->push_back(Value::Null(t));
+    } else {
+      if (!ReadColumn(&cur, t, want ? cols[k] : nullptr)) return cur.Error();
     }
     if (want) ++k;
   }
@@ -179,27 +129,6 @@ Status TupleCodec::DeserializeColumns(const TableSchema& schema, const char* dat
     return Status::InvalidArgument("wanted column position out of range for schema");
   }
   return Status::OK();
-}
-
-size_t TupleCodec::SerializedSize(const TableSchema& schema, const Row& row) {
-  const size_t n = schema.num_columns();
-  size_t sz = (n + 7) / 8;
-  for (size_t i = 0; i < n && i < row.size(); ++i) {
-    if (row[i].is_null()) continue;
-    switch (schema.column(i).type) {
-      case TypeId::kBoolean:
-        sz += 1;
-        break;
-      case TypeId::kInt64:
-      case TypeId::kDouble:
-        sz += 8;
-        break;
-      case TypeId::kVarchar:
-        sz += 4 + row[i].AsString().size();
-        break;
-    }
-  }
-  return sz;
 }
 
 std::string RowToString(const Row& row) {

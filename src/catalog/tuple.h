@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -35,9 +37,77 @@ class TupleCodec {
   static Status DeserializeColumns(const TableSchema& schema, const char* data, size_t size,
                                    const std::vector<size_t>& wanted,
                                    const std::vector<std::vector<Value>*>& cols);
+};
 
-  /// Serialized size of a row without materializing the bytes.
-  static size_t SerializedSize(const TableSchema& schema, const Row& row);
+/// \brief Reads one serialized tuple's columns in place, first to last.
+///
+/// The layout's one reader: Deserialize and DeserializeColumns decode
+/// through it, and ANALYZE reads column values with it without building a
+/// Value. Construct it over the tuple's bytes and check Open(); then, for
+/// each column in order, either IsNull() holds or the caller makes exactly
+/// one read of the column's type. Every read is bounds-checked: it returns
+/// false when the bytes run out, and Error() is then Deserialize's status
+/// for those bytes. A VARCHAR comes back as a view into the bytes.
+class TupleCursor {
+ public:
+  TupleCursor(const char* data, size_t size, size_t num_columns)
+      : data_(data), size_(size), pos_((num_columns + 7) / 8) {}
+
+  /// Fails when the bytes cannot hold the null bitmap.
+  Status Open() const {
+    if (size_ < pos_) return Status::Internal("tuple too short for null bitmap");
+    return Status::OK();
+  }
+
+  /// Column `i` is NULL (it then has no bytes to read).
+  bool IsNull(size_t i) const { return (data_[i / 8] >> (i % 8)) & 1; }
+
+  bool ReadBool(bool* out) {
+    if (pos_ + 1 > size_) return Fail("bool");
+    *out = data_[pos_] != 0;
+    pos_ += 1;
+    return true;
+  }
+  bool ReadInt(int64_t* out) {
+    if (pos_ + 8 > size_) return Fail("int");
+    uint64_t v = 0;
+    std::memcpy(&v, data_ + pos_, 8);
+    *out = static_cast<int64_t>(v);
+    pos_ += 8;
+    return true;
+  }
+  bool ReadDouble(double* out) {
+    if (pos_ + 8 > size_) return Fail("double");
+    std::memcpy(out, data_ + pos_, 8);
+    pos_ += 8;
+    return true;
+  }
+  bool ReadVarchar(std::string_view* out) {
+    if (pos_ + 4 > size_) return Fail("varchar len");
+    uint32_t len = 0;
+    std::memcpy(&len, data_ + pos_, 4);
+    pos_ += 4;
+    if (pos_ + len > size_) return Fail("varchar data");
+    *out = std::string_view(data_ + pos_, len);
+    pos_ += len;
+    return true;
+  }
+
+  /// Why the last read failed.
+  Status Error() const {
+    return Status::Internal(std::string("tuple truncated (") + truncated_ + ")");
+  }
+
+ private:
+  bool Fail(const char* what) {
+    truncated_ = what;
+    return false;
+  }
+
+  const char* data_;
+  size_t size_;
+  size_t pos_;                       ///< next unread byte
+  const char* truncated_ = nullptr;  ///< what the failed read lacked bytes for
 };
 
 /// \brief Serialized tuples stored back to back.

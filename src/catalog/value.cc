@@ -41,27 +41,31 @@ size_t Value::Hash() const {
   if (null_) return 0x9E3779B9;
   switch (type_) {
     case TypeId::kBoolean:
-    case TypeId::kInt64: {
-      // Hash ints via their double-compatible value when integral fits, so
-      // Int(2) and Double(2.0) (which Compare as equal) hash alike.
-      double d = AsDouble();
-      if (d == std::floor(d) && std::isfinite(d)) {
-        return std::hash<int64_t>()(AsInt());
-      }
-      return std::hash<double>()(d);
-    }
-    case TypeId::kDouble: {
-      double d = AsDouble();
-      if (d == std::floor(d) && std::isfinite(d) && d >= -9.2e18 && d <= 9.2e18) {
-        return std::hash<int64_t>()(static_cast<int64_t>(d));
-      }
-      return std::hash<double>()(d);
-    }
+    case TypeId::kInt64:
+      return HashInt(AsInt());
+    case TypeId::kDouble:
+      return HashDouble(AsDouble());
     case TypeId::kVarchar:
-      return std::hash<std::string>()(AsString());
+      return HashString(AsString());
   }
   return 0;
 }
+
+size_t Value::HashInt(int64_t i) {
+  // Every int64 converts to a finite integral double, and an integral
+  // DOUBLE in range hashes as the int64 it converts to, so Int(2) and
+  // Double(2.0) (which Compare as equal) hash alike.
+  return std::hash<int64_t>()(i);
+}
+
+size_t Value::HashDouble(double d) {
+  if (d == std::floor(d) && std::isfinite(d) && d >= -9.2e18 && d <= 9.2e18) {
+    return std::hash<int64_t>()(static_cast<int64_t>(d));
+  }
+  return std::hash<double>()(d);
+}
+
+size_t Value::HashString(std::string_view s) { return std::hash<std::string_view>()(s); }
 
 Result<Value> Value::CastTo(TypeId target) const {
   if (null_) return Value::Null(target);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "catalog/type.h"
@@ -55,8 +56,17 @@ class Value {
   }
 
   /// Hash consistent with Compare()==0 (NULLs hash alike; int/double that
-  /// compare equal hash alike).
+  /// compare equal hash alike). The per-type parts below are its only
+  /// definition, so code that reads a column's encoded bytes can hash them
+  /// without building a Value.
   size_t Hash() const;
+
+  /// Hash() of a non-NULL BIGINT or BOOLEAN (a BOOLEAN as 0 or 1).
+  static size_t HashInt(int64_t i);
+  /// Hash() of a non-NULL DOUBLE.
+  static size_t HashDouble(double d);
+  /// Hash() of a non-NULL VARCHAR.
+  static size_t HashString(std::string_view s);
 
   /// Casts to the target type. Int<->Double, anything->Varchar via ToString,
   /// Varchar->numeric via parsing. NULL casts to NULL of target type.

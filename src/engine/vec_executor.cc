@@ -6,6 +6,8 @@
 #include <optional>
 #include <utility>
 
+#include "common/row_index_table.h"
+
 namespace pse {
 
 namespace {
@@ -328,94 +330,16 @@ class ProjectVecExecutor : public VecExecutor {
   TupleBatch in_;
 };
 
-/// Spreads every bit of `h` over the whole word (the murmur3 64-bit
-/// finalizer). Value::Hash of an integer is the integer itself —
-/// libstdc++'s std::hash<int64_t> is the identity — so masking it unmixed
-/// would send keys that differ only above the mask, such as multiples of
-/// 65,536, to one slot.
-uint64_t Mix(uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
-}
-
 /// Hash of the key formed by columns `cols` of physical row `row`.
 uint64_t HashKey(const TupleBatch& batch, const std::vector<size_t>& cols, size_t row) {
   uint64_t h = 0;
-  for (size_t c : cols) h = Mix(h + batch.At(c, row).Hash());
+  for (size_t c : cols) h = MixHash(h + batch.At(c, row).Hash());
   return h;
 }
 
-constexpr uint32_t kNoRow = UINT32_MAX;
-
-/// \brief The batch engine's one hash table: open addressing over entry ids.
-///
-/// Hash join (an entry per distinct build key), aggregation (per group) and
-/// DISTINCT (per distinct row) all key rows through it. Entries are
-/// numbered 0, 1, 2, ... in insertion order. The table holds only each
-/// entry's id and mixed hash; the caller keeps the key itself (in batches
-/// it retained, or in key columns) and answers equality through `eq(id)`,
-/// which is called only for entries whose stored hash matches. Linear
-/// probing over a power-of-two slot array at most half full; growth doubles
-/// it and re-inserts the ids in ascending order.
-class RowIndexTable {
- public:
-  size_t size() const { return hashes_.size(); }
-
-  void Clear() {
-    slots_.clear();
-    hashes_.clear();
-  }
-
-  /// The entry with mixed hash `hash` for which `eq` holds, or kNoRow.
-  template <typename Eq>
-  uint32_t Find(uint64_t hash, const Eq& eq) const {
-    if (slots_.empty()) return kNoRow;
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const uint32_t id = slots_[i];
-      if (id == kNoRow || (hashes_[id] == hash && eq(id))) return id;
-    }
-  }
-
-  /// Like Find, but appends a new entry (id = the old size()) when none
-  /// matches; `*inserted` says which happened.
-  template <typename Eq>
-  uint32_t FindOrInsert(uint64_t hash, const Eq& eq, bool* inserted) {
-    if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
-    const size_t mask = slots_.size() - 1;
-    size_t i = hash & mask;
-    for (; slots_[i] != kNoRow; i = (i + 1) & mask) {
-      const uint32_t id = slots_[i];
-      if (hashes_[id] == hash && eq(id)) {
-        *inserted = false;
-        return id;
-      }
-    }
-    const auto id = static_cast<uint32_t>(hashes_.size());
-    slots_[i] = id;
-    hashes_.push_back(hash);
-    *inserted = true;
-    return id;
-  }
-
- private:
-  void Grow() {
-    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kNoRow);
-    const size_t mask = slots_.size() - 1;
-    for (uint32_t id = 0; id < hashes_.size(); ++id) {
-      size_t i = hashes_[id] & mask;
-      while (slots_[i] != kNoRow) i = (i + 1) & mask;
-      slots_[i] = id;
-    }
-  }
-
-  std::vector<uint32_t> slots_;   ///< entry id or kNoRow
-  std::vector<uint64_t> hashes_;  ///< per entry
-};
+/// "No row" in the operators' row chains, and "no entry" from
+/// RowIndexTable::Find.
+constexpr uint32_t kNoRow = RowIndexTable::kNone;
 
 /// A RowIndexTable keyed by columns of batches the operator does not keep
 /// (aggregation, COUNT(DISTINCT), DISTINCT): each new key's values are copied into the
@@ -515,7 +439,7 @@ class HashJoinVecExecutor : public VecExecutor {
         next_.push_back(kNoRow);
         bool inserted = false;
         const uint32_t e = table_.FindOrInsert(
-            Mix(key.Hash()), [&](uint32_t id) { return BuildKey(id).Compare(key) == 0; },
+            MixHash(key.Hash()), [&](uint32_t id) { return BuildKey(id).Compare(key) == 0; },
             &inserted);
         if (inserted) {
           head_.push_back(r);
@@ -543,7 +467,7 @@ class HashJoinVecExecutor : public VecExecutor {
         const Value& key = probe_batch_.At(plan_.right_key_pos, p);
         if (key.is_null()) continue;
         const uint32_t e = table_.Find(
-            Mix(key.Hash()), [&](uint32_t id) { return BuildKey(id).Compare(key) == 0; });
+            MixHash(key.Hash()), [&](uint32_t id) { return BuildKey(id).Compare(key) == 0; });
         if (e == kNoRow) continue;
         for (uint32_t r = head_[e]; r != kNoRow; r = next_[r]) {
           probe_rows_.push_back(static_cast<uint32_t>(p));

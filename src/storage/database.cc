@@ -1,12 +1,173 @@
 #include "storage/database.h"
 
 #include <cstring>
-#include <unordered_set>
+#include <string_view>
 
 #include "common/lock_registry.h"
+#include "common/row_index_table.h"
 #include "common/string_util.h"
 
 namespace pse {
+
+namespace {
+
+/// \brief ANALYZE's scan: statistics straight from the encoded tuples.
+///
+/// Per column, the NULLs (from the null bitmap), the distinct Value::Hash
+/// values (hashed from the column's bytes through Value's per-type hash
+/// parts, counted exactly: MixHash is a bijection), and the minimum and
+/// maximum as typed scalars. A VARCHAR extreme is a view into its pinned
+/// page until PageDone copies it out. Values are built only by Finish.
+class AnalyzeScan final : public TupleVisitor {
+ public:
+  /// `expected_rows` sizes the distinct-value tables.
+  AnalyzeScan(const TableSchema& schema, uint64_t expected_rows) : cols_(schema.num_columns()) {
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      Column& c = cols_[i];
+      c.type = schema.column(i).type;
+      // A BOOLEAN has two hashes at most.
+      c.distinct.Reserve(c.type == TypeId::kBoolean ? 2 : expected_rows);
+      if (c.type == TypeId::kVarchar) varchars_.push_back(i);
+    }
+  }
+
+  Status Tuple(const char* bytes, size_t size) override {
+    ++rows_;
+    width_sum_ += static_cast<double>(size);
+    TupleCursor cur(bytes, size, cols_.size());
+    PSE_RETURN_NOT_OK(cur.Open());
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      Column& c = cols_[i];
+      if (cur.IsNull(i)) {
+        ++c.nulls;
+        continue;
+      }
+      switch (c.type) {
+        case TypeId::kBoolean: {
+          bool b = false;
+          if (!cur.ReadBool(&b)) return cur.Error();
+          AddInt(&c, b ? 1 : 0);
+          break;
+        }
+        case TypeId::kInt64: {
+          int64_t v = 0;
+          if (!cur.ReadInt(&v)) return cur.Error();
+          AddInt(&c, v);
+          break;
+        }
+        case TypeId::kDouble: {
+          double d = 0;
+          if (!cur.ReadDouble(&d)) return cur.Error();
+          // `<` and `>` order doubles as Value::Compare does: a NaN is
+          // neither, so it stays an extreme only when it came first, and
+          // of 0.0 and -0.0 the first seen stays.
+          if (!c.seen || d < c.dbl_min) c.dbl_min = d;
+          if (!c.seen || d > c.dbl_max) c.dbl_max = d;
+          Count(&c, Value::HashDouble(d));
+          break;
+        }
+        case TypeId::kVarchar: {
+          std::string_view v;
+          if (!cur.ReadVarchar(&v)) return cur.Error();
+          if (!c.seen || v < c.str_min) {
+            c.str_min = v;
+            c.min_in_page = true;
+          }
+          if (!c.seen || v > c.str_max) {
+            c.str_max = v;
+            c.max_in_page = true;
+          }
+          Count(&c, Value::HashString(v));
+          break;
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  void PageDone() override {
+    for (size_t i : varchars_) {
+      Column& c = cols_[i];
+      if (c.min_in_page) {
+        c.min_copy.assign(c.str_min);
+        c.str_min = c.min_copy;
+        c.min_in_page = false;
+      }
+      if (c.max_in_page) {
+        c.max_copy.assign(c.str_max);
+        c.str_max = c.max_copy;
+        c.max_in_page = false;
+      }
+    }
+  }
+
+  /// The statistics of a heap of `page_count` pages, once the scan is done.
+  TableStatistics Finish(const TableSchema& schema, uint64_t page_count) const {
+    TableStatistics stats;
+    stats.row_count = rows_;
+    stats.page_count = page_count;
+    stats.avg_tuple_width = rows_ > 0 ? width_sum_ / static_cast<double>(rows_) : 0.0;
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      const Column& c = cols_[i];
+      ColumnStatistics& out = stats.columns[schema.column(i).name];
+      out.num_distinct = c.distinct.size();
+      out.null_count = c.nulls;
+      if (!c.seen) continue;
+      switch (c.type) {
+        case TypeId::kBoolean:
+          out.min = Value::Bool(c.int_min != 0);
+          out.max = Value::Bool(c.int_max != 0);
+          break;
+        case TypeId::kInt64:
+          out.min = Value::Int(c.int_min);
+          out.max = Value::Int(c.int_max);
+          break;
+        case TypeId::kDouble:
+          out.min = Value::Double(c.dbl_min);
+          out.max = Value::Double(c.dbl_max);
+          break;
+        case TypeId::kVarchar:
+          out.min = Value::Varchar(std::string(c.str_min));
+          out.max = Value::Varchar(std::string(c.str_max));
+          break;
+      }
+    }
+    return stats;
+  }
+
+ private:
+  struct Column {
+    TypeId type = TypeId::kInt64;
+    uint64_t nulls = 0;
+    bool seen = false;  ///< a non-NULL value was read
+    int64_t int_min = 0, int_max = 0;  ///< BIGINT, and BOOLEAN as 0/1
+    double dbl_min = 0, dbl_max = 0;
+    std::string_view str_min, str_max;
+    bool min_in_page = false, max_in_page = false;  ///< views into the pinned page
+    std::string min_copy, max_copy;  ///< what the views point to otherwise
+    RowIndexTable distinct;
+  };
+
+  /// Counts hash `h` in column `c`'s distinct set and marks `c` seen.
+  static void Count(Column* c, size_t h) {
+    bool inserted = false;
+    c->distinct.FindOrInsert(MixHash(h), [](uint32_t) { return true; }, &inserted);
+    c->seen = true;
+  }
+
+  static void AddInt(Column* c, int64_t v) {
+    if (!c->seen || v < c->int_min) c->int_min = v;
+    if (!c->seen || v > c->int_max) c->int_max = v;
+    Count(c, Value::HashInt(v));
+  }
+
+  std::vector<Column> cols_;     ///< sized once: the views may point into it
+  std::vector<size_t> varchars_; ///< positions of the VARCHAR columns
+  uint64_t rows_ = 0;
+  double width_sum_ = 0;
+};
+
+}  // namespace
 
 const IndexInfo* TableInfo::FindIndex(const std::string& column) const {
   for (const auto& idx : indexes) {
@@ -192,39 +353,11 @@ Result<Rid> Database::Update(const std::string& table, const Rid& rid, const Row
 
 Status Database::Analyze(const std::string& table) {
   PSE_ASSIGN_OR_RETURN(TableInfo * t, GetTable(table));
-  TableStatistics stats;
-  const TableSchema& schema = *t->schema;
-  std::vector<std::unordered_set<size_t>> distinct(schema.num_columns());
-  std::vector<ColumnStatistics> cols(schema.num_columns());
-  uint64_t rows = 0;
-  double width_sum = 0;
-  PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, t->heap->Begin());
-  while (!it.AtEnd()) {
-    const Row& row = it.row();
-    ++rows;
-    width_sum += static_cast<double>(TupleCodec::SerializedSize(schema, row));
-    for (size_t i = 0; i < schema.num_columns(); ++i) {
-      const Value& v = row[i];
-      if (v.is_null()) {
-        ++cols[i].null_count;
-        continue;
-      }
-      distinct[i].insert(v.Hash());
-      if (!cols[i].min.has_value() || v.Compare(*cols[i].min) < 0) cols[i].min = v;
-      if (!cols[i].max.has_value() || v.Compare(*cols[i].max) > 0) cols[i].max = v;
-    }
-    PSE_RETURN_NOT_OK(it.Next());
-  }
-  stats.row_count = rows;
-  stats.page_count = t->heap->NumPages();
-  stats.avg_tuple_width = rows > 0 ? width_sum / static_cast<double>(rows) : 0.0;
-  for (size_t i = 0; i < schema.num_columns(); ++i) {
-    cols[i].num_distinct = distinct[i].size();
-    stats.columns[schema.column(i).name] = cols[i];
-  }
-  t->stats = std::move(stats);
+  AnalyzeScan scan(*t->schema, t->row_count);
+  PSE_RETURN_NOT_OK(t->heap->ScanTuples(&scan));
+  t->stats = scan.Finish(*t->schema, t->heap->NumPages());
   t->stats_valid = true;
-  t->row_count = rows;
+  t->row_count = t->stats.row_count;
   return Status::OK();
 }
 

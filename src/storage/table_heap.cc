@@ -199,6 +199,27 @@ Status TableHeap::TruncateChain(uint64_t keep_pages) {
   return Status::OK();
 }
 
+template <typename OnTuple, typename OnPageDone>
+Result<bool> TableHeap::Walk(PageId pid, uint32_t slot, OnTuple&& on_tuple,
+                             OnPageDone&& on_page_done) const {
+  while (pid != kInvalidPageId) {
+    PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(pid));
+    const char* p = guard.data();
+    const uint16_t slot_count = GetU16(p, 4);
+    for (; slot < slot_count; ++slot) {
+      const Slot s = GetSlot(p, static_cast<uint16_t>(slot));
+      if (s.offset == 0) continue;
+      PSE_ASSIGN_OR_RETURN(bool more,
+                           on_tuple(Rid{pid, static_cast<uint16_t>(slot)}, p + s.offset, s.size));
+      if (!more) return true;
+    }
+    on_page_done();
+    pid = GetU32(p, 0);
+    slot = 0;
+  }
+  return false;
+}
+
 Result<TableHeap::Iterator> TableHeap::Begin() const { return Seek(Rid{first_page_, 0}); }
 
 Result<TableHeap::Iterator> TableHeap::Seek(const Rid& rid) const {
@@ -208,39 +229,47 @@ Result<TableHeap::Iterator> TableHeap::Seek(const Rid& rid) const {
   return it;
 }
 
+Status TableHeap::ScanTuples(TupleVisitor* visitor) const {
+  return Walk(
+             first_page_, 0,
+             [visitor](Rid, const char* bytes, size_t size) -> Result<bool> {
+               PSE_RETURN_NOT_OK(visitor->Tuple(bytes, size));
+               return true;
+             },
+             [visitor] { visitor->PageDone(); })
+      .status();
+}
+
 Status TableHeap::Iterator::Next() { return Advance(/*include_current=*/false); }
+
+Status TableHeap::Iterator::TakeCurrent(Rid rid, const char* bytes, size_t size) {
+  rid_ = rid;
+  return TupleCodec::Deserialize(*heap_->schema_, bytes, size, &row_);
+}
 
 Result<size_t> TableHeap::Iterator::FillBatch(size_t max_rows, std::vector<Row>* out) {
   if (at_end_ || max_rows == 0) return size_t{0};
   // The current tuple is already deserialized; hand it over directly.
   out->push_back(std::move(row_));
   size_t added = 1;
-  PageId pid = rid_.page_id;
-  uint32_t slot = rid_.slot + 1u;
-  while (pid != kInvalidPageId) {
-    PSE_ASSIGN_OR_RETURN(PageGuard guard, heap_->pool_->FetchPage(pid));
-    const char* p = guard.data();
-    uint16_t slot_count = GetU16(p, 4);
-    while (slot < slot_count) {
-      Slot s = GetSlot(p, static_cast<uint16_t>(slot));
-      if (s.offset != 0) {
-        if (added == max_rows) {
-          // Batch full: this tuple becomes the iterator's current row.
-          rid_ = Rid{pid, static_cast<uint16_t>(slot)};
-          PSE_RETURN_NOT_OK(TupleCodec::Deserialize(*heap_->schema_, p + s.offset, s.size, &row_));
-          return added;
-        }
-        Row r;
-        PSE_RETURN_NOT_OK(TupleCodec::Deserialize(*heap_->schema_, p + s.offset, s.size, &r));
-        out->push_back(std::move(r));
-        ++added;
-      }
-      ++slot;
-    }
-    pid = GetU32(p, 0);
-    slot = 0;
-  }
-  at_end_ = true;
+  PSE_ASSIGN_OR_RETURN(
+      bool stopped,
+      heap_->Walk(
+          rid_.page_id, rid_.slot + 1u,
+          [&](Rid rid, const char* bytes, size_t size) -> Result<bool> {
+            if (added == max_rows) {
+              // Batch full: this tuple becomes the iterator's current row.
+              PSE_RETURN_NOT_OK(TakeCurrent(rid, bytes, size));
+              return false;
+            }
+            Row r;
+            PSE_RETURN_NOT_OK(TupleCodec::Deserialize(*heap_->schema_, bytes, size, &r));
+            out->push_back(std::move(r));
+            ++added;
+            return true;
+          },
+          [] {}));
+  at_end_ = !stopped;
   return added;
 }
 
@@ -250,52 +279,36 @@ Result<size_t> TableHeap::Iterator::FillTupleBytes(size_t max_rows, TupleBytes* 
   // (as in FillBatch), so its bytes come from there rather than from the
   // already-decoded row_.
   size_t added = 0;
-  PageId pid = rid_.page_id;
-  uint32_t slot = rid_.slot;
-  while (pid != kInvalidPageId) {
-    PSE_ASSIGN_OR_RETURN(PageGuard guard, heap_->pool_->FetchPage(pid));
-    const char* p = guard.data();
-    uint16_t slot_count = GetU16(p, 4);
-    while (slot < slot_count) {
-      Slot s = GetSlot(p, static_cast<uint16_t>(slot));
-      if (s.offset != 0) {
-        if (added == max_rows) {
-          // Batch full: this tuple becomes the iterator's current row.
-          rid_ = Rid{pid, static_cast<uint16_t>(slot)};
-          PSE_RETURN_NOT_OK(TupleCodec::Deserialize(*heap_->schema_, p + s.offset, s.size, &row_));
-          return added;
-        }
-        out->Append(p + s.offset, s.size);
-        ++added;
-      }
-      ++slot;
-    }
-    pid = GetU32(p, 0);
-    slot = 0;
-  }
-  at_end_ = true;
+  PSE_ASSIGN_OR_RETURN(
+      bool stopped,
+      heap_->Walk(
+          rid_.page_id, rid_.slot,
+          [&](Rid rid, const char* bytes, size_t size) -> Result<bool> {
+            if (added == max_rows) {
+              // Batch full: this tuple becomes the iterator's current row.
+              PSE_RETURN_NOT_OK(TakeCurrent(rid, bytes, size));
+              return false;
+            }
+            out->Append(bytes, size);
+            ++added;
+            return true;
+          },
+          [] {}));
+  at_end_ = !stopped;
   return added;
 }
 
 Status TableHeap::Iterator::Advance(bool include_current) {
-  PageId pid = rid_.page_id;
-  uint32_t slot = include_current ? rid_.slot : rid_.slot + 1u;
-  while (pid != kInvalidPageId) {
-    PSE_ASSIGN_OR_RETURN(PageGuard guard, heap_->pool_->FetchPage(pid));
-    const char* p = guard.data();
-    uint16_t slot_count = GetU16(p, 4);
-    while (slot < slot_count) {
-      Slot s = GetSlot(p, static_cast<uint16_t>(slot));
-      if (s.offset != 0) {
-        rid_ = Rid{pid, static_cast<uint16_t>(slot)};
-        return TupleCodec::Deserialize(*heap_->schema_, p + s.offset, s.size, &row_);
-      }
-      ++slot;
-    }
-    pid = GetU32(p, 0);
-    slot = 0;
-  }
-  at_end_ = true;
+  const uint32_t slot = include_current ? rid_.slot : rid_.slot + 1u;
+  PSE_ASSIGN_OR_RETURN(bool stopped,
+                       heap_->Walk(
+                           rid_.page_id, slot,
+                           [this](Rid rid, const char* bytes, size_t size) -> Result<bool> {
+                             PSE_RETURN_NOT_OK(TakeCurrent(rid, bytes, size));
+                             return false;
+                           },
+                           [] {}));
+  at_end_ = !stopped;
   return Status::OK();
 }
 

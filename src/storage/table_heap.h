@@ -20,6 +20,21 @@
 
 namespace pse {
 
+/// \brief Receives the live tuples of TableHeap::ScanTuples as bytes, in
+/// heap order.
+class TupleVisitor {
+ public:
+  /// One live tuple. `bytes` points into its pinned page and stays valid
+  /// until the next PageDone(); an error ends the scan with it.
+  virtual Status Tuple(const char* bytes, size_t size) = 0;
+  /// The scan is about to unpin the page of every tuple since the last
+  /// call: their bytes become invalid.
+  virtual void PageDone() = 0;
+
+ protected:
+  ~TupleVisitor() = default;
+};
+
 /// \brief Unordered collection of rows for one table.
 ///
 /// Rows are serialized with TupleCodec. Updates that no longer fit in place
@@ -95,6 +110,8 @@ class TableHeap {
     /// Scans forward from the current position to the next live slot; the
     /// current slot itself counts when `include_current`.
     Status Advance(bool include_current);
+    /// Makes the tuple at `rid` the current one, decoding it into row_.
+    Status TakeCurrent(Rid rid, const char* bytes, size_t size);
 
     const TableHeap* heap_ = nullptr;
     bool at_end_ = false;
@@ -118,6 +135,11 @@ class TableHeap {
   /// the slot may lie past that page's slot count. The migration copy loop
   /// re-positions at its journal frontier this way at every batch.
   Result<Iterator> Seek(const Rid& rid) const;
+
+  /// \brief Hands every live tuple's bytes to `visitor`, page by page,
+  /// while the page is pinned: one fetch per page of the chain, in the
+  /// order an iterator visits them, and no decoding. ANALYZE's scan.
+  Status ScanTuples(TupleVisitor* visitor) const;
 
   /// \brief Counts live tuples without deserializing them, defensively.
   ///
@@ -148,6 +170,19 @@ class TableHeap {
   static uint16_t SlotCount(const char* page);
   static uint16_t FreeEnd(const char* page);
   static PageId NextPage(const char* page);
+
+  /// \brief The one heap walk under every scan.
+  ///
+  /// From slot `slot` of page `pid` along the chain, calls
+  /// `on_tuple(Rid, const char* bytes, size_t size)` for each live tuple
+  /// while its page is pinned, fetching each page once, and
+  /// `on_page_done()` after the last tuple of each page. `on_tuple`
+  /// returns Result<bool>: false stops the walk at that tuple, an error
+  /// fails it. Returns true when `on_tuple` stopped it, false when it
+  /// reached the end of the chain.
+  template <typename OnTuple, typename OnPageDone>
+  Result<bool> Walk(PageId pid, uint32_t slot, OnTuple&& on_tuple,
+                    OnPageDone&& on_page_done) const;
 
   BufferPool* pool_ = nullptr;
   const TableSchema* schema_ = nullptr;
