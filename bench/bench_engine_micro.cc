@@ -6,8 +6,9 @@
 // Invoked with --json=PATH the binary skips the google-benchmark suite and
 // instead times one plan per batch operator — scan->filter->project, a
 // 1%-selective scan of a wide table, a hash join, a GROUP BY over 10,000
-// groups and a DISTINCT — checks that every run returns exactly the
-// expected rows, and emits BENCH_engine_micro.json for scripts/bench.sh.
+// groups and a DISTINCT — and writes BENCH_engine_micro.json for
+// scripts/bench.sh. It exits 1 unless every run returns exactly the
+// expected rows.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "core/rewriter.h"
 #include "core/virtual_catalog.h"
@@ -138,17 +140,8 @@ BENCHMARK(BM_CostEstimateQuery);
 
 // --- per-operator timing harness (--json mode) ---
 
-/// One timed plan: the same plan executed `reps` times.
-struct PipelineTiming {
-  size_t rows = 0;      ///< rows the plan's scans read per run
-  size_t out_rows = 0;  ///< rows each run returns
-  size_t reps = 0;
-  double ms = 0;        ///< total execution wall time over `reps` runs
-  double rows_per_s() const {
-    return ms > 0 ? static_cast<double>(rows) * static_cast<double>(reps) / (ms / 1000.0)
-                  : 0.0;
-  }
-};
+/// Runs per timed plan: each run is one sample of its `ms` and `rows_per_s`.
+constexpr size_t kReps = 20;
 
 /// `rows` in lexicographic Value::Compare order.
 std::vector<Row> Sorted(std::vector<Row> rows) {
@@ -162,11 +155,12 @@ std::vector<Row> Sorted(std::vector<Row> rows) {
   return rows;
 }
 
-/// Plans `q` once and executes it `reps` times, timing only the
-/// executions. Returns 1 unless every run returns exactly `want` (compared
-/// as sorted row multisets, outside the timed region).
+/// Plans `q` once, executes it kReps times, timing only the executions,
+/// records each run on `row` and prints the median. Returns 1 unless every
+/// run returns exactly `want` (compared as sorted row multisets, outside the
+/// timed region).
 int TimeQuery(const char* name, Database* db, const BoundQuery& q, std::vector<Row> want,
-              size_t rows_read, size_t reps, PipelineTiming* out) {
+              size_t rows_read, bench::BenchJson::Row* row) {
   DatabaseCatalogView view(db);
   auto plan = PlanQuery(q, view);
   if (!plan.ok()) {
@@ -174,21 +168,31 @@ int TimeQuery(const char* name, Database* db, const BoundQuery& q, std::vector<R
     return 1;
   }
   want = Sorted(std::move(want));
-  out->rows = rows_read;
-  out->out_rows = want.size();
-  out->reps = reps;
-  out->ms = 0;
+  row->Text("micro", name);
+  row->Count("rows", rows_read);
   int rc = 0;
-  for (size_t r = 0; r < reps; ++r) {
+  std::vector<double> ms;
+  for (size_t r = 0; r < kReps; ++r) {
     Stopwatch timer;
     auto got = ExecutePlan(**plan, db);
-    out->ms += timer.ElapsedSeconds() * 1000.0;
-    if (!got.ok() || Sorted(std::move(*got)) != want) {
-      std::fprintf(stderr, "%s: run %zu returned %s\n", name, r,
-                   got.ok() ? "the wrong rows" : got.status().ToString().c_str());
+    const double run_ms = timer.ElapsedSeconds() * 1000.0;
+    if (!got.ok()) {
+      std::fprintf(stderr, "%s: run %zu: %s\n", name, r, got.status().ToString().c_str());
+      rc = 1;
+      continue;
+    }
+    row->Count("out_rows", got->size());
+    row->Sample("ms", run_ms);
+    row->Sample("rows_per_s", static_cast<double>(rows_read) / (run_ms / 1000.0));
+    ms.push_back(run_ms);
+    if (Sorted(std::move(*got)) != want) {
+      std::fprintf(stderr, "%s: run %zu returned the wrong rows\n", name, r);
       rc = 1;
     }
   }
+  const double median_ms = bench::Summarize(ms).median;
+  std::printf("%-22s %10zu %10zu %10.3f %14.0f\n", name, rows_read, want.size(), median_ms,
+              median_ms > 0 ? static_cast<double>(rows_read) / (median_ms / 1000.0) : 0.0);
   return rc;
 }
 
@@ -263,16 +267,11 @@ Status AddFactTables(Database* db, size_t rows, size_t keys) {
   return Status::OK();
 }
 
-/// The timed plans, in JSON order.
-struct EngineMicros {
-  PipelineTiming scan_filter_project, selective_scan, hash_join, group_by, distinct;
-};
-
-int RunEngineMicros(EngineMicros* m) {
+/// Times one plan per batch operator into `json`'s "micros" section.
+int RunEngineMicros(bench::BenchJson* json) {
   constexpr size_t kRows = 100000;      // t and f
   constexpr size_t kPadRows = 20000;    // w
   constexpr size_t kKeys = 10000;       // d, and f's distinct fk values
-  constexpr size_t kReps = 20;
   Database db(16384);
   Status built = AddWideTable(&db, kRows);
   if (built.ok()) built = AddPaddedTable(&db, kPadRows);
@@ -282,7 +281,11 @@ int RunEngineMicros(EngineMicros* m) {
     std::fprintf(stderr, "engine micro setup: %s\n", built.ToString().c_str());
     return 1;
   }
+  std::printf("=== engine micro: one plan per operator, median of %zu runs each ===\n"
+              "%-22s %10s %10s %10s %14s\n",
+              kReps, "plan", "rows", "out-rows", "ms", "rows/s");
   int rc = 0;
+  size_t i = 0;
 
   {  // SELECT id, a+b FROM t WHERE a < 48: about half the rows survive.
     BoundQuery q;
@@ -299,8 +302,8 @@ int RunEngineMicros(EngineMicros* m) {
     for (int64_t k = 0; k < static_cast<int64_t>(kRows); ++k) {
       if (k % 97 < 48) want.push_back({Value::Int(k), Value::Int(k % 97 + k % 13)});
     }
-    rc |= TimeQuery("scan_filter_project", &db, q, std::move(want), kRows, kReps,
-                    &m->scan_filter_project);
+    rc |= TimeQuery("scan_filter_project", &db, q, std::move(want), kRows,
+                    &json->At("micros", i++));
   }
   {  // SELECT id, pad FROM w WHERE a = 7: 1% of the rows, each 300 chars wide.
     BoundQuery q;
@@ -315,8 +318,8 @@ int RunEngineMicros(EngineMicros* m) {
       pad.resize(300, 'x');
       want.push_back({Value::Int(k), Value::Varchar(pad)});
     }
-    rc |= TimeQuery("selective_scan", &db, q, std::move(want), kPadRows, kReps,
-                    &m->selective_scan);
+    rc |= TimeQuery("selective_scan", &db, q, std::move(want), kPadRows,
+                    &json->At("micros", i++));
   }
   {  // SELECT f.id, d.name FROM f JOIN d ON f.fk = d.did: one match per f row.
     BoundQuery q;
@@ -330,8 +333,8 @@ int RunEngineMicros(EngineMicros* m) {
       want.push_back(
           {Value::Int(k), Value::Varchar(Tagged("n", k % static_cast<int64_t>(kKeys)))});
     }
-    rc |= TimeQuery("hash_join", &db, q, std::move(want), kRows + kKeys, kReps,
-                    &m->hash_join);
+    rc |= TimeQuery("hash_join", &db, q, std::move(want), kRows + kKeys,
+                    &json->At("micros", i++));
   }
   {  // SELECT fk, COUNT(*), SUM(v) FROM f GROUP BY fk: 10,000 groups.
     BoundQuery q;
@@ -350,7 +353,7 @@ int RunEngineMicros(EngineMicros* m) {
       want.push_back({Value::Int(static_cast<int64_t>(g)), Value::Int(count[g]),
                       Value::Int(sum[g])});
     }
-    rc |= TimeQuery("group_by", &db, q, std::move(want), kRows, kReps, &m->group_by);
+    rc |= TimeQuery("group_by", &db, q, std::move(want), kRows, &json->At("micros", i++));
   }
   {  // SELECT DISTINCT fk FROM f: 10,000 distinct values.
     BoundQuery q;
@@ -361,53 +364,17 @@ int RunEngineMicros(EngineMicros* m) {
     for (size_t g = 0; g < kKeys; ++g) {
       want.push_back({Value::Int(static_cast<int64_t>(g))});
     }
-    rc |= TimeQuery("distinct", &db, q, std::move(want), kRows, kReps, &m->distinct);
+    rc |= TimeQuery("distinct", &db, q, std::move(want), kRows, &json->At("micros", i++));
   }
   return rc;
 }
 
-void WriteEngineJson(const std::string& path, const EngineMicros& m) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  const std::pair<const char*, const PipelineTiming*> rows[] = {
-      {"scan_filter_project", &m.scan_filter_project},
-      {"selective_scan", &m.selective_scan},
-      {"hash_join", &m.hash_join},
-      {"group_by", &m.group_by},
-      {"distinct", &m.distinct}};
-  std::fprintf(f, "{\n  \"bench\": \"engine_micro\"");
-  for (const auto& [name, t] : rows) {
-    std::fprintf(f,
-                 ",\n  \"%s\": {\"rows\": %zu, \"out_rows\": %zu, \"reps\": %zu, "
-                 "\"ms\": %.2f, \"rows_per_s\": %.0f}",
-                 name, t->rows, t->out_rows, t->reps, t->ms, t->rows_per_s());
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
 /// Entry point of the --json timing mode.
 int RunEngineTiming(const std::string& json_path) {
-  EngineMicros m;
-  int rc = RunEngineMicros(&m);
-  std::printf("=== engine micro: one plan per operator, %zu runs each ===\n"
-              "%-22s %10s %10s %10s %14s\n",
-              m.scan_filter_project.reps, "plan", "rows", "out-rows", "ms", "rows/s");
-  const std::pair<const char*, const PipelineTiming*> rows[] = {
-      {"scan-filter-project", &m.scan_filter_project},
-      {"selective-scan", &m.selective_scan},
-      {"hash-join", &m.hash_join},
-      {"group-by", &m.group_by},
-      {"distinct", &m.distinct}};
-  for (const auto& [name, t] : rows) {
-    std::printf("%-22s %10zu %10zu %10.1f %14.0f\n", name, t->rows, t->out_rows, t->ms,
-                t->rows_per_s());
-  }
-  if (!json_path.empty()) WriteEngineJson(json_path, m);
+  bench::BenchJson json("engine_micro");
+  int rc = RunEngineMicros(&json);
+  if (!json.ok()) rc = 1;
+  if (!json.Write(json_path)) rc = 1;
   return rc;
 }
 

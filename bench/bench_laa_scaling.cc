@@ -12,9 +12,13 @@
 //                (m = 16), the acceptance shape for pruned LAA.
 //
 // For each point the bench runs pruned LAA, brute-force LAA (where feasible),
-// and GAA, checks the pruned and brute costs agree, and prints a table.
-// --json=PATH additionally emits machine-readable rows (BENCH_laa_scaling.json
-// via scripts/bench.sh).
+// and GAA, and prints a table; then it runs the Pro-Schema simulation in
+// online mode for three batch configurations. --json=PATH additionally
+// writes the rows (BENCH_laa_scaling.json via scripts/bench.sh).
+//
+// The binary checks its own results and exits 1 when the pruned,
+// brute-force and cached LAA costs differ, when an online configuration
+// commits no batch, or when a count reads differently on two repeats.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -24,8 +28,6 @@
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "core/mapping.h"
-#include "core/migration_executor.h"
-#include "core/serving.h"
 #include "core/simulation.h"
 #include "engine/cost_cache.h"
 
@@ -158,7 +160,8 @@ struct OnlineRow {
 };
 
 /// Runs the Pro-Schema situation online over a small independent instance
-/// for each (batch size, I/O budget) configuration.
+/// for each (batch size, I/O budget) configuration. Returns 1 when a run
+/// fails or commits no batch.
 int RunOnline(std::vector<OnlineRow>* out) {
   Synthetic s = MakeIndependent(4);
   FillData(&s, 512);
@@ -185,6 +188,11 @@ int RunOnline(std::vector<OnlineRow>* out) {
       std::fprintf(stderr, "online Pro: %s\n", pro.status().ToString().c_str());
       return 1;
     }
+    if (pro->TotalOnlineBatches() == 0) {
+      std::fprintf(stderr, "online Pro with %llu-row batches committed no batch\n",
+                   static_cast<unsigned long long>(cfg.batch_rows));
+      return 1;
+    }
     for (size_t p = 0; p < pro->phases.size(); ++p) {
       const PhaseReport& ph = pro->phases[p];
       OnlineRow row;
@@ -198,154 +206,6 @@ int RunOnline(std::vector<OnlineRow>* out) {
       row.probes = ph.online_probes;
       out->push_back(row);
     }
-  }
-  return 0;
-}
-
-/// One (session count, phase) measurement of concurrent mixed-version
-/// serving: foreground SQL sessions execute the phase's query mix against
-/// live snapshots while the migration executor moves data in batches.
-struct ServeRow {
-  size_t sessions = 0;
-  size_t phase = 0;
-  uint64_t batches = 0;  ///< migration batches committed this phase
-  ServeMetrics serve;
-};
-
-/// Runs the Pro-Schema situation with live concurrent sessions for each
-/// session count; every phase migrates under a real mixed-version read load.
-int RunServe(std::vector<ServeRow>* out) {
-  for (size_t sessions : {4u, 8u}) {
-    Synthetic s = MakeIndependent(4);
-    FillData(&s, 512);
-    std::vector<std::vector<double>> freqs(3, std::vector<double>(s.queries.size()));
-    for (size_t p = 0; p < 3; ++p) {
-      for (size_t q = 0; q < s.queries.size(); ++q) {
-        bool old_q = s.queries[q].is_old;
-        freqs[p][q] = old_q ? 30.0 - 10.0 * static_cast<double>(p)
-                            : 10.0 + 10.0 * static_cast<double>(p);
-      }
-    }
-    SimulationConfig config;
-    config.buffer_pool_pages = 256;
-    config.migration_batch_rows = 64;
-    config.serve_sessions = sessions;
-    config.serve_min_queries = 8;
-    MigrationSimulation sim(&s.source, &s.object, &s.queries, freqs, s.data.get(), config);
-    auto pro = sim.Run(Situation::kProSchema);
-    if (!pro.ok()) {
-      std::fprintf(stderr, "serve Pro: %s\n", pro.status().ToString().c_str());
-      return 1;
-    }
-    for (size_t p = 0; p < pro->phases.size(); ++p) {
-      const PhaseReport& ph = pro->phases[p];
-      ServeRow row;
-      row.sessions = sessions;
-      row.phase = p;
-      row.batches = ph.online_batches;
-      row.serve = ph.serve;
-      out->push_back(row);
-    }
-  }
-  return 0;
-}
-
-/// One (session count) measurement of mixed read/write serving:
-/// lanes issue the query mix plus random DML from both version eras through
-/// the DmlRouter while the executor migrates (writes landing on a live copy
-/// frontier dual-apply into the in-flight targets).
-struct MixedRwRow {
-  size_t sessions = 0;
-  double write_fraction = 0;
-  uint64_t fragment_writes = 0;  ///< physical row writes the fan-out did
-  uint64_t dual_applied = 0;     ///< statements also applied to live targets
-  ServeMetrics serve;
-};
-
-/// Runs the full migration under a mixed read/write foreground load for each
-/// session count, routing every write through RewriteDml.
-int RunMixedRw(std::vector<MixedRwRow>* out) {
-  for (size_t sessions : {4u, 8u}) {
-    Synthetic s = MakeIndependent(4);
-    FillData(&s, 512);
-    Database db(2048);
-    if (!s.data->Materialize(&db, s.source).ok()) {
-      std::fprintf(stderr, "mixed-rw: materialize failed\n");
-      return 1;
-    }
-    PhysicalSchema current = s.source;
-    ServingSchema serving(current);
-    DmlRouter router(&db);
-
-    MigrationExecutor exec(&db, s.data.get());
-    MigrationOptions mopts;
-    mopts.batch_rows = 64;
-    mopts.dml_router = &router;
-    mopts.on_publish = [&](const PhysicalSchema& sch) { serving.Publish(sch); };
-    exec.set_options(std::move(mopts));
-
-    auto opset = ComputeOperatorSet(s.source, s.object);
-    if (!opset.ok()) {
-      std::fprintf(stderr, "mixed-rw opset: %s\n", opset.status().ToString().c_str());
-      return 1;
-    }
-    auto topo = opset->TopologicalOrder();
-    if (!topo.ok()) {
-      std::fprintf(stderr, "mixed-rw topo: %s\n", topo.status().ToString().c_str());
-      return 1;
-    }
-
-    std::vector<VersionTable> tables = VersionTablesOf(s.source);
-    {
-      std::vector<VersionTable> object_tables = VersionTablesOf(s.object);
-      tables.insert(tables.end(), object_tables.begin(), object_tables.end());
-    }
-    const LogicalSchema* lg = s.logical.get();
-    ServeOptions serve;
-    serve.sessions = sessions;
-    serve.min_queries_per_lane = 32;
-    serve.router = &router;
-    serve.write_fraction = 0.3;
-    serve.make_write = [&tables, lg](uint64_t i, std::mt19937_64& rng) {
-      LogicalDml dml;
-      dml.table = tables[rng() % tables.size()];
-      uint64_t roll = rng() % 10;
-      dml.kind = roll < 5 ? DmlKind::kInsert : roll < 8 ? DmlKind::kUpdate : DmlKind::kDelete;
-      // Early statements hit seeded rows (both sides of a copy frontier);
-      // later ones append fresh keys.
-      dml.key = static_cast<int64_t>(i < 16 ? rng() % 512 : 10000 + rng() % 4096);
-      if (dml.kind != DmlKind::kDelete) {
-        for (AttrId a : dml.table.attrs) {
-          if (rng() % 2 != 0) continue;
-          dml.set_attrs.push_back(a);
-          dml.set_values.push_back(
-              Value::Varchar(lg->attr(a).name + "-w" + std::to_string(rng() % 1000)));
-        }
-      }
-      return dml;
-    };
-
-    std::vector<double> freqs(s.queries.size(), 10.0);
-    auto metrics = ServeDuringMigration(&db, &serving, s.queries, freqs, serve,
-                                        [&]() -> Status {
-                                          for (int op : *topo) {
-                                            auto io = exec.Apply(
-                                                opset->ops[static_cast<size_t>(op)], &current);
-                                            if (!io.ok()) return io.status();
-                                          }
-                                          return Status::OK();
-                                        });
-    if (!metrics.ok()) {
-      std::fprintf(stderr, "mixed-rw serve: %s\n", metrics.status().ToString().c_str());
-      return 1;
-    }
-    MixedRwRow row;
-    row.sessions = sessions;
-    row.write_fraction = serve.write_fraction;
-    row.fragment_writes = router.stats().fragment_writes;
-    row.dual_applied = router.stats().dual_applied;
-    row.serve = *metrics;
-    out->push_back(row);
   }
   return 0;
 }
@@ -444,10 +304,19 @@ int RunPoint(const std::string& family, Synthetic* s, bool run_exhaustive, Bench
       return 1;
     }
     row->cached_ms = cached->wall_ms;
+    // A sample, not a count: the cache counts a lookup and its insert
+    // separately, so two workers that both look a layout up before either
+    // inserts it both count a miss. How often that happens depends on
+    // thread scheduling, and two runs of one binary read differently.
     row->cache_hit_pct = cached->cache_stats.hit_pct();
     row->threads = cached->threads;
     double tol = 1e-6 * std::max(1.0, std::fabs(serial_best));
     row->cost_equal = row->cost_equal && std::fabs(cached->best_cost - serial_best) <= tol;
+  }
+  if (!row->cost_equal) {
+    std::fprintf(stderr, "%s m=%zu: the pruned, brute-force and cached LAA costs differ\n",
+                 family.c_str(), row->m);
+    return 1;
   }
 
   GaaOptions options;
@@ -457,8 +326,55 @@ int RunPoint(const std::string& family, Synthetic* s, bool run_exhaustive, Bench
   Stopwatch gaa_timer;
   auto gaa = PlanGaa(ctx, 0, options);
   row->gaa_ms = gaa_timer.ElapsedSeconds() * 1000.0;
-  row->gaa_evals = gaa.ok() ? gaa->evaluations : 0;
+  if (!gaa.ok()) {
+    std::fprintf(stderr, "GAA: %s\n", gaa.status().ToString().c_str());
+    return 1;
+  }
+  row->gaa_evals = gaa->evaluations;
   return 0;
+}
+
+/// Sets one repeat of `r` on its JSON row. A row whose brute sweep was
+/// skipped carries null there, not a numeric sentinel a reader could take
+/// for a measurement.
+void Record(const BenchRow& r, bench::BenchJson::Row* j) {
+  j->Text("family", r.family);
+  j->Count("m", r.m);
+  j->Count("clusters", r.clusters);
+  j->Count("schemas_evaluated_pruned", r.pruned_evals);
+  j->Count("schemas_exhaustive", r.brute_closed);
+  j->Count("pruned_pct_of_exhaustive",
+           r.brute_closed > 0 ? 100.0 * static_cast<double>(r.pruned_evals) / r.brute_closed
+                              : 0.0);
+  if (r.exhaustive_run) {
+    j->Count("schemas_evaluated_brute_run", r.exhaustive_evals);
+    j->Flag("cost_equal_to_brute", r.cost_equal);
+  } else {
+    j->Null("schemas_evaluated_brute_run");
+    j->Null("cost_equal_to_brute");
+  }
+  j->Sample("pruned_ms", r.pruned_ms);
+  if (r.exhaustive_run) {
+    j->Sample("exhaustive_ms", r.exhaustive_ms);
+  } else {
+    j->Null("exhaustive_ms");
+  }
+  j->Sample("cached_ms", r.cached_ms);
+  j->Sample("cache_hit_pct", r.cache_hit_pct);
+  j->Count("threads", r.threads);
+  j->Count("gaa_evaluations", r.gaa_evals);
+  j->Sample("gaa_ms", r.gaa_ms);
+}
+
+void Record(const OnlineRow& r, bench::BenchJson::Row* j) {
+  j->Count("batch_rows", r.batch_rows);
+  j->Count("io_budget", r.io_budget);
+  j->Count("phase", r.phase);
+  j->Count("query_cost", r.query_cost);
+  j->Count("migration_io", r.migration_io);
+  j->Count("probe_io", r.probe_io);
+  j->Count("batches", r.batches);
+  j->Count("probes", r.probes);
 }
 
 void PrintRow(const BenchRow& r) {
@@ -489,130 +405,9 @@ void PrintOnline(const std::vector<OnlineRow>& rows) {
   }
 }
 
-void PrintServe(const std::vector<ServeRow>& rows) {
-  std::printf(
-      "\n=== concurrent serving (Pro-Schema, m=4 independent, 512 rows/entity) ===\n"
-      "%-8s %-5s %8s %10s %8s %9s %10s %8s %8s %8s\n",
-      "sessions", "phase", "queries", "unservable", "batches", "wall-ms", "thr-qps", "p50-ms",
-      "p95-ms", "p99-ms");
-  for (const ServeRow& r : rows) {
-    const ServeMetrics& m = r.serve;
-    std::printf("%-8zu %-5zu %8llu %10llu %8llu %9.1f %10.1f %8.2f %8.2f %8.2f\n",
-                r.sessions, r.phase, static_cast<unsigned long long>(m.queries),
-                static_cast<unsigned long long>(m.unservable),
-                static_cast<unsigned long long>(r.batches), m.wall_ms, m.throughput_qps,
-                m.p50_ms, m.p95_ms, m.p99_ms);
-  }
-}
-
-void PrintMixedRw(const std::vector<MixedRwRow>& rows) {
-  std::printf(
-      "\n=== mixed read/write serving (Pro-Schema, m=4 independent, 512 rows/entity) ===\n"
-      "%-8s %-6s %8s %7s %10s %8s %7s %9s %10s %8s %8s %8s\n",
-      "sessions", "w-frac", "queries", "writes", "unservable", "unsrv-w", "errors", "wall-ms",
-      "thr-qps", "p50-ms", "p95-ms", "p99-ms");
-  for (const MixedRwRow& r : rows) {
-    const ServeMetrics& m = r.serve;
-    std::printf("%-8zu %-6.2f %8llu %7llu %10llu %8llu %7llu %9.1f %10.1f %8.2f %8.2f "
-                "%8.2f\n",
-                r.sessions, r.write_fraction, static_cast<unsigned long long>(m.queries),
-                static_cast<unsigned long long>(m.writes),
-                static_cast<unsigned long long>(m.unservable),
-                static_cast<unsigned long long>(m.unservable_writes),
-                static_cast<unsigned long long>(m.errors), m.wall_ms, m.throughput_qps, m.p50_ms,
-                m.p95_ms, m.p99_ms);
-  }
-}
-
-void WriteJson(const std::string& path, const std::vector<BenchRow>& rows,
-               const std::vector<OnlineRow>& online, const std::vector<ServeRow>& serve,
-               const std::vector<MixedRwRow>& mixed) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"laa_scaling\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    // Rows whose brute sweep was skipped carry JSON null — not a numeric
-    // sentinel that downstream tooling could mistake for a measurement.
-    std::string brute_evals = "null", brute_ms = "null";
-    if (r.exhaustive_run) {
-      brute_evals = std::to_string(r.exhaustive_evals);
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.2f", r.exhaustive_ms);
-      brute_ms = buf;
-    }
-    std::fprintf(f,
-                 "    {\"family\": \"%s\", \"m\": %zu, \"clusters\": %zu, "
-                 "\"schemas_evaluated_pruned\": %zu, \"schemas_exhaustive\": %.0f, "
-                 "\"pruned_pct_of_exhaustive\": %.4f, "
-                 "\"schemas_evaluated_brute_run\": %s, \"cost_equal_to_brute\": %s, "
-                 "\"pruned_ms\": %.2f, \"exhaustive_ms\": %s, "
-                 "\"cached_ms\": %.2f, \"cache_hit_pct\": %.1f, \"threads\": %zu, "
-                 "\"gaa_evaluations\": %zu, \"gaa_ms\": %.2f}%s\n",
-                 r.family.c_str(), r.m, r.clusters, r.pruned_evals, r.brute_closed,
-                 r.brute_closed > 0
-                     ? 100.0 * static_cast<double>(r.pruned_evals) / r.brute_closed
-                     : 0.0,
-                 brute_evals.c_str(),
-                 r.exhaustive_run ? (r.cost_equal ? "true" : "false") : "null",
-                 r.pruned_ms, brute_ms.c_str(), r.cached_ms, r.cache_hit_pct, r.threads,
-                 r.gaa_evals, r.gaa_ms, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"online_migration\": [\n");
-  for (size_t i = 0; i < online.size(); ++i) {
-    const OnlineRow& r = online[i];
-    std::fprintf(f,
-                 "    {\"batch_rows\": %llu, \"io_budget\": %llu, \"phase\": %zu, "
-                 "\"query_cost\": %.2f, \"migration_io\": %.2f, \"probe_io\": %.2f, "
-                 "\"batches\": %llu, \"probes\": %llu}%s\n",
-                 static_cast<unsigned long long>(r.batch_rows),
-                 static_cast<unsigned long long>(r.io_budget), r.phase, r.query_cost,
-                 r.migration_io, r.probe_io, static_cast<unsigned long long>(r.batches),
-                 static_cast<unsigned long long>(r.probes), i + 1 < online.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"concurrent_serving\": [\n");
-  for (size_t i = 0; i < serve.size(); ++i) {
-    const ServeRow& r = serve[i];
-    const ServeMetrics& m = r.serve;
-    std::fprintf(f,
-                 "    {\"sessions\": %zu, \"phase\": %zu, \"queries\": %llu, "
-                 "\"unservable\": %llu, \"batches\": %llu, \"wall_ms\": %.2f, "
-                 "\"throughput_qps\": %.2f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-                 "\"p99_ms\": %.3f}%s\n",
-                 r.sessions, r.phase, static_cast<unsigned long long>(m.queries),
-                 static_cast<unsigned long long>(m.unservable),
-                 static_cast<unsigned long long>(r.batches), m.wall_ms, m.throughput_qps,
-                 m.p50_ms, m.p95_ms, m.p99_ms, i + 1 < serve.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"mixed_rw_serving\": [\n");
-  for (size_t i = 0; i < mixed.size(); ++i) {
-    const MixedRwRow& r = mixed[i];
-    const ServeMetrics& m = r.serve;
-    std::fprintf(f,
-                 "    {\"sessions\": %zu, \"write_fraction\": %.2f, \"queries\": %llu, "
-                 "\"writes\": %llu, \"unservable\": %llu, \"unservable_writes\": %llu, "
-                 "\"errors\": %llu, \"fragment_writes\": %llu, \"dual_applied\": %llu, "
-                 "\"wall_ms\": %.2f, \"throughput_qps\": %.2f, \"p50_ms\": %.3f, "
-                 "\"p95_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-                 r.sessions, r.write_fraction, static_cast<unsigned long long>(m.queries),
-                 static_cast<unsigned long long>(m.writes),
-                 static_cast<unsigned long long>(m.unservable),
-                 static_cast<unsigned long long>(m.unservable_writes),
-                 static_cast<unsigned long long>(m.errors),
-                 static_cast<unsigned long long>(r.fragment_writes),
-                 static_cast<unsigned long long>(r.dual_applied), m.wall_ms, m.throughput_qps,
-                 m.p50_ms, m.p95_ms, m.p99_ms, i + 1 < mixed.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
 }  // namespace
 }  // namespace pse
+
 
 int main(int argc, char** argv) {
   using namespace pse;
@@ -622,57 +417,54 @@ int main(int argc, char** argv) {
     if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
   }
 
-  std::printf("=== LAA pruned (interaction clusters) vs brute force vs cached vs GAA ===\n");
-  std::printf("%-12s %-4s %8s %13s %16s %13s %8s %10s %10s %10s %7s %4s %12s %10s\n", "family",
-              "m", "clusters", "pruned-evals", "brute-closed", "brute-evals", "equal",
-              "pruned-ms", "brute-ms", "cached-ms", "hit", "thr", "GAA-evals", "GAA-ms");
-  std::vector<BenchRow> rows;
+  // Timings move from run to run, so every section runs kRepeats times: the
+  // JSON gives each timing's median and quartiles, and every count must
+  // read the same on every repeat.
+  constexpr size_t kRepeats = 5;
+  bench::BenchJson json("laa_scaling");
   int rc = 0;
-  for (size_t m : {4u, 6u, 8u, 10u, 12u, 14u, 16u}) {
-    Synthetic s = MakeIndependent(m);
-    BenchRow row;
-    // Brute force doubles per operator; cap the comparison runs at m = 12.
-    rc |= RunPoint("independent", &s, /*run_exhaustive=*/m <= 12, &row);
-    PrintRow(row);
-    rows.push_back(std::move(row));
-  }
-  {
-    // The acceptance shape: m = 16 in 4 interference clusters.
-    Synthetic s = MakeClustered(/*entities=*/4, /*attrs_per_entity=*/5);
-    BenchRow row;
-    rc |= RunPoint("clustered", &s, /*run_exhaustive=*/true, &row);
-    PrintRow(row);
-    rows.push_back(std::move(row));
+  for (size_t rep = 1; rep <= kRepeats; ++rep) {
+    std::printf("=== repeat %zu/%zu: LAA pruned (interaction clusters) vs brute force vs "
+                "cached vs GAA ===\n",
+                rep, kRepeats);
+    std::printf("%-12s %-4s %8s %13s %16s %13s %8s %10s %10s %10s %7s %4s %12s %10s\n",
+                "family", "m", "clusters", "pruned-evals", "brute-closed", "brute-evals",
+                "equal", "pruned-ms", "brute-ms", "cached-ms", "hit", "thr", "GAA-evals",
+                "GAA-ms");
+    size_t i = 0;
+    for (size_t m : {4u, 6u, 8u, 10u, 12u, 14u, 16u}) {
+      Synthetic s = MakeIndependent(m);
+      BenchRow row;
+      // Brute force doubles per operator; cap the comparison runs at m = 12.
+      rc |= RunPoint("independent", &s, /*run_exhaustive=*/m <= 12, &row);
+      PrintRow(row);
+      Record(row, &json.At("rows", i++));
+    }
+    {
+      // The acceptance shape: m = 16 in 4 interference clusters.
+      Synthetic s = MakeClustered(/*entities=*/4, /*attrs_per_entity=*/5);
+      BenchRow row;
+      rc |= RunPoint("clustered", &s, /*run_exhaustive=*/true, &row);
+      PrintRow(row);
+      Record(row, &json.At("rows", i++));
+    }
+    std::vector<OnlineRow> online;
+    rc |= RunOnline(&online);
+    PrintOnline(online);
+    for (size_t k = 0; k < online.size(); ++k) Record(online[k], &json.At("online_migration", k));
+    std::printf("\n");
   }
   std::printf(
-      "\nBrute-force LAA doubles per operator (the paper's 2^m); cluster-wise LAA pays the\n"
+      "Brute-force LAA doubles per operator (the paper's 2^m); cluster-wise LAA pays the\n"
       "sum of the clusters instead of their product, at identical chosen-plan cost; the\n"
       "cached column repeats the row's most expensive sweep with layout-fingerprint\n"
       "memoization + a thread pool, again at identical cost; GAA stays within its GA\n"
-      "budget.\n");
-  std::vector<OnlineRow> online;
-  rc |= RunOnline(&online);
-  PrintOnline(online);
-  std::printf(
+      "budget.\n"
       "\nOnline mode moves data in journaled batches and runs one foreground probe query\n"
       "between batches; probe I/O is the price live traffic pays during movement and is\n"
       "excluded from migration-io. Smaller batches (or an I/O budget) trade total batches\n"
       "for shorter foreground stalls.\n");
-  std::vector<ServeRow> serve;
-  rc |= RunServe(&serve);
-  PrintServe(serve);
-  std::printf(
-      "\nConcurrent serving runs real SQL sessions against live schema snapshots while\n"
-      "the executor migrates; unservable counts new-version queries that bind only after\n"
-      "their attributes materialize. Latency quantiles are per answered query.\n");
-  std::vector<MixedRwRow> mixed;
-  rc |= RunMixedRw(&mixed);
-  PrintMixedRw(mixed);
-  std::printf(
-      "\nMixed read/write serving adds writer traffic to the same window: each lane's\n"
-      "iterations issue random DML from both version eras through the write rewriter\n"
-      "(RewriteDml), dual-applying onto live copy frontiers. An unservable write window\n"
-      "counts under unservable (unsrv-w), never errors.\n");
-  if (!json_path.empty()) WriteJson(json_path, rows, online, serve, mixed);
+  if (!json.ok()) rc = 1;
+  if (!json_path.empty() && !json.Write(json_path)) rc = 1;
   return rc;
 }

@@ -30,8 +30,8 @@
 //
 // The registry API itself is always compiled (tests seed violations through
 // it directly in any build); only the *hooks* in the latch classes are
-// compiled under PSE_LOCKDEP, so a normal build pays nothing — see the
-// bench.sh qps floor check.
+// compiled under PSE_LOCKDEP, so a normal build pays nothing — checked by
+// LockOrderLive.HooksRecordOnlyInLockdepBuilds (tests/analysis/lockorder_test.cc).
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "core/simulation.h"
 
 #include "core/migration_executor.h"
-#include "core/serving.h"
 #include "core/workload_collector.h"
 #include "core/rewriter.h"
 #include "core/virtual_catalog.h"
@@ -173,10 +172,6 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
   }
 
   // Pro-Schema: progressive migration.
-  if (config_.serve_sessions > 0 && !config_.measure_actual) {
-    return Status::InvalidArgument(
-        "serve_sessions requires measure_actual (the sessions execute real queries)");
-  }
   Database db(config_.buffer_pool_pages);
   const bool grows = !config_.visible_rows.empty();
   if (grows) {
@@ -201,8 +196,8 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
   bool have_gaa_plan = false;
   WorkloadCollector collector(queries_->size());
 
-  // Batch sizing of the serve and probe modes. Plain mode keeps the
-  // executor's defaults, which the Fig 8 page counts are measured with.
+  // Batch sizing of the online mode. Plain mode keeps the executor's
+  // defaults, which the Fig 8 page counts are measured with.
   auto batch_options = [this] {
     MigrationOptions mo;
     mo.batch_rows = config_.migration_batch_rows;
@@ -276,78 +271,49 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       }
       to_apply = ordered;
     }
-    auto apply_ops = [&]() -> Status {
-      for (int op : to_apply) {
-        PSE_ASSIGN_OR_RETURN(uint64_t io,
-                             executor.Apply(opset.ops[static_cast<size_t>(op)], &current));
-        phase.migration_io += static_cast<double>(io);
-        applied[static_cast<size_t>(op)] = true;
+    // Online mode: between batches, run one of the phase's queries against
+    // the still-current schema (source tables stay live until the copy is
+    // durable), warm-cache, the way foreground traffic sees an online
+    // schema change. Probe I/O is tracked separately from migration I/O.
+    std::vector<size_t> probe_queries;
+    size_t next_probe = 0;
+    if (config_.online_migration) {
+      for (size_t q = 0; q < queries_->size(); ++q) {
+        if (phase_freqs_[p][q] > 0) probe_queries.push_back(q);
       }
-      return Status::OK();
-    };
-    if (config_.serve_sessions > 0) {
-      // Concurrent serving: real foreground sessions execute this phase's
-      // query mix on worker threads while the operators apply. Each
-      // operator's post-op schema is published to the sessions from the
-      // executor's exclusive-latch quiesce window, so a session always
-      // plans against exactly what the catalog holds. Migration I/O is
-      // approximate here (foreground and migration share the physical
-      // counters); the single-threaded probe mode keeps the exact numbers.
-      ServingSchema serving(current);
       MigrationOptions mo = batch_options();
-      mo.on_batch = [&phase](const MigrationBatchEvent&) -> Status {
+      mo.on_batch = [&](const MigrationBatchEvent&) -> Status {
         ++phase.online_batches;
+        if (probe_queries.empty() || !config_.measure_actual) return Status::OK();
+        const WorkloadQuery& wq =
+            (*queries_)[probe_queries[next_probe % probe_queries.size()]];
+        ++next_probe;
+        Result<BoundQuery> bound = RewriteQuery(wq.query, current);
+        if (!bound.ok()) {
+          // Queries not yet servable mid-migration are simply skipped.
+          if (bound.status().IsBindError()) return Status::OK();
+          return bound.status();
+        }
+        DatabaseCatalogView view(&db);
+        PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*bound, view));
+        uint64_t before = db.TotalIo();
+        PSE_RETURN_NOT_OK(ExecutePlan(*plan, &db).status());
+        phase.online_probe_io += static_cast<double>(db.TotalIo() - before);
+        ++phase.online_probes;
         return Status::OK();
       };
-      mo.on_publish = [&serving](const PhysicalSchema& s) { serving.Publish(s); };
       executor.set_options(std::move(mo));
-      ServeOptions so;
-      so.sessions = config_.serve_sessions;
-      so.min_queries_per_lane = config_.serve_min_queries;
-      so.seed = config_.serve_seed + p;
-      PSE_ASSIGN_OR_RETURN(phase.serve, ServeDuringMigration(&db, &serving, *queries_,
-                                                             phase_freqs_[p], so, apply_ops));
-      // The hooks capture this iteration's locals; detach them (batch sizing
-      // stays in effect for the forced completion).
-      executor.set_options(batch_options());
-    } else {
-      // Online mode: between batches, run one of the phase's queries against
-      // the still-current schema (source tables stay live until the copy is
-      // durable), warm-cache, the way foreground traffic sees an online
-      // schema change. Probe I/O is tracked separately from migration I/O.
-      std::vector<size_t> probe_queries;
-      size_t next_probe = 0;
-      if (config_.online_migration) {
-        for (size_t q = 0; q < queries_->size(); ++q) {
-          if (phase_freqs_[p][q] > 0) probe_queries.push_back(q);
-        }
-        MigrationOptions mo = batch_options();
-        mo.on_batch = [&](const MigrationBatchEvent&) -> Status {
-          ++phase.online_batches;
-          if (probe_queries.empty() || !config_.measure_actual) return Status::OK();
-          const WorkloadQuery& wq =
-              (*queries_)[probe_queries[next_probe % probe_queries.size()]];
-          ++next_probe;
-          Result<BoundQuery> bound = RewriteQuery(wq.query, current);
-          if (!bound.ok()) {
-            // Queries not yet servable mid-migration are simply skipped.
-            if (bound.status().IsBindError()) return Status::OK();
-            return bound.status();
-          }
-          DatabaseCatalogView view(&db);
-          PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*bound, view));
-          uint64_t before = db.TotalIo();
-          PSE_RETURN_NOT_OK(ExecutePlan(*plan, &db).status());
-          phase.online_probe_io += static_cast<double>(db.TotalIo() - before);
-          ++phase.online_probes;
-          return Status::OK();
-        };
-        executor.set_options(std::move(mo));
-      }
-      PSE_RETURN_NOT_OK(apply_ops());
-      // Plain mode stays on the executor's default options.
-      if (config_.online_migration) executor.set_options(batch_options());
     }
+    for (int op : to_apply) {
+      PSE_ASSIGN_OR_RETURN(uint64_t io,
+                           executor.Apply(opset.ops[static_cast<size_t>(op)], &current));
+      phase.migration_io += static_cast<double>(io);
+      applied[static_cast<size_t>(op)] = true;
+    }
+    // The probe hook captures this iteration's locals; detach it (batch
+    // sizing stays in effect for the forced completion). Plain mode stays
+    // on the executor's default options.
+    if (config_.online_migration) executor.set_options(batch_options());
     phase.ops_applied = to_apply;
     phase.schema_desc = std::to_string(current.tables().size()) + " tables";
 

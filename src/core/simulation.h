@@ -20,7 +20,6 @@
 
 #include "core/logical_database.h"
 #include "core/migration_planner.h"
-#include "core/serving.h"
 #include "core/workload.h"
 #include "storage/database.h"
 
@@ -67,21 +66,6 @@ struct SimulationConfig {
   uint64_t migration_batch_rows = 256;
   /// Per-batch physical I/O budget in online mode (0 = unlimited).
   uint64_t migration_io_budget = 0;
-  /// Concurrent serving (Pro only): run this many foreground query sessions
-  /// on worker threads *while* each migration point applies its operators,
-  /// and report per-phase throughput and latency percentiles. 0 = off (the
-  /// single-threaded probe interleaving above). Requires measure_actual.
-  /// With serving on, migration_io becomes approximate: foreground I/O and
-  /// migration I/O share the physical counters, so the split between them
-  /// is attributed by timing, not exactly. Probe hooks are disabled (the
-  /// sessions *are* the foreground traffic) — probe-I/O numbers stay exact
-  /// only in the single-threaded mode.
-  size_t serve_sessions = 0;
-  /// Minimum queries each serving session attempts per phase, so op-less
-  /// phases still produce latency samples.
-  uint64_t serve_min_queries = 4;
-  /// Base RNG seed for the per-session query mix.
-  uint64_t serve_seed = 42;
 };
 
 struct PhaseReport {
@@ -93,8 +77,6 @@ struct PhaseReport {
   double online_probe_io = 0;   ///< I/O of probe queries run between batches
   uint64_t online_batches = 0;  ///< migration batches committed this phase
   uint64_t online_probes = 0;   ///< probe queries executed this phase
-  /// The phase's serve window (zero unless config.serve_sessions).
-  ServeMetrics serve;
 };
 
 struct SituationReport {

@@ -31,9 +31,33 @@ struct Slot {
   uint16_t offset;
   uint16_t size;
 };
-Slot GetSlot(const char* p, uint16_t i) {
-  return Slot{GetU16(p, kHeaderSize + i * kSlotSize), GetU16(p, kHeaderSize + i * kSlotSize + 2)};
+
+/// Reads slot `i` of heap page `p`, whose slot count is `slot_count`, into
+/// `*out` and checks it against the page: the slot array must end inside
+/// the page, and a live tuple must lie between the slot array's end and the
+/// page's end. Every slot reader comes through here, so a corrupt slot
+/// count or slot fails the read instead of sending it past the page. A
+/// deleted slot (offset 0) passes as is. False when the check fails;
+/// SlotError then builds the status, so the check that runs for every slot
+/// of every scan builds none.
+bool ReadSlot(const char* p, uint16_t slot_count, uint16_t i, Slot* out) {
+  const size_t slots_end = kHeaderSize + static_cast<size_t>(slot_count) * kSlotSize;
+  if (slots_end > kPageSize) return false;
+  *out = Slot{GetU16(p, kHeaderSize + i * kSlotSize), GetU16(p, kHeaderSize + i * kSlotSize + 2)};
+  return out->offset == 0 ||
+         (out->offset >= slots_end && static_cast<size_t>(out->offset) + out->size <= kPageSize);
 }
+
+/// The Internal status of slot `i` of heap page `pid` (bytes `p`), which
+/// ReadSlot rejected.
+Status SlotError(const char* p, PageId pid, uint16_t i) {
+  if (kHeaderSize + static_cast<size_t>(GetU16(p, 4)) * kSlotSize > kPageSize) {
+    return Status::Internal("heap page " + std::to_string(pid) + " has a malformed slot count");
+  }
+  return Status::Internal("heap page " + std::to_string(pid) + " slot " + std::to_string(i) +
+                          " is out of bounds");
+}
+
 void PutSlot(char* p, uint16_t i, Slot s) {
   PutU16(p, kHeaderSize + i * kSlotSize, s.offset);
   PutU16(p, kHeaderSize + i * kSlotSize + 2, s.size);
@@ -102,8 +126,10 @@ Result<Rid> TableHeap::Insert(const Row& row) {
 Status TableHeap::Get(const Rid& rid, Row* out) const {
   PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
   const char* p = guard.data();
-  if (rid.slot >= GetU16(p, 4)) return Status::NotFound("rid slot out of range");
-  Slot s = GetSlot(p, rid.slot);
+  const uint16_t slot_count = GetU16(p, 4);
+  if (rid.slot >= slot_count) return Status::NotFound("rid slot out of range");
+  Slot s{};
+  if (!ReadSlot(p, slot_count, rid.slot, &s)) return SlotError(p, rid.page_id, rid.slot);
   if (s.offset == 0) return Status::NotFound("tuple deleted");
   return TupleCodec::Deserialize(*schema_, p + s.offset, s.size, out);
 }
@@ -111,8 +137,10 @@ Status TableHeap::Get(const Rid& rid, Row* out) const {
 Status TableHeap::CopyTuple(const Rid& rid, TupleBytes* out) const {
   PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
   const char* p = guard.data();
-  if (rid.slot >= GetU16(p, 4)) return Status::NotFound("rid slot out of range");
-  Slot s = GetSlot(p, rid.slot);
+  const uint16_t slot_count = GetU16(p, 4);
+  if (rid.slot >= slot_count) return Status::NotFound("rid slot out of range");
+  Slot s{};
+  if (!ReadSlot(p, slot_count, rid.slot, &s)) return SlotError(p, rid.page_id, rid.slot);
   if (s.offset == 0) return Status::NotFound("tuple deleted");
   out->Append(p + s.offset, s.size);
   return Status::OK();
@@ -121,8 +149,10 @@ Status TableHeap::CopyTuple(const Rid& rid, TupleBytes* out) const {
 Status TableHeap::Delete(const Rid& rid) {
   PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
   char* p = guard.mutable_data();
-  if (rid.slot >= GetU16(p, 4)) return Status::NotFound("rid slot out of range");
-  Slot s = GetSlot(p, rid.slot);
+  const uint16_t slot_count = GetU16(p, 4);
+  if (rid.slot >= slot_count) return Status::NotFound("rid slot out of range");
+  Slot s{};
+  if (!ReadSlot(p, slot_count, rid.slot, &s)) return SlotError(p, rid.page_id, rid.slot);
   if (s.offset == 0) return Status::NotFound("tuple already deleted");
   PutSlot(p, rid.slot, Slot{0, 0});
   return Status::OK();
@@ -134,8 +164,10 @@ Result<Rid> TableHeap::Update(const Rid& rid, const Row& row) {
   {
     PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
     char* p = guard.mutable_data();
-    if (rid.slot >= GetU16(p, 4)) return Status::NotFound("rid slot out of range");
-    Slot s = GetSlot(p, rid.slot);
+    const uint16_t slot_count = GetU16(p, 4);
+    if (rid.slot >= slot_count) return Status::NotFound("rid slot out of range");
+    Slot s{};
+    if (!ReadSlot(p, slot_count, rid.slot, &s)) return SlotError(p, rid.page_id, rid.slot);
     if (s.offset == 0) return Status::NotFound("tuple deleted");
     if (bytes.size() <= s.size) {
       // In-place: keep the slot, shrink logical size.
@@ -159,19 +191,11 @@ Result<uint64_t> TableHeap::CountRowsBounded(uint64_t max_pages) const {
     }
     PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(pid));
     const char* p = guard.data();
-    uint16_t slot_count = GetU16(p, 4);
-    size_t slots_end = kHeaderSize + static_cast<size_t>(slot_count) * kSlotSize;
-    if (slots_end > kPageSize) {
-      return Status::Internal("heap page " + std::to_string(pid) + " has a malformed slot count");
-    }
+    const uint16_t slot_count = GetU16(p, 4);
     for (uint16_t i = 0; i < slot_count; ++i) {
-      Slot s = GetSlot(p, i);
-      if (s.offset == 0) continue;  // deleted
-      if (s.offset < slots_end || static_cast<size_t>(s.offset) + s.size > kPageSize) {
-        return Status::Internal("heap page " + std::to_string(pid) + " slot " +
-                                std::to_string(i) + " is out of bounds");
-      }
-      ++count;
+      Slot s{};
+      if (!ReadSlot(p, slot_count, i, &s)) return SlotError(p, pid, i);
+      if (s.offset != 0) ++count;  // 0: deleted
     }
     pid = GetU32(p, 0);
   }
@@ -207,7 +231,10 @@ Result<bool> TableHeap::Walk(PageId pid, uint32_t slot, OnTuple&& on_tuple,
     const char* p = guard.data();
     const uint16_t slot_count = GetU16(p, 4);
     for (; slot < slot_count; ++slot) {
-      const Slot s = GetSlot(p, static_cast<uint16_t>(slot));
+      Slot s{};
+      if (!ReadSlot(p, slot_count, static_cast<uint16_t>(slot), &s)) {
+        return SlotError(p, pid, static_cast<uint16_t>(slot));
+      }
       if (s.offset == 0) continue;
       PSE_ASSIGN_OR_RETURN(bool more,
                            on_tuple(Rid{pid, static_cast<uint16_t>(slot)}, p + s.offset, s.size));

@@ -7,16 +7,22 @@
 // The seeded fixtures drive LockRegistry directly (the API is always
 // compiled), so they run and detect in every build; only the tests that
 // need the latch *hooks* skip without PSE_LOCKDEP.
+// LockOrderLive.HooksRecordOnlyInLockdepBuilds runs in both and checks that
+// a normal build compiles no hook in.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "analysis/lockorder.h"
 #include "common/lock_registry.h"
 #include "common/rw_latch.h"
+#include "core/mapping.h"
 #include "core/migration_executor.h"
 #include "core/rewriter_dml.h"
+#include "core/serving.h"
 #include "storage/database.h"
 #include "tests/common/test_db_builder.h"
 
@@ -356,6 +362,66 @@ TEST(LockOrderLive, MigrationRecordsCanonicalEdgesOnly) {
   // that greps for LOCK_CYCLE would flag clean runs).
   EXPECT_EQ(report.WithCode(DiagCode::kLockGraphClean).size(), 1u);
   EXPECT_TRUE(report.WithCode(DiagCode::kLockCycle).empty());
+  reg.ClearEvents();
+}
+
+// The hooks compile only under PROGSCHEMA_LOCKDEP, and a normal build pays
+// nothing for them: pse::Mutex is exactly a std::mutex, and a migration
+// served by live sessions records no acquisition and no edge. A lockdep
+// build records them.
+#ifndef PSE_LOCKDEP
+static_assert(sizeof(Mutex) == sizeof(std::mutex),
+              "pse::Mutex carries lockdep state in a build without PROGSCHEMA_LOCKDEP");
+#endif
+
+TEST(LockOrderLive, HooksRecordOnlyInLockdepBuilds) {
+  LockRegistry& reg = LockRegistry::Instance();
+  reg.ClearEvents();
+
+  auto bs = Bookstore::Make();
+  auto data = bs->MakeData(4, 6, 40);
+  Database db(512);
+  ASSERT_TRUE(data->Materialize(&db, bs->source).ok());
+  PhysicalSchema current = bs->source;
+  ServingSchema serving(current);
+  MigrationExecutor exec(&db, data.get());
+  MigrationOptions opts;
+  opts.batch_rows = 8;
+  opts.on_publish = [&](const PhysicalSchema& s) { serving.Publish(s); };
+  exec.set_options(std::move(opts));
+  auto opset = ComputeOperatorSet(bs->source, bs->object);
+  ASSERT_TRUE(opset.ok()) << opset.status().ToString();
+  auto topo = opset->TopologicalOrder();
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+
+  std::vector<WorkloadQuery> queries;
+  LogicalQuery book;
+  book.name = "old-book-author";
+  book.anchor = bs->book;
+  book.select.emplace_back(Col("b_title"), AggFunc::kNone, "t");
+  book.select.emplace_back(Col("a_name"), AggFunc::kNone, "a");
+  queries.emplace_back(std::move(book), /*is_old=*/true);
+  ServeOptions serve;
+  serve.sessions = 2;
+  serve.min_queries_per_lane = 8;
+  auto metrics = ServeDuringMigration(&db, &serving, queries, {1.0}, serve, [&]() -> Status {
+    for (int op : *topo) {
+      auto io = exec.Apply(opset->ops[static_cast<size_t>(op)], &current);
+      if (!io.ok()) return io.status();
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(metrics->errors, 0u);
+  EXPECT_GT(metrics->queries, 0u);
+
+  LockOrderGraph g = reg.Snapshot();
+  if (kLockdepEnabled) {
+    EXPECT_GT(g.acquisitions, 0u);
+  } else {
+    EXPECT_EQ(g.acquisitions, 0u) << "lockdep hooks ran in a build without PROGSCHEMA_LOCKDEP";
+    EXPECT_TRUE(g.edges.empty());
+  }
   reg.ClearEvents();
 }
 

@@ -255,36 +255,6 @@ TEST_F(SimulationTest, EstimateOnlyModeIsConsistent) {
   EXPECT_LE(pro->OverallCost(), obj->OverallCost() * 1.05);
 }
 
-// Serving sessions run next to the migration but never steer it: LAA sees
-// the same measured phases, so the serve mode applies the same operators per
-// phase, measures the same phase costs, and leaves the same forced
-// completion as the plain mode, while each phase's window attempts at least
-// sessions x serve_min_queries statements.
-TEST_F(SimulationTest, ServeModeAppliesThePlainModePlan) {
-  MigrationSimulation plain(&bs_->source, &bs_->object, &queries_, freqs_, data_.get(),
-                            Config(PlannerKind::kLaa));
-  auto expected = plain.Run(Situation::kProSchema);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
-  SimulationConfig config = Config(PlannerKind::kLaa);
-  config.serve_sessions = 3;
-  config.serve_min_queries = 6;
-  MigrationSimulation served(&bs_->source, &bs_->object, &queries_, freqs_, data_.get(),
-                             config);
-  auto got = served.Run(Situation::kProSchema);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->phases.size(), expected->phases.size());
-  for (size_t p = 0; p < got->phases.size(); ++p) {
-    SCOPED_TRACE("phase " + std::to_string(p));
-    EXPECT_EQ(got->phases[p].ops_applied, expected->phases[p].ops_applied);
-    EXPECT_EQ(got->phases[p].query_cost, expected->phases[p].query_cost);
-    const ServeMetrics& serve = got->phases[p].serve;
-    EXPECT_EQ(serve.errors, 0u);
-    EXPECT_GE(serve.queries + serve.unservable, 3u * 6u);
-  }
-  EXPECT_EQ(got->final_migration_io, expected->final_migration_io);
-}
-
 TEST_F(SimulationTest, PhaseCostsArePositive) {
   MigrationSimulation sim(&bs_->source, &bs_->object, &queries_, freqs_, data_.get(),
                           Config(PlannerKind::kLaa));

@@ -1,6 +1,7 @@
 // FleetScheduler invariants: the global I/O token budget is never exceeded,
 // every staggering policy drains the whole fleet (deferral reorders, never
-// starves), pick order matches each policy's contract, and the
+// starves), a fleet of 1024 tenants migrates end to end, pick order matches
+// each policy's contract, and the
 // SharedPlanCache amortizes rewrites to (N-1)/N hits across same-step
 // tenants while returning rewrites identical to a direct RewriteQuery, also
 // for same-named queries whose constants differ past the sixth digit.
@@ -187,6 +188,53 @@ TEST_F(FleetSchedulerTest, EveryPolicyDrainsTheWholeFleet) {
       EXPECT_EQ(fleet->shard(i)->published_step(), schedule_->steps()) << "shard " << i;
     }
   }
+}
+
+// The SaaS scale: 1024 migration-only tenants with 64-page pools, their
+// data shared read-only from 8 instances, walk the whole trajectory on 4
+// migration lanes against 2 I/O tokens, so the budget, not the lane count,
+// bounds concurrent migration I/O. Then every tenant issues the workload at
+// the final step against a fresh cache: the first lookup of each query
+// misses and every other one hits.
+TEST_F(FleetSchedulerTest, ThousandTenantRolloutHoldsTheBudgetAndSharesEveryPlan) {
+  constexpr size_t kTenants = 1024;
+  std::vector<std::unique_ptr<LogicalDatabase>> instances;
+  for (int v = 0; v < 8; ++v) instances.push_back(bs_->MakeData(3, 2, 8 + 2 * v));
+  FleetScheduler fleet(*schedule_, &cache_);
+  for (size_t t = 0; t < kTenants; ++t) {
+    ShardOptions shard_options;
+    shard_options.pool_pages = 64;
+    auto shard = TenantShard::Create(t, bs_->source, instances[t % instances.size()].get(),
+                                     std::move(shard_options));
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    fleet.AddShard(std::move(*shard));
+  }
+  FleetOptions options;
+  options.migration_lanes = 4;
+  options.serve_lanes = 0;
+  options.io_tokens = 2;
+  options.migration.batch_rows = 64;
+  auto metrics = fleet.Run(queries_, freqs_, options);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(metrics->tenants_migrated, kTenants);
+  EXPECT_EQ(metrics->ops_applied, kTenants * schedule_->steps());
+  EXPECT_EQ(metrics->io_capacity, 2u);
+  EXPECT_LE(metrics->io_peak_outstanding, metrics->io_capacity);
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    ASSERT_EQ(fleet.shard(i)->published_step(), schedule_->steps()) << "shard " << i;
+  }
+
+  SharedPlanCache same_step;
+  const size_t last = schedule_->steps();
+  for (size_t t = 0; t < kTenants; ++t) {
+    for (const WorkloadQuery& wq : queries_) {
+      Result<BoundQuery> bound = same_step.GetOrRewrite(last, wq.query, schedule_->at(last));
+      ASSERT_TRUE(bound.ok()) << wq.query.name << ": " << bound.status().ToString();
+    }
+  }
+  const PlanCacheStats stats = same_step.Snapshot();
+  EXPECT_EQ(stats.misses, queries_.size());
+  EXPECT_EQ(stats.hits, (kTenants - 1) * queries_.size());
 }
 
 // One migration lane makes the pick order deterministic; on_shard_op runs

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "engine/catalog_view.h"
+#include "engine/executor.h"
+#include "engine/planner.h"
+
 namespace pse {
 namespace {
 
@@ -178,6 +186,85 @@ TEST(DatabaseTest, IoCountersAdvanceOnColdScan) {
   }
   EXPECT_EQ(rows, 2000u);
   EXPECT_GT(db.TotalIo(), 0u);
+}
+
+// A corrupt slot or slot count on a heap page fails every reader of the
+// heap with Internal — ANALYZE, a scan through the engine, a point Get and
+// CountRowsBounded — instead of sending it past the page.
+class CorruptHeapPageTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.CreateTable(BookSchema()).ok());
+    for (int64_t i = 0; i < 50; ++i) {
+      auto rid = db_.Insert("book", {Value::Int(i), Value::Varchar("title-" + std::to_string(i)),
+                                     Value::Int(i % 7)});
+      ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+      rids_.push_back(*rid);
+    }
+    ASSERT_TRUE(db_.Analyze("book").ok());
+  }
+
+  /// Each reader of the heap fails on the corrupt page with `message`; `rid`
+  /// is a slot on it.
+  void ExpectEveryReaderFails(const Rid& rid, const std::string& message) {
+    auto expect_internal = [&](const Status& st, const char* reader) {
+      EXPECT_EQ(st.code(), StatusCode::kInternal) << reader << ": " << st.ToString();
+      EXPECT_EQ(st.message(), message) << reader;
+    };
+    expect_internal(db_.Analyze("book"), "Analyze");
+
+    BoundQuery q;
+    q.tables.push_back(TableAccess("book", {"book_id", "title"}));
+    q.select_items.emplace_back(Col("book.book_id"), AggFunc::kNone, "id");
+    q.select_items.emplace_back(Col("book.title"), AggFunc::kNone, "title");
+    DatabaseCatalogView view(&db_);
+    auto plan = PlanQuery(q, view);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    expect_internal(ExecutePlan(**plan, &db_).status(), "ExecutePlan");
+
+    const TableInfo* info = *db_.GetTable("book");
+    Row row;
+    expect_internal(info->heap->Get(rid, &row), "Get");
+    expect_internal(info->heap->CountRowsBounded(info->heap->NumPages()).status(),
+                    "CountRowsBounded");
+  }
+
+  Database db_{64};
+  std::vector<Rid> rids_;
+};
+
+// Page layout (table_heap.h): an 8-byte header whose bytes 4..6 hold the
+// slot count, then 4-byte slots of {u16 offset, u16 size}.
+TEST_F(CorruptHeapPageTest, SlotSizePastThePageFailsEveryReader) {
+  const Rid bad = rids_[10];
+  {
+    auto guard = db_.pool()->FetchPage(bad.page_id);
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    char* page = guard->mutable_data();
+    uint16_t offset = 0;
+    std::memcpy(&offset, page + 8 + bad.slot * 4, 2);
+    const uint16_t size = 0xFFFF;
+    std::memcpy(page + 8 + bad.slot * 4 + 2, &size, 2);
+    // The tuple is a 1-byte null bitmap, the 8-byte BIGINT, then the
+    // VARCHAR's u32 length: a length that fills the new size sends a
+    // reader that trusts the slot far past the page.
+    const uint32_t len = size - (1 + 8 + 4);
+    std::memcpy(page + offset + 1 + 8, &len, 4);
+  }
+  ExpectEveryReaderFails(bad, "heap page " + std::to_string(bad.page_id) + " slot " +
+                                  std::to_string(bad.slot) + " is out of bounds");
+}
+
+TEST_F(CorruptHeapPageTest, SlotCountPastThePageFailsEveryReader) {
+  const Rid rid = rids_[10];
+  {
+    auto guard = db_.pool()->FetchPage(rid.page_id);
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    const uint16_t slot_count = 0xFFFF;
+    std::memcpy(guard->mutable_data() + 4, &slot_count, 2);
+  }
+  ExpectEveryReaderFails(
+      rid, "heap page " + std::to_string(rid.page_id) + " has a malformed slot count");
 }
 
 }  // namespace
