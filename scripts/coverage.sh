@@ -16,8 +16,9 @@
 # src/engine/cost_cache.cc (interning and the id-tuple outcome map),
 # src/core/cost_estimator.cc (the planners' cost-cache keys),
 # src/core/logical_database.cc (entity rows, row plans and the tenant
-# load) and src/storage/database.cc (the catalog, index maintenance and
-# ANALYZE). With gcovr installed, writes coverage.xml (Cobertura) and
+# load), src/storage/database.cc (the catalog, index maintenance and
+# ANALYZE) and src/storage/bplus_tree.cc (the B+ tree and the append
+# path's cursor). With gcovr installed, writes coverage.xml (Cobertura) and
 # coverage.txt into the build dir for CI to upload; without it, falls back
 # to plain gcov for the floor check and skips the report artifact.
 set -euo pipefail
@@ -54,6 +55,7 @@ target_files=(
   "src/core/cost_estimator.cc"
   "src/core/logical_database.cc"
   "src/storage/database.cc"
+  "src/storage/bplus_tree.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then

@@ -226,9 +226,18 @@ Row LogicalDatabase::BuildRow(const TableRowPlan& plan, const Row& anchor_row) c
 
 Status LogicalDatabase::LoadRows(Database* db, const std::string& table,
                                  const TableRowPlan& plan, size_t begin, size_t end) const {
+  // One table lookup, one latch and one pinned heap tail and index path per
+  // batch (Database::InsertBatch).
+  constexpr size_t kBatchRows = 256;
   const std::vector<Row>& anchor_rows = rows_[plan.anchor];
-  for (size_t r = begin; r < end; ++r) {
-    PSE_RETURN_NOT_OK(db->Insert(table, BuildRow(plan, anchor_rows[r])).status());
+  std::vector<Row> batch;
+  batch.reserve(std::min(kBatchRows, end - begin));
+  for (size_t r = begin; r < end;) {
+    batch.clear();
+    for (const size_t stop = std::min(end, r + kBatchRows); r < stop; ++r) {
+      batch.push_back(BuildRow(plan, anchor_rows[r]));
+    }
+    PSE_RETURN_NOT_OK(db->InsertBatch(table, batch));
   }
   return Status::OK();
 }

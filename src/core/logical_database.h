@@ -120,7 +120,7 @@ class LogicalDatabase {
   /// Position of `attr` within `entity`'s rows.
   Result<size_t> AttrPosition(EntityId entity, AttrId attr) const;
   /// Inserts into `table` the rows `plan` builds from anchor rows
-  /// [begin, end).
+  /// [begin, end), in batches of 256.
   Status LoadRows(Database* db, const std::string& table, const TableRowPlan& plan,
                   size_t begin, size_t end) const;
 

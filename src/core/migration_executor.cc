@@ -469,25 +469,38 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
     }
     cursor += batch_rows;
 
-    // Inserts take the destination's exclusive content latch; staging them
-    // until the source's shared latch drops keeps this lane at one
-    // table-rank latch at a time. Holding both inverts the canonical
+    if (ts != nullptr && !t.dedup) {
+      // Non-dedup target: a key already in the shared set was dual-applied
+      // by the router (on whichever side of the frontier the write landed);
+      // re-inserting it here would be the double-insert this set exists to
+      // prevent. Dedup targets filtered through the set above already.
+      size_t kept = 0;
+      for (Row& dst : staged) {
+        const Value& k = dst[ts->key_col];
+        if (!k.is_null() && !ts->keys.insert(k).second) continue;
+        if (&staged[kept] != &dst) staged[kept] = std::move(dst);
+        ++kept;
+      }
+      staged.resize(kept);
+    }
+    // The insert batch takes the destination's exclusive content latch;
+    // staging the rows until the source's shared latch drops keeps this lane
+    // at one table-rank latch at a time. Holding both inverts the canonical
     // sorted-name order whenever the destination sorts before the source
     // (lockdep regression: CopyBatchHoldsOneTableLatchAtATime).
-    for (Row& dst : staged) {
+    size_t appended = 0;
+    Status inserted = db_->InsertBatch(t.schema.name(), staged, &appended);
+    j->targets[target_idx].dest_rows += appended;
+    if (!inserted.ok()) {
+      // As after a row-at-a-time loop stopped at the failed row: the keys of
+      // the rows it never reached leave the shared set.
       if (ts != nullptr && !t.dedup) {
-        // Non-dedup target: a key already in the shared set was dual-applied
-        // by the router (on whichever side of the frontier the write landed);
-        // re-inserting it here would be the double-insert this set exists to
-        // prevent. Dedup targets filtered through the set above already.
-        const Value& k = dst[ts->key_col];
-        if (!k.is_null()) {
-          if (ts->keys.count(k) > 0) continue;
-          ts->keys.insert(k);
+        for (size_t r = appended + 1; r < staged.size(); ++r) {
+          const Value& k = staged[r][ts->key_col];
+          if (!k.is_null()) ts->keys.erase(k);
         }
       }
-      PSE_RETURN_NOT_OK(db_->Insert(t.schema.name(), dst).status());
-      ++j->targets[target_idx].dest_rows;
+      return inserted;
     }
 
     // Commit point: data + journal cursor + frontier become durable

@@ -107,6 +107,18 @@ size_t InternalChildIndex(const char* p, Composite c) {
 PageId ChildAt(const char* p, size_t idx) {
   return idx == 0 ? Child0(p) : InternalChild(p, idx - 1);
 }
+
+/// Whether the row loop's descent routes c through `level`'s page.
+bool Covers(const BPlusTree::Cursor::Level& level, Composite c) {
+  return (!level.has_lo || !(c < Composite{level.lo_key, level.lo_rid})) &&
+         (!level.has_hi || c < Composite{level.hi_key, level.hi_rid});
+}
+
+/// Marks levels [0, depth) used, deepest first: the order in which the row
+/// loop's descent unpins them.
+void TouchPath(const BPlusTree::Cursor& cursor, size_t depth, PinList* pins) {
+  for (size_t l = depth; l-- > 0;) pins->Touch(cursor.levels[l].pin);
+}
 }  // namespace
 
 Result<BPlusTree> BPlusTree::Create(BufferPool* pool) {
@@ -142,6 +154,99 @@ Status BPlusTree::Insert(int64_t key, Rid rid) {
     root_ = g.page_id();
     ++height_;
   }
+  ++num_entries_;
+  return Status::OK();
+}
+
+Status BPlusTree::Append(int64_t key, Rid rid, Cursor* cursor, PinList* pins) {
+  if (height_ > Cursor::kMaxHeight) {
+    pins->ReleaseAll();
+    return Insert(key, rid);
+  }
+  const Composite c{key, rid.Pack()};
+  auto& levels = cursor->levels;
+  const size_t height = height_;
+  // Only a split changes the height, and a split leaves nothing held.
+  if (cursor->height != height_) {
+    for (size_t l = 0; l < height; ++l) levels[l].pin = PinList::kNone;
+    cursor->height = height_;
+  }
+  pins->BeginOp();
+  // Levels [0, d) are held and route c; the row loop's descent pins them
+  // too, so they are in use.
+  size_t d = 0;
+  while (d < height && levels[d].pin != PinList::kNone && Covers(levels[d], c)) {
+    pins->Touch(levels[d].pin);
+    ++d;
+  }
+  for (size_t l = d; l < height; ++l) {
+    if (levels[l].pin != PinList::kNone) pins->Drop(levels[l].pin);
+  }
+  for (size_t l = d; l < height; ++l) {
+    Cursor::Level& level = levels[l];
+    PageId pid = root_;
+    level.has_lo = level.has_hi = false;
+    if (l > 0) {
+      const Cursor::Level& parent = levels[l - 1];
+      const char* pp = pins->guard(parent.pin).data();
+      const size_t n = Count(pp);
+      const size_t idx = InternalChildIndex(pp, c);
+      pid = ChildAt(pp, idx);
+      if (idx > 0) {
+        const Composite lo = InternalKey(pp, idx - 1);
+        level.has_lo = true;
+        level.lo_key = lo.key;
+        level.lo_rid = lo.rid;
+      } else if (parent.has_lo) {
+        level.has_lo = true;
+        level.lo_key = parent.lo_key;
+        level.lo_rid = parent.lo_rid;
+      }
+      if (idx < n) {
+        const Composite hi = InternalKey(pp, idx);
+        level.has_hi = true;
+        level.hi_key = hi.key;
+        level.hi_rid = hi.rid;
+      } else if (parent.has_hi) {
+        level.has_hi = true;
+        level.hi_key = parent.hi_key;
+        level.hi_rid = parent.hi_rid;
+      }
+    }
+    pins->Reserve();
+    Result<PageGuard> page = pool_->FetchPage(pid);
+    if (!page.ok()) {
+      TouchPath(*cursor, l, pins);
+      return page.status();
+    }
+    const bool is_leaf = NodeType(page->data()) == kLeaf;
+    pins->Hold(std::move(*page), &level.pin);
+    if (is_leaf != (l + 1 == height)) {
+      TouchPath(*cursor, l + 1, pins);
+      return Status::Internal("B+ tree page " + std::to_string(pid) +
+                              " disagrees with the tree's height");
+    }
+  }
+
+  char* p = pins->guard(levels[height - 1].pin).mutable_data();
+  const uint16_t n = Count(p);
+  // Ascending keys land past the last entry: skip the search for them.
+  const size_t pos = n > 0 && LeafEntry(p, n - 1) < c ? n : LeafLowerBound(p, c);
+  if (pos < n && LeafEntry(p, pos) == c) {
+    TouchPath(*cursor, height, pins);
+    return Status::AlreadyExists("duplicate (key,rid) in index");
+  }
+  if (n >= kLeafCapacity) {
+    // The split is Insert's. It fetches the path again, and while it runs
+    // the row loop holds no other page.
+    pins->ReleaseAll();
+    return Insert(key, rid);
+  }
+  std::memmove(p + kLeafHeader + (pos + 1) * kLeafEntrySize, p + kLeafHeader + pos * kLeafEntrySize,
+               (n - pos) * kLeafEntrySize);
+  SetLeafEntry(p, pos, c);
+  SetCount(p, static_cast<uint16_t>(n + 1));
+  TouchPath(*cursor, height, pins);
   ++num_entries_;
   return Status::OK();
 }

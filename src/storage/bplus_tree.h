@@ -15,12 +15,14 @@
 //            u32 child}; entry i separates child i and child i+1.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/buffer_pool.h"
+#include "storage/pin_list.h"
 #include "storage/storage_defs.h"
 
 namespace pse {
@@ -36,8 +38,44 @@ class BPlusTree {
   static BPlusTree Attach(BufferPool* pool, PageId root, uint32_t height,
                           uint64_t num_entries);
 
-  /// Inserts (key, rid). Duplicate (key, rid) pairs are rejected.
+  /// \brief The root-to-leaf path an append batch keeps pinned in one tree.
+  ///
+  /// Level l holds its page's handle in the batch's PinList (kNone once
+  /// released) and the composite bounds its parent's separators give it:
+  /// the keys the row loop's descent from the root would route through it.
+  struct Cursor {
+    struct Level {
+      int32_t pin;
+      bool has_lo;  ///< false: unbounded below
+      bool has_hi;  ///< false: unbounded above
+      int64_t lo_key, hi_key;
+      uint64_t lo_rid, hi_rid;
+    };
+    /// Deeper than any tree gets: at half-full fanout 2^32 pages make 6
+    /// levels. A deeper tree inserts through Insert.
+    static constexpr uint32_t kMaxHeight = 8;
+
+    /// Levels are set when the path is first taken, so a batch of one pays
+    /// nothing to make a cursor.
+    Cursor() {}  // NOLINT(modernize-use-equals-default): leaves `levels` unset
+
+    std::array<Level, kMaxHeight> levels;  ///< [0] is the root
+    uint32_t height = 0;  ///< levels in use: the tree's height when taken
+  };
+
+  /// Inserts (key, rid) from the root. Duplicate (key, rid) pairs are
+  /// rejected.
   Status Insert(int64_t key, Rid rid);
+
+  /// \brief Inserts (key, rid) through `cursor`: the one key insert.
+  ///
+  /// Descends only from the deepest held level whose bounds cover the key,
+  /// holding the pages it fetches in `pins` and dropping the levels it
+  /// leaves. A key that lands in a leaf with room is written there; a full
+  /// leaf releases every held page and leaves the split to Insert. Touches
+  /// the path leaf first and root last, as the row loop unpins it, so pages
+  /// and I/O are Insert's (PinList).
+  Status Append(int64_t key, Rid rid, Cursor* cursor, PinList* pins);
   /// Removes (key, rid). NotFound if absent.
   Status Delete(int64_t key, Rid rid);
   /// Collects the rids of all entries with exactly `key`.

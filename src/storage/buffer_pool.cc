@@ -4,27 +4,7 @@
 
 namespace pse {
 
-PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
-  if (this != &o) {
-    Release();
-    pool_ = o.pool_;
-    page_id_ = o.page_id_;
-    data_ = o.data_;
-    dirty_ = o.dirty_;
-    o.pool_ = nullptr;
-    o.data_ = nullptr;
-  }
-  return *this;
-}
-
-void PageGuard::Release() {
-  if (pool_ != nullptr && data_ != nullptr) {
-    pool_->Unpin(page_id_, dirty_);
-  }
-  pool_ = nullptr;
-  data_ = nullptr;
-  dirty_ = false;
-}
+void PageGuard::Unpin() { pool_->Unpin(page_id_, dirty_); }
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity)
     : disk_(disk), capacity_(capacity), frames_(capacity) {

@@ -29,8 +29,23 @@ class PageGuard {
   PageGuard() = default;
   PageGuard(BufferPool* pool, PageId page_id, char* data)
       : pool_(pool), page_id_(page_id), data_(data) {}
-  PageGuard(PageGuard&& o) noexcept { *this = std::move(o); }
-  PageGuard& operator=(PageGuard&& o) noexcept;
+  PageGuard(PageGuard&& o) noexcept
+      : pool_(o.pool_), page_id_(o.page_id_), data_(o.data_), dirty_(o.dirty_) {
+    o.pool_ = nullptr;
+    o.data_ = nullptr;
+  }
+  PageGuard& operator=(PageGuard&& o) noexcept {
+    if (this != &o) {
+      Release();
+      pool_ = o.pool_;
+      page_id_ = o.page_id_;
+      data_ = o.data_;
+      dirty_ = o.dirty_;
+      o.pool_ = nullptr;
+      o.data_ = nullptr;
+    }
+    return *this;
+  }
   PageGuard(const PageGuard&) = delete;
   PageGuard& operator=(const PageGuard&) = delete;
   ~PageGuard() { Release(); }
@@ -45,9 +60,16 @@ class PageGuard {
   }
 
   /// Explicit early unpin.
-  void Release();
+  void Release() {
+    if (pool_ != nullptr && data_ != nullptr) Unpin();
+    pool_ = nullptr;
+    data_ = nullptr;
+    dirty_ = false;
+  }
 
  private:
+  void Unpin();
+
   BufferPool* pool_ = nullptr;
   PageId page_id_ = kInvalidPageId;
   char* data_ = nullptr;

@@ -1,5 +1,6 @@
 #include "storage/database.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string_view>
 
@@ -31,7 +32,7 @@ class AnalyzeScan final : public TupleVisitor {
     }
   }
 
-  Status Tuple(const char* bytes, size_t size) override {
+  Status Tuple(Rid, const char* bytes, size_t size) override {
     ++rows_;
     width_sum_ += static_cast<double>(size);
     TupleCursor cur(bytes, size, cols_.size());
@@ -167,7 +168,87 @@ class AnalyzeScan final : public TupleVisitor {
   double width_sum_ = 0;
 };
 
+/// \brief The one insert path: rows appended to one table, its heap and
+/// every index, through one PinList.
+///
+/// The heap's tail and each index's path stay pinned from row to row; the
+/// list releases them when they are done with and, at the latest, when the
+/// appender goes (DESIGN.md §20). The caller holds the table's exclusive
+/// latch.
+class TableAppender {
+ public:
+  TableAppender(const BufferPool& pool, TableInfo* t)
+      : t_(t), cursors_(t->indexes.size()), pins_(PinList::Budget(pool)) {}
+
+  /// Appends `row` to the heap and its keys to the indexes; counts the row
+  /// once all of it is in.
+  Result<Rid> Append(const Row& row) {
+    PSE_ASSIGN_OR_RETURN(Rid rid, t_->heap->Append(row, &tail_, &pins_));
+    PSE_RETURN_NOT_OK(AppendKeys(row, rid));
+    ++t_->row_count;
+    t_->stats_valid = false;
+    pins_.ReleaseDropped();
+    return rid;
+  }
+
+  /// Inserts `row`'s non-NULL keys, stored at `rid`, into every index.
+  Status AppendKeys(const Row& row, Rid rid) {
+    for (size_t i = 0; i < t_->indexes.size(); ++i) {
+      const IndexInfo& idx = *t_->indexes[i];
+      const Value& v = row[idx.column_idx];
+      if (!v.is_null()) PSE_RETURN_NOT_OK(idx.tree->Append(v.AsInt(), rid, &cursors_[i], &pins_));
+    }
+    return Status::OK();
+  }
+
+ private:
+  TableInfo* t_;
+  TableHeap::Tail tail_;
+  std::vector<BPlusTree::Cursor> cursors_;  ///< one per index
+  PinList pins_;  ///< last: it releases its pages before the owners go
+};
+
+/// \brief An index backfill's scan: each live row's key, read from its
+/// bytes, goes into the tree through the tree's cursor.
+class KeyBackfill final : public TupleVisitor {
+ public:
+  KeyBackfill(const TableSchema& schema, size_t column, BPlusTree* tree, const BufferPool& pool)
+      : schema_(schema), wanted_{column}, cols_{&key_}, tree_(tree), pins_(PinList::Budget(pool)) {}
+
+  Status Tuple(Rid rid, const char* bytes, size_t size) override {
+    key_.clear();
+    PSE_RETURN_NOT_OK(TupleCodec::DeserializeColumns(schema_, bytes, size, wanted_, cols_));
+    if (key_[0].is_null()) return Status::OK();
+    return tree_->Append(key_[0].AsInt(), rid, &cursor_, &pins_);
+  }
+  void PageDone() override {}
+
+ private:
+  const TableSchema& schema_;
+  std::vector<size_t> wanted_;
+  std::vector<Value> key_;
+  std::vector<std::vector<Value>*> cols_;
+  BPlusTree* tree_;
+  BPlusTree::Cursor cursor_;
+  PinList pins_;  ///< last: it releases its pages before the cursor goes
+};
+
 }  // namespace
+
+bool TableNameLess::operator()(std::string_view a, std::string_view b) const {
+  // ASCII folding, as ToLower does in the C locale.
+  auto fold = [](char c) {
+    const auto u = static_cast<unsigned char>(c);
+    return u >= 'A' && u <= 'Z' ? static_cast<unsigned char>(u + ('a' - 'A')) : u;
+  };
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char ca = fold(a[i]);
+    const unsigned char cb = fold(b[i]);
+    if (ca != cb) return ca < cb;
+  }
+  return a.size() < b.size();
+}
 
 const IndexInfo* TableInfo::FindIndex(const std::string& column) const {
   for (const auto& idx : indexes) {
@@ -206,9 +287,11 @@ Status Database::CreateTable(const TableSchema& schema, bool auto_key_index) {
   return Status::OK();
 }
 
-Status Database::DropTable(const std::string& name) {
-  auto it = tables_.find(ToLower(name));
-  if (it == tables_.end()) return Status::NotFound("table '" + name + "' does not exist");
+Status Database::DropTable(std::string_view name) {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    return Status::NotFound("table '" + std::string(name) + "' does not exist");
+  }
   // Free the heap chain.
   PageId pid = it->second->heap->first_page();
   while (pid != kInvalidPageId) {
@@ -226,19 +309,21 @@ Status Database::DropTable(const std::string& name) {
   return Status::OK();
 }
 
-bool Database::HasTable(const std::string& name) const {
-  return tables_.count(ToLower(name)) != 0;
-}
+bool Database::HasTable(std::string_view name) const { return tables_.count(name) != 0; }
 
-Result<TableInfo*> Database::GetTable(const std::string& name) {
-  auto it = tables_.find(ToLower(name));
-  if (it == tables_.end()) return Status::NotFound("table '" + name + "' does not exist");
+Result<TableInfo*> Database::GetTable(std::string_view name) {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    return Status::NotFound("table '" + std::string(name) + "' does not exist");
+  }
   return it->second.get();
 }
 
-Result<const TableInfo*> Database::GetTable(const std::string& name) const {
-  auto it = tables_.find(ToLower(name));
-  if (it == tables_.end()) return Status::NotFound("table '" + name + "' does not exist");
+Result<const TableInfo*> Database::GetTable(std::string_view name) const {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    return Status::NotFound("table '" + std::string(name) + "' does not exist");
+  }
   return static_cast<const TableInfo*>(it->second.get());
 }
 
@@ -262,17 +347,7 @@ Status Database::CreateIndex(const std::string& table, const std::string& column
   idx->name = table + "_" + column + "_idx";
   idx->column = column;
   idx->column_idx = col_idx;
-  PSE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool_.get()));
-  idx->tree = std::make_unique<BPlusTree>(std::move(tree));
-  // Backfill from existing rows.
-  PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, t->heap->Begin());
-  while (!it.AtEnd()) {
-    const Value& v = it.row()[col_idx];
-    if (!v.is_null()) {
-      PSE_RETURN_NOT_OK(idx->tree->Insert(v.AsInt(), it.rid()));
-    }
-    PSE_RETURN_NOT_OK(it.Next());
-  }
+  PSE_ASSIGN_OR_RETURN(idx->tree, BuildIndexTree(*t, col_idx));
   t->indexes.push_back(std::move(idx));
   return Status::OK();
 }
@@ -280,30 +355,20 @@ Status Database::CreateIndex(const std::string& table, const std::string& column
 Status Database::RebuildIndexes(const std::string& table) {
   PSE_ASSIGN_OR_RETURN(TableInfo * t, GetTable(table));
   for (auto& idx : t->indexes) {
-    PSE_ASSIGN_OR_RETURN(BPlusTree tree, BPlusTree::Create(pool_.get()));
-    auto fresh = std::make_unique<BPlusTree>(std::move(tree));
-    PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, t->heap->Begin());
-    while (!it.AtEnd()) {
-      const Value& v = it.row()[idx->column_idx];
-      if (!v.is_null()) {
-        PSE_RETURN_NOT_OK(fresh->Insert(v.AsInt(), it.rid()));
-      }
-      PSE_RETURN_NOT_OK(it.Next());
-    }
     // Old tree pages are orphaned rather than freed: page ids are never
     // reused (DiskManager policy), and after a crash the old tree cannot be
     // walked safely to enumerate them.
-    idx->tree = std::move(fresh);
+    PSE_ASSIGN_OR_RETURN(idx->tree, BuildIndexTree(*t, idx->column_idx));
   }
   return Status::OK();
 }
 
-Status Database::MaintainIndexesInsert(TableInfo* t, const Row& row, Rid rid) {
-  for (auto& idx : t->indexes) {
-    const Value& v = row[idx->column_idx];
-    if (!v.is_null()) PSE_RETURN_NOT_OK(idx->tree->Insert(v.AsInt(), rid));
-  }
-  return Status::OK();
+Result<std::unique_ptr<BPlusTree>> Database::BuildIndexTree(const TableInfo& t, size_t column) {
+  PSE_ASSIGN_OR_RETURN(BPlusTree created, BPlusTree::Create(pool_.get()));
+  auto tree = std::make_unique<BPlusTree>(std::move(created));
+  KeyBackfill scan(*t.schema, column, tree.get(), *pool_);
+  PSE_RETURN_NOT_OK(t.heap->ScanTuples(&scan));
+  return tree;
 }
 
 Status Database::MaintainIndexesDelete(TableInfo* t, const Row& row, Rid rid) {
@@ -314,18 +379,29 @@ Status Database::MaintainIndexesDelete(TableInfo* t, const Row& row, Rid rid) {
   return Status::OK();
 }
 
-Result<Rid> Database::Insert(const std::string& table, const Row& row) {
+Status Database::InsertBatch(std::string_view table, std::span<const Row> rows,
+                             size_t* appended) {
+  PSE_LOCKDEP_SCOPE("Database::InsertBatch");
+  if (appended != nullptr) *appended = 0;
+  PSE_ASSIGN_OR_RETURN(TableInfo * t, GetTable(table));
+  std::unique_lock<SharedMutex> table_lock(t->latch);
+  TableAppender appender(*pool_, t);
+  for (const Row& row : rows) {
+    PSE_RETURN_NOT_OK(appender.Append(row).status());
+    if (appended != nullptr) ++*appended;
+  }
+  return Status::OK();
+}
+
+Result<Rid> Database::Insert(std::string_view table, const Row& row) {
   PSE_LOCKDEP_SCOPE("Database::Insert");
   PSE_ASSIGN_OR_RETURN(TableInfo * t, GetTable(table));
   std::unique_lock<SharedMutex> table_lock(t->latch);
-  PSE_ASSIGN_OR_RETURN(Rid rid, t->heap->Insert(row));
-  PSE_RETURN_NOT_OK(MaintainIndexesInsert(t, row, rid));
-  ++t->row_count;
-  t->stats_valid = false;
-  return rid;
+  TableAppender appender(*pool_, t);
+  return appender.Append(row);
 }
 
-Status Database::Delete(const std::string& table, const Rid& rid) {
+Status Database::Delete(std::string_view table, const Rid& rid) {
   PSE_LOCKDEP_SCOPE("Database::Delete");
   PSE_ASSIGN_OR_RETURN(TableInfo * t, GetTable(table));
   std::unique_lock<SharedMutex> table_lock(t->latch);
@@ -338,7 +414,7 @@ Status Database::Delete(const std::string& table, const Rid& rid) {
   return Status::OK();
 }
 
-Result<Rid> Database::Update(const std::string& table, const Rid& rid, const Row& row) {
+Result<Rid> Database::Update(std::string_view table, const Rid& rid, const Row& row) {
   PSE_LOCKDEP_SCOPE("Database::Update");
   PSE_ASSIGN_OR_RETURN(TableInfo * t, GetTable(table));
   std::unique_lock<SharedMutex> table_lock(t->latch);
@@ -346,7 +422,8 @@ Result<Rid> Database::Update(const std::string& table, const Rid& rid, const Row
   PSE_RETURN_NOT_OK(t->heap->Get(rid, &old_row));
   PSE_ASSIGN_OR_RETURN(Rid new_rid, t->heap->Update(rid, row));
   PSE_RETURN_NOT_OK(MaintainIndexesDelete(t, old_row, rid));
-  PSE_RETURN_NOT_OK(MaintainIndexesInsert(t, row, new_rid));
+  TableAppender appender(*pool_, t);
+  PSE_RETURN_NOT_OK(appender.AppendKeys(row, new_rid));
   t->stats_valid = false;
   return new_rid;
 }

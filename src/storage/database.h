@@ -6,7 +6,9 @@
 #include <map>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -45,6 +47,17 @@ struct TableInfo {
 
   /// Finds an index on `column`, or nullptr.
   const IndexInfo* FindIndex(const std::string& column) const;
+};
+
+/// \brief Orders table names as their lowercase forms compare, without
+/// building them.
+///
+/// The catalog stores lowercase names. On those this is std::string's
+/// order, so TableNames() and the superblock keep theirs; a lookup in any
+/// case finds its table and allocates nothing.
+struct TableNameLess {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const;
 };
 
 /// \brief An embedded relational database instance.
@@ -91,12 +104,12 @@ class Database {
   /// key column is BIGINT.
   Status CreateTable(const TableSchema& schema, bool auto_key_index = true);
   /// Drops a table, freeing its heap pages.
-  Status DropTable(const std::string& name);
+  Status DropTable(std::string_view name);
   /// True if the table exists.
-  bool HasTable(const std::string& name) const;
-  /// Looks up a table. NotFound if absent.
-  Result<TableInfo*> GetTable(const std::string& name);
-  Result<const TableInfo*> GetTable(const std::string& name) const;
+  bool HasTable(std::string_view name) const;
+  /// Looks up a table, in any case. NotFound if absent.
+  Result<TableInfo*> GetTable(std::string_view name);
+  Result<const TableInfo*> GetTable(std::string_view name) const;
   /// Names of all tables, sorted.
   std::vector<std::string> TableNames() const;
 
@@ -109,12 +122,26 @@ class Database {
   /// indexes are re-derived from the (verified) heap instead of trusted.
   Status RebuildIndexes(const std::string& table);
 
-  /// Inserts a row, maintaining all indexes.
-  Result<Rid> Insert(const std::string& table, const Row& row);
+  /// \brief Appends `rows` to `table` in order, maintaining every index:
+  /// the one insert path.
+  ///
+  /// Looks the table up and takes its latch once. The heap's last page and
+  /// each index's last root-to-leaf path stay pinned from row to row, with
+  /// the page images and disk I/O of inserting the rows one at a time
+  /// (PinList, DESIGN.md §20). `*appended`, when given, counts the rows
+  /// inserted in full. A row that fails stops the batch as a lone insert
+  /// would have stopped: the rows before it stay, and so does whatever of it
+  /// reached the heap and the indexes before the error.
+  Status InsertBatch(std::string_view table, std::span<const Row> rows,
+                     size_t* appended = nullptr);
+  /// Inserts one row, maintaining all indexes: a batch of one.
+  Result<Rid> Insert(std::string_view table, const Row& row);
   /// Deletes by rid, maintaining indexes.
-  Status Delete(const std::string& table, const Rid& rid);
-  /// Updates by rid, maintaining indexes; returns the new rid.
-  Result<Rid> Update(const std::string& table, const Rid& rid, const Row& row);
+  Status Delete(std::string_view table, const Rid& rid);
+  /// Updates by rid, maintaining indexes; returns the new rid. When the
+  /// row cannot be written (TableHeap::Update), the heap, the indexes and
+  /// the row count stay as they were.
+  Result<Rid> Update(std::string_view table, const Rid& rid, const Row& row);
 
   /// Recomputes statistics for one table (full scan).
   Status Analyze(const std::string& table);
@@ -146,8 +173,10 @@ class Database {
   SharedMutex& schema_latch() const { return schema_latch_; }
 
  private:
-  Status MaintainIndexesInsert(TableInfo* t, const Row& row, Rid rid);
   Status MaintainIndexesDelete(TableInfo* t, const Row& row, Rid rid);
+  /// A fresh tree over column `column` of every live row of `t`: the one
+  /// index backfill, for CreateIndex and RebuildIndexes.
+  Result<std::unique_ptr<BPlusTree>> BuildIndexTree(const TableInfo& t, size_t column);
 
   Status WriteSuperblock();
   Status LoadSuperblock();
@@ -155,7 +184,7 @@ class Database {
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<BufferPool> pool_;
   mutable SharedMutex schema_latch_;
-  std::map<std::string, std::unique_ptr<TableInfo>> tables_;
+  std::map<std::string, std::unique_ptr<TableInfo>, TableNameLess> tables_;
   MigrationJournal journal_;
   /// Head of the catalog superblock chain (kInvalidPageId until the first
   /// Checkpoint on a fresh database).

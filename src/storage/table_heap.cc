@@ -70,6 +70,15 @@ size_t FreeSpace(const char* p) {
   if (free_end < slots_end + kSlotSize) return 0;
   return free_end - slots_end - kSlotSize;
 }
+
+/// InvalidArgument when a tuple of `size` bytes fits no page.
+Status CheckFits(size_t size) {
+  if (size + kSlotSize + kHeaderSize > kPageSize) {
+    return Status::InvalidArgument("tuple of " + std::to_string(size) +
+                                   " bytes exceeds page capacity");
+  }
+  return Status::OK();
+}
 }  // namespace
 
 uint16_t TableHeap::SlotCount(const char* page) { return GetU16(page, 4); }
@@ -95,23 +104,42 @@ TableHeap TableHeap::Attach(BufferPool* pool, const TableSchema* schema, PageId 
   return heap;
 }
 
+Result<Rid> TableHeap::Append(const Row& row, Tail* tail, PinList* pins) {
+  tail->bytes.clear();
+  PSE_RETURN_NOT_OK(TupleCodec::Serialize(*schema_, row, &tail->bytes));
+  PSE_RETURN_NOT_OK(CheckFits(tail->bytes.size()));
+  return AppendBytes(tail, pins);
+}
+
 Result<Rid> TableHeap::Insert(const Row& row) {
-  std::string bytes;
-  PSE_RETURN_NOT_OK(TupleCodec::Serialize(*schema_, row, &bytes));
-  if (bytes.size() + kSlotSize + kHeaderSize > kPageSize) {
-    return Status::InvalidArgument("tuple of " + std::to_string(bytes.size()) +
-                                   " bytes exceeds page capacity");
+  Tail tail;
+  PinList pins(PinList::Budget(*pool_));
+  return Append(row, &tail, &pins);
+}
+
+Result<Rid> TableHeap::AppendBytes(Tail* tail, PinList* pins) {
+  const std::string& bytes = tail->bytes;
+  pins->BeginOp();
+  if (tail->pin == PinList::kNone) {
+    pins->Reserve();
+    PSE_ASSIGN_OR_RETURN(PageGuard last, pool_->FetchPage(last_page_));
+    pins->Hold(std::move(last), &tail->pin);
+  } else {
+    pins->Touch(tail->pin);
   }
-  PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(last_page_));
-  if (FreeSpace(guard.data()) < bytes.size()) {
-    // Link and switch to a fresh page.
+  if (FreeSpace(pins->guard(tail->pin).data()) < bytes.size()) {
+    // Link and switch to a fresh page. The row loop unpins the old last
+    // page here, just before the fresh one.
+    pins->Reserve();
     PSE_ASSIGN_OR_RETURN(PageGuard fresh, pool_->NewPage());
     InitPage(fresh.mutable_data());
-    PutU32(guard.mutable_data(), 0, fresh.page_id());
+    PutU32(pins->guard(tail->pin).mutable_data(), 0, fresh.page_id());
     last_page_ = fresh.page_id();
     ++num_pages_;
-    guard = std::move(fresh);
+    pins->Drop(tail->pin);
+    pins->Hold(std::move(fresh), &tail->pin);
   }
+  PageGuard& guard = pins->guard(tail->pin);
   char* p = guard.mutable_data();
   uint16_t slot_count = GetU16(p, 4);
   uint16_t free_end = GetU16(p, 6);
@@ -159,25 +187,34 @@ Status TableHeap::Delete(const Rid& rid) {
 }
 
 Result<Rid> TableHeap::Update(const Rid& rid, const Row& row) {
-  std::string bytes;
-  PSE_RETURN_NOT_OK(TupleCodec::Serialize(*schema_, row, &bytes));
-  {
-    PSE_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page_id));
-    char* p = guard.mutable_data();
-    const uint16_t slot_count = GetU16(p, 4);
-    if (rid.slot >= slot_count) return Status::NotFound("rid slot out of range");
-    Slot s{};
-    if (!ReadSlot(p, slot_count, rid.slot, &s)) return SlotError(p, rid.page_id, rid.slot);
-    if (s.offset == 0) return Status::NotFound("tuple deleted");
-    if (bytes.size() <= s.size) {
-      // In-place: keep the slot, shrink logical size.
-      std::memcpy(p + s.offset, bytes.data(), bytes.size());
-      PutSlot(p, rid.slot, Slot{s.offset, static_cast<uint16_t>(bytes.size())});
-      return rid;
-    }
-    PutSlot(p, rid.slot, Slot{0, 0});
+  Tail tail;
+  PSE_RETURN_NOT_OK(TupleCodec::Serialize(*schema_, row, &tail.bytes));
+  const std::string& bytes = tail.bytes;
+  // A tuple no page holds fails before its old slot is touched.
+  PSE_RETURN_NOT_OK(CheckFits(bytes.size()));
+  PSE_ASSIGN_OR_RETURN(PageGuard old, pool_->FetchPage(rid.page_id));
+  char* p = old.mutable_data();
+  const uint16_t slot_count = GetU16(p, 4);
+  if (rid.slot >= slot_count) return Status::NotFound("rid slot out of range");
+  Slot s{};
+  if (!ReadSlot(p, slot_count, rid.slot, &s)) return SlotError(p, rid.page_id, rid.slot);
+  if (s.offset == 0) return Status::NotFound("tuple deleted");
+  if (bytes.size() <= s.size) {
+    // In-place: keep the slot, shrink logical size.
+    std::memcpy(p + s.offset, bytes.data(), bytes.size());
+    PutSlot(p, rid.slot, Slot{s.offset, static_cast<uint16_t>(bytes.size())});
+    return rid;
   }
-  return Insert(row);
+  // Relocate. The old page stays pinned through the append, so a failed
+  // append can put the slot back without another fetch; it is unpinned
+  // first afterwards, as the row loop unpinned it before appending.
+  PutSlot(p, rid.slot, Slot{0, 0});
+  PinList pins(PinList::Budget(*pool_));
+  Result<Rid> moved = AppendBytes(&tail, &pins);
+  if (!moved.ok()) PutSlot(p, rid.slot, s);
+  old.Release();
+  pins.ReleaseAll();
+  return moved;
 }
 
 Result<uint64_t> TableHeap::CountRowsBounded(uint64_t max_pages) const {
@@ -259,8 +296,8 @@ Result<TableHeap::Iterator> TableHeap::Seek(const Rid& rid) const {
 Status TableHeap::ScanTuples(TupleVisitor* visitor) const {
   return Walk(
              first_page_, 0,
-             [visitor](Rid, const char* bytes, size_t size) -> Result<bool> {
-               PSE_RETURN_NOT_OK(visitor->Tuple(bytes, size));
+             [visitor](Rid rid, const char* bytes, size_t size) -> Result<bool> {
+               PSE_RETURN_NOT_OK(visitor->Tuple(rid, bytes, size));
                return true;
              },
              [visitor] { visitor->PageDone(); })

@@ -17,6 +17,7 @@
 #include "catalog/tuple.h"
 #include "common/status.h"
 #include "storage/buffer_pool.h"
+#include "storage/pin_list.h"
 
 namespace pse {
 
@@ -24,9 +25,9 @@ namespace pse {
 /// heap order.
 class TupleVisitor {
  public:
-  /// One live tuple. `bytes` points into its pinned page and stays valid
-  /// until the next PageDone(); an error ends the scan with it.
-  virtual Status Tuple(const char* bytes, size_t size) = 0;
+  /// One live tuple, at `rid`. `bytes` points into its pinned page and
+  /// stays valid until the next PageDone(); an error ends the scan with it.
+  virtual Status Tuple(Rid rid, const char* bytes, size_t size) = 0;
   /// The scan is about to unpin the page of every tuple since the last
   /// call: their bytes become invalid.
   virtual void PageDone() = 0;
@@ -48,7 +49,21 @@ class TableHeap {
   static TableHeap Attach(BufferPool* pool, const TableSchema* schema, PageId first_page,
                           PageId last_page, uint64_t num_pages = 0);
 
-  /// Appends a row; returns its Rid.
+  /// What Append keeps between the rows of one batch.
+  struct Tail {
+    int32_t pin = PinList::kNone;  ///< handle of the last page, while held
+    std::string bytes;             ///< the row being appended, serialized
+  };
+
+  /// \brief Appends a row to the last page: the one heap insert.
+  ///
+  /// Serializes into `tail->bytes`, which the batch reuses, and keeps the
+  /// last page held in `pins` for the next row. A full last page is linked
+  /// to a fresh one, which becomes the held tail; the old one is dropped.
+  /// Fetches, allocates and dirties the pages the row-at-a-time insert
+  /// does, in the same order (PinList).
+  Result<Rid> Append(const Row& row, Tail* tail, PinList* pins);
+  /// Appends one row, as a batch of one; returns its Rid.
   Result<Rid> Insert(const Row& row);
   /// Reads the row at `rid`. NotFound for deleted/invalid slots.
   Status Get(const Rid& rid, Row* out) const;
@@ -57,7 +72,12 @@ class TableHeap {
   Status CopyTuple(const Rid& rid, TupleBytes* out) const;
   /// Deletes the row at `rid`.
   Status Delete(const Rid& rid);
-  /// Replaces the row at `rid`; returns the (possibly new) Rid.
+  /// \brief Replaces the row at `rid`; returns the (possibly new) Rid.
+  ///
+  /// A row that no longer fits its slot moves: the new bytes are appended
+  /// and the old slot is deleted. When the append fails (a tuple larger than
+  /// a page, a page that cannot be allocated or evicted), the old slot
+  /// stays as it was and the error is returned.
   Result<Rid> Update(const Rid& rid, const Row& row);
 
   PageId first_page() const { return first_page_; }
@@ -166,6 +186,9 @@ class TableHeap {
  private:
   TableHeap(BufferPool* pool, const TableSchema* schema)
       : pool_(pool), schema_(schema) {}
+
+  /// Appends `tail->bytes`, which fit a page (CheckFits).
+  Result<Rid> AppendBytes(Tail* tail, PinList* pins);
 
   static uint16_t SlotCount(const char* page);
   static uint16_t FreeEnd(const char* page);

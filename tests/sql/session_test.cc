@@ -141,6 +141,34 @@ TEST_F(SessionTest, UpdateKeyMaintainsIndex) {
   EXPECT_EQ(found.rows[0][0].AsString(), "title-5");
 }
 
+// A row that grows past a page cannot move; the UPDATE fails and leaves
+// the row, its index entry and the row count as they were.
+TEST_F(SessionTest, OversizedUpdateKeepsTheRow) {
+  Must("CREATE TABLE t (id BIGINT NOT NULL, v VARCHAR(16), PRIMARY KEY (id))");
+  Must("INSERT INTO t VALUES (1, 'one')");
+  Must("INSERT INTO t VALUES (2, 'two')");
+  auto r = session_->Execute("UPDATE t SET v = '" + std::string(9000, 'x') + "' WHERE id = 2");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("exceeds page capacity"), std::string::npos)
+      << r.status().ToString();
+
+  ExecResult all = Must("SELECT id FROM t");
+  EXPECT_EQ(all.rows.size(), 2u);
+  ExecResult two = Must("SELECT v FROM t WHERE id = 2");
+  ASSERT_EQ(two.rows.size(), 1u);
+  EXPECT_EQ(two.rows[0][0].AsString(), "two");
+  auto t = db_->GetTable("t");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ((*t)->row_count, 2u);
+  std::vector<Rid> rids;
+  ASSERT_TRUE((*t)->FindIndex("id")->tree->ScanEqual(2, &rids).ok());
+  ASSERT_EQ(rids.size(), 1u);
+  Row row;
+  ASSERT_TRUE((*t)->heap->Get(rids[0], &row).ok());
+  EXPECT_EQ(row[1].AsString(), "two");
+}
+
 TEST_F(SessionTest, DeleteRows) {
   ExecResult r = Must("DELETE FROM book WHERE price = 0.0");
   EXPECT_EQ(r.affected, 5u);  // b%8==0: books 0,8,16,24,32

@@ -135,6 +135,8 @@ TEST_F(BPlusTreeTest, LargeSequentialInsertKeepsInvariants) {
 }
 
 // Property: random inserts/deletes match a std::multimap reference model.
+// Each insert goes in from the root (Insert) or, at random, through a
+// cursor (Append); the cursor's pins are released before every other call.
 class BPlusTreeProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BPlusTreeProperty, MatchesReferenceModel) {
@@ -142,6 +144,8 @@ TEST_P(BPlusTreeProperty, MatchesReferenceModel) {
   BufferPool pool(&dm, 1024);
   auto tree = BPlusTree::Create(&pool);
   ASSERT_TRUE(tree.ok());
+  BPlusTree::Cursor cursor;
+  PinList pins(PinList::Budget(pool));
   Rng rng(GetParam());
   std::set<std::pair<int64_t, uint64_t>> model;
   for (int step = 0; step < 20000; ++step) {
@@ -150,18 +154,30 @@ TEST_P(BPlusTreeProperty, MatchesReferenceModel) {
       Rid rid = MakeRid(static_cast<uint32_t>(rng.UniformInt(0, 1 << 20)),
                         static_cast<uint16_t>(rng.UniformInt(0, 100)));
       bool fresh = model.insert({key, rid.Pack()}).second;
-      Status s = tree->Insert(key, rid);
+      Status s;
+      if (rng.Bernoulli(0.5)) {
+        s = tree->Append(key, rid, &cursor, &pins);
+      } else {
+        pins.ReleaseAll();
+        s = tree->Insert(key, rid);
+      }
       EXPECT_EQ(s.ok(), fresh);
+      if (!fresh) {
+        EXPECT_TRUE(s.IsAlreadyExists()) << s.ToString();
+      }
     } else {
+      pins.ReleaseAll();
       auto it = model.begin();
       std::advance(it, rng.Index(model.size()));
       ASSERT_TRUE(tree->Delete(it->first, Rid::Unpack(it->second)).ok());
       model.erase(it);
     }
   }
+  pins.ReleaseAll();
   auto check = tree->CheckInvariants();
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_EQ(*check, model.size());
+  EXPECT_EQ(tree->num_entries(), model.size());
   // Spot-check all point scans over the key domain.
   for (int64_t key = 0; key <= 500; ++key) {
     std::vector<Rid> got;

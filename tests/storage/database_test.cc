@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "engine/catalog_view.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
@@ -79,6 +82,70 @@ TEST(DatabaseTest, SecondaryIndexBackfills) {
   std::vector<Rid> rids;
   ASSERT_TRUE(idx->tree->ScanEqual(3, &rids).ok());
   EXPECT_EQ(rids.size(), 10u);
+}
+
+// Crash recovery's rebuild and CreateIndex backfill through the same
+// cursor the load appends through: after a load with NULL and duplicate
+// keys, a rebuilt index holds the loaded (key, rid) sequence in a tree of
+// the same height and entry count.
+TEST(DatabaseTest, RebuiltIndexMatchesTheLoadedOne) {
+  Database db(16);
+  ASSERT_TRUE(db.CreateTable(BookSchema()).ok());
+  ASSERT_TRUE(db.CreateIndex("book", "author_id").ok());
+  Rng rng(99);
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    rows.push_back({Value::Int(i), Value::Varchar(std::string(rng.Index(40), 'b')),
+                    rng.Bernoulli(0.3) ? Value::Null(TypeId::kInt64)
+                                       : Value::Int(rng.UniformInt(0, 400))});
+  }
+  size_t appended = 0;
+  ASSERT_TRUE(db.InsertBatch("book", rows, &appended).ok());
+  ASSERT_EQ(appended, rows.size());
+  TableInfo* t = *db.GetTable("book");
+
+  struct Shape {
+    std::vector<std::pair<int64_t, Rid>> entries;
+    uint32_t height;
+    uint64_t checked;
+  };
+  auto shape_of = [&](const IndexInfo& idx) {
+    Shape out;
+    std::vector<Rid> rids;
+    EXPECT_TRUE(idx.tree->ScanRange(INT64_MIN, INT64_MAX, &rids).ok());
+    for (const Rid& rid : rids) {
+      Row row;
+      EXPECT_TRUE(t->heap->Get(rid, &row).ok());
+      out.entries.emplace_back(row[idx.column_idx].AsInt(), rid);
+    }
+    out.height = idx.tree->height();
+    auto checked = idx.tree->CheckInvariants();
+    EXPECT_TRUE(checked.ok()) << checked.status().ToString();
+    out.checked = checked.ok() ? *checked : 0;
+    return out;
+  };
+  std::vector<Shape> loaded;
+  for (const auto& idx : t->indexes) loaded.push_back(shape_of(*idx));
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].entries.size(), rows.size());
+  EXPECT_LT(loaded[1].entries.size(), rows.size());  // NULL keys are not indexed
+  EXPECT_EQ(loaded[1].height, 2u);
+  for (const Shape& s : loaded) {
+    EXPECT_TRUE(std::is_sorted(s.entries.begin(), s.entries.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first != b.first ? a.first < b.first
+                                                           : a.second.Pack() < b.second.Pack();
+                               }));
+    EXPECT_EQ(s.checked, s.entries.size());
+  }
+
+  ASSERT_TRUE(db.RebuildIndexes("book").ok());
+  for (size_t i = 0; i < loaded.size(); ++i) {
+    const Shape rebuilt = shape_of(*t->indexes[i]);
+    EXPECT_EQ(rebuilt.entries, loaded[i].entries) << "index " << i;
+    EXPECT_EQ(rebuilt.height, loaded[i].height) << "index " << i;
+    EXPECT_EQ(rebuilt.checked, loaded[i].checked) << "index " << i;
+  }
 }
 
 TEST(DatabaseTest, IndexOnNonIntColumnRejected) {
@@ -165,6 +232,39 @@ TEST(DatabaseTest, TableNamesSorted) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "alpha");
   EXPECT_EQ(names[1], "zeta");
+}
+
+// Lookups ignore case, long names included, and the catalog keeps its
+// order: names sort as their lowercase forms do.
+TEST(DatabaseTest, TableLookupsIgnoreCaseAndKeepTheirOrder) {
+  Database db(64);
+  const std::vector<std::string> names = {"Order_Line_Items_2026", "order_line", "ORDERS",
+                                          "a", "Zeta", "order_line_items_2025"};
+  for (const std::string& n : names) {
+    ASSERT_TRUE(db.CreateTable(TableSchema(n, {Column("x", TypeId::kInt64)})).ok()) << n;
+  }
+  EXPECT_TRUE(db.CreateTable(TableSchema("ORDER_LINE", {Column("x", TypeId::kInt64)}))
+                  .IsAlreadyExists());
+  for (const std::string& n : names) {
+    EXPECT_TRUE(db.HasTable(ToLower(n))) << n;
+    EXPECT_TRUE(db.HasTable(ToUpper(n))) << n;
+    auto t = db.GetTable(ToUpper(n));
+    ASSERT_TRUE(t.ok()) << n;
+    EXPECT_EQ((*t)->schema->name(), n);
+  }
+  EXPECT_FALSE(db.HasTable("order_lin"));
+  EXPECT_FALSE(db.HasTable("order_line_"));
+  EXPECT_EQ(db.GetTable("orders_").status().code(), StatusCode::kNotFound);
+
+  std::vector<std::string> want = names;
+  std::sort(want.begin(), want.end(),
+            [](const std::string& x, const std::string& y) { return ToLower(x) < ToLower(y); });
+  EXPECT_EQ(db.TableNames(), want);
+
+  ASSERT_TRUE(db.DropTable("ORDER_LINE_ITEMS_2026").ok());
+  EXPECT_FALSE(db.HasTable("Order_Line_Items_2026"));
+  EXPECT_TRUE(db.HasTable("order_line_items_2025"));
+  EXPECT_EQ(db.DropTable("order_line_items_2026").code(), StatusCode::kNotFound);
 }
 
 TEST(DatabaseTest, IoCountersAdvanceOnColdScan) {

@@ -127,5 +127,52 @@ TEST(FailureInjectionTest, WriteBudgetFailsExactlyAfterLimit) {
   FAIL() << "write budget never triggered";
 }
 
+// An UPDATE that must move its row to a fresh page, whose allocation fails
+// (the eviction it needs cannot write), returns the error and leaves the
+// row where it was: readable, in its index, and counted once.
+TEST(FailureInjectionTest, FailedRelocatingUpdateKeepsTheRow) {
+  auto disk = FlakyDisk(FaultInjectionDiskManager::kNoLimit);
+  FaultInjectionDiskManager* handle = disk.get();
+  Database db(4, std::move(disk));
+  ASSERT_TRUE(db.CreateTable(WideSchema()).ok());
+  Rid last;
+  for (int64_t i = 0; i < 400; ++i) {
+    auto rid = db.Insert("t", {Value::Int(i), Value::Varchar(std::string(60, 'u'))});
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    last = *rid;
+  }
+  TableInfo* t = *db.GetTable("t");
+  ASSERT_EQ(last.page_id, t->heap->last_page());
+  const uint64_t pages = t->heap->NumPages();
+
+  // 8,113 bytes fit only an empty page: the row must move to a new one.
+  handle->set_write_budget(handle->writes_done());
+  auto moved = db.Update("t", last, {Value::Int(399), Value::Varchar(std::string(8100, 'w'))});
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.status().code(), StatusCode::kIOError) << moved.status().ToString();
+  handle->set_write_budget(FaultInjectionDiskManager::kNoLimit);
+
+  Row row;
+  ASSERT_TRUE(t->heap->Get(last, &row).ok());
+  EXPECT_EQ(row[1].AsString(), std::string(60, 'u'));
+  std::vector<Rid> rids;
+  ASSERT_TRUE(t->FindIndex("id")->tree->ScanEqual(399, &rids).ok());
+  ASSERT_EQ(rids.size(), 1u);
+  EXPECT_EQ(rids[0], last);
+  EXPECT_EQ(t->row_count, 400u);
+  EXPECT_EQ(t->heap->NumPages(), pages);
+  auto counted = t->heap->CountRowsBounded(pages);
+  ASSERT_TRUE(counted.ok());
+  EXPECT_EQ(*counted, 400u);
+
+  // With the disk back, the same update moves the row.
+  moved = db.Update("t", last, {Value::Int(399), Value::Varchar(std::string(8100, 'w'))});
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(t->heap->NumPages(), pages + 1);
+  ASSERT_TRUE(t->heap->Get(*moved, &row).ok());
+  EXPECT_EQ(row[1].AsString().size(), 8100u);
+  EXPECT_EQ(t->heap->Get(last, &row).code(), StatusCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace pse

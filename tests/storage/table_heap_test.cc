@@ -287,7 +287,8 @@ TEST_P(TableHeapProperty, FillTupleBytesMatchesProjectedFillBatch) {
 // Seek(r) yields exactly what Begin() yields after skipping every tuple
 // whose packed rid is below r's — for targets on live tuples, on deleted and
 // relocated-away slots, past a page's last slot, and past the end of the
-// last page — and fetches one page when the tuple at r is live.
+// last page — and fetches one page when the tuple at r is live. Linear in
+// the heap: one walk from Begin(), and each seek walked up to the next.
 TEST_P(TableHeapProperty, SeekMatchesBeginAndSkip) {
   InMemoryDiskManager dm;
   BufferPool pool(&dm, 128);
@@ -334,24 +335,33 @@ TEST_P(TableHeapProperty, SeekMatchesBeginAndSkip) {
   targets.insert(targets.end(), dead.begin(), dead.end());
   for (const auto& [page, count] : slots) targets.push_back(Rid{page, count});
   targets.push_back(Rid{heap->last_page(), UINT16_MAX});
+  std::sort(targets.begin(), targets.end());
 
-  auto rows_from = [](TableHeap::Iterator it, std::vector<std::pair<Rid, Row>>* out) {
-    while (!it.AtEnd()) {
-      out->emplace_back(it.rid(), it.row());
-      ASSERT_TRUE(it.Next().ok());
+  // One walk from Begin(): every seek's expected tuples are a suffix of it.
+  std::vector<std::pair<Rid, Row>> walk;
+  {
+    auto it = heap->Begin();
+    ASSERT_TRUE(it.ok()) << it.status().ToString();
+    while (!it->AtEnd()) {
+      walk.emplace_back(it->rid(), it->row());
+      ASSERT_TRUE(it->Next().ok());
     }
+  }
+  auto suffix_of = [&walk](const Rid& target) {
+    return static_cast<size_t>(
+        std::lower_bound(walk.begin(), walk.end(), target.Pack(),
+                         [](const std::pair<Rid, Row>& t, uint64_t packed) {
+                           return t.first.Pack() < packed;
+                         }) -
+        walk.begin());
   };
+
   auto page_fetches = [&pool] { return pool.stats().hits + pool.stats().misses; };
   std::sort(live.begin(), live.end());
-  for (const Rid& target : targets) {
+  for (size_t k = 0; k < targets.size(); ++k) {
+    const Rid& target = targets[k];
     SCOPED_TRACE(::testing::Message() << "seek (" << target.page_id << "," << target.slot << ")");
-    auto begin = heap->Begin();
-    ASSERT_TRUE(begin.ok()) << begin.status().ToString();
-    while (!begin->AtEnd() && begin->rid().Pack() < target.Pack()) {
-      ASSERT_TRUE(begin->Next().ok());
-    }
-    std::vector<std::pair<Rid, Row>> want;
-    rows_from(*begin, &want);
+    const size_t begin = suffix_of(target);
 
     const uint64_t before = page_fetches();
     auto sought = heap->Seek(target);
@@ -362,13 +372,24 @@ TEST_P(TableHeapProperty, SeekMatchesBeginAndSkip) {
       ASSERT_FALSE(sought->AtEnd());
       EXPECT_EQ(sought->rid(), target);
     }
-    std::vector<std::pair<Rid, Row>> got;
-    rows_from(*sought, &got);
 
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].first, want[i].first) << "tuple " << i;
-      ASSERT_EQ(RowToString(got[i].second), RowToString(want[i].second)) << "tuple " << i;
+    // The sought iterator must yield walk[begin, end). It is walked only up
+    // to the next target's suffix: an iterator's remaining tuples follow
+    // from its position alone, and the next target's seek, checked to land
+    // on walk[end], checks them from there. The last target is walked to
+    // the end.
+    const size_t end = k + 1 < targets.size() ? suffix_of(targets[k + 1]) : walk.size();
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_FALSE(sought->AtEnd()) << "tuple " << i - begin;
+      ASSERT_EQ(sought->rid(), walk[i].first) << "tuple " << i - begin;
+      ASSERT_EQ(RowToString(sought->row()), RowToString(walk[i].second)) << "tuple " << i - begin;
+      ASSERT_TRUE(sought->Next().ok());
+    }
+    if (end == walk.size()) {
+      EXPECT_TRUE(sought->AtEnd());
+    } else {
+      ASSERT_FALSE(sought->AtEnd());
+      EXPECT_EQ(sought->rid(), walk[end].first);
     }
   }
 }
