@@ -12,13 +12,12 @@
 //                (m = 16), the acceptance shape for pruned LAA.
 //
 // For each point the bench runs pruned LAA, brute-force LAA (where feasible),
-// and GAA, and prints a table; then it runs the Pro-Schema simulation in
-// online mode for three batch configurations. --json=PATH additionally
-// writes the rows (BENCH_laa_scaling.json via scripts/bench.sh).
+// and GAA, and prints a table. --json=PATH additionally writes the rows
+// (BENCH_laa_scaling.json via scripts/bench.sh).
 //
 // The binary checks its own results and exits 1 when the pruned,
-// brute-force and cached LAA costs differ, when an online configuration
-// commits no batch, or when a count reads differently on two repeats.
+// brute-force and cached LAA costs differ, or when a count reads
+// differently on two repeats.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -28,7 +27,7 @@
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
 #include "core/mapping.h"
-#include "core/simulation.h"
+#include "core/migration_planner.h"
 #include "engine/cost_cache.h"
 
 namespace pse {
@@ -40,7 +39,6 @@ struct Synthetic {
   PhysicalSchema source, object;
   LogicalStats stats;
   std::vector<WorkloadQuery> queries;
-  std::unique_ptr<LogicalDatabase> data;  ///< filled by FillData for online runs
 };
 
 void FillStats(Synthetic* s) {
@@ -124,90 +122,6 @@ Synthetic MakeClustered(size_t entities, size_t attrs_per_entity) {
   }
   FillStats(&s);
   return s;
-}
-
-/// Populates `rows` entity rows per entity so the online-migration
-/// simulation has real data to move (the planner sweeps above only need
-/// statistics, not rows).
-void FillData(Synthetic* s, size_t rows) {
-  s->data = std::make_unique<LogicalDatabase>(s->logical.get());
-  for (size_t e = 0; e < s->logical->num_entities(); ++e) {
-    const LogicalEntity& ent = s->logical->entity(e);
-    for (size_t k = 0; k < rows; ++k) {
-      Row row;
-      for (AttrId a : ent.attributes) {
-        const LogicalAttribute& attr = s->logical->attr(a);
-        row.push_back(attr.is_key ? Value::Int(static_cast<int64_t>(k))
-                                  : Value::Varchar(attr.name + "-" + std::to_string(k)));
-      }
-      (void)s->data->AddRow(static_cast<EntityId>(e), std::move(row));
-    }
-  }
-}
-
-/// One (configuration, phase) measurement of the online-migration mode:
-/// batched data movement with foreground probe queries interleaved between
-/// batches (the paper's "both versions stay live" scenario).
-struct OnlineRow {
-  uint64_t batch_rows = 0;
-  uint64_t io_budget = 0;
-  size_t phase = 0;
-  double query_cost = 0;    ///< the phase's Phase-Cost (sum C_i * F_i)
-  double migration_io = 0;  ///< data-movement I/O at this migration point
-  double probe_io = 0;      ///< I/O of probe queries run between batches
-  uint64_t batches = 0;     ///< migration batches committed this phase
-  uint64_t probes = 0;      ///< probe queries executed this phase
-};
-
-/// Runs the Pro-Schema situation online over a small independent instance
-/// for each (batch size, I/O budget) configuration. Returns 1 when a run
-/// fails or commits no batch.
-int RunOnline(std::vector<OnlineRow>* out) {
-  Synthetic s = MakeIndependent(4);
-  FillData(&s, 512);
-  std::vector<std::vector<double>> freqs(3, std::vector<double>(s.queries.size()));
-  for (size_t p = 0; p < 3; ++p) {
-    for (size_t q = 0; q < s.queries.size(); ++q) {
-      bool old_q = s.queries[q].is_old;
-      freqs[p][q] = old_q ? 30.0 - 10.0 * static_cast<double>(p)
-                          : 10.0 + 10.0 * static_cast<double>(p);
-    }
-  }
-  struct Cfg {
-    uint64_t batch_rows, io_budget;
-  };
-  for (Cfg cfg : {Cfg{64, 0}, Cfg{256, 0}, Cfg{64, 64}}) {
-    SimulationConfig config;
-    config.buffer_pool_pages = 256;
-    config.online_migration = true;
-    config.migration_batch_rows = cfg.batch_rows;
-    config.migration_io_budget = cfg.io_budget;
-    MigrationSimulation sim(&s.source, &s.object, &s.queries, freqs, s.data.get(), config);
-    auto pro = sim.Run(Situation::kProSchema);
-    if (!pro.ok()) {
-      std::fprintf(stderr, "online Pro: %s\n", pro.status().ToString().c_str());
-      return 1;
-    }
-    if (pro->TotalOnlineBatches() == 0) {
-      std::fprintf(stderr, "online Pro with %llu-row batches committed no batch\n",
-                   static_cast<unsigned long long>(cfg.batch_rows));
-      return 1;
-    }
-    for (size_t p = 0; p < pro->phases.size(); ++p) {
-      const PhaseReport& ph = pro->phases[p];
-      OnlineRow row;
-      row.batch_rows = cfg.batch_rows;
-      row.io_budget = cfg.io_budget;
-      row.phase = p;
-      row.query_cost = ph.query_cost;
-      row.migration_io = ph.migration_io;
-      row.probe_io = ph.online_probe_io;
-      row.batches = ph.online_batches;
-      row.probes = ph.online_probes;
-      out->push_back(row);
-    }
-  }
-  return 0;
 }
 
 struct BenchRow {
@@ -366,17 +280,6 @@ void Record(const BenchRow& r, bench::BenchJson::Row* j) {
   j->Sample("gaa_ms", r.gaa_ms);
 }
 
-void Record(const OnlineRow& r, bench::BenchJson::Row* j) {
-  j->Count("batch_rows", r.batch_rows);
-  j->Count("io_budget", r.io_budget);
-  j->Count("phase", r.phase);
-  j->Count("query_cost", r.query_cost);
-  j->Count("migration_io", r.migration_io);
-  j->Count("probe_io", r.probe_io);
-  j->Count("batches", r.batches);
-  j->Count("probes", r.probes);
-}
-
 void PrintRow(const BenchRow& r) {
   std::printf("%-12s %-4zu %8zu %13zu %16.0f", r.family.c_str(), r.m, r.clusters,
               r.pruned_evals, r.brute_closed);
@@ -388,21 +291,6 @@ void PrintRow(const BenchRow& r) {
   std::printf(" %10.1f %10.1f %10.1f %6.1f%% %4zu %12zu %10.1f\n", r.pruned_ms,
               r.exhaustive_run ? r.exhaustive_ms : 0.0, r.cached_ms, r.cache_hit_pct, r.threads,
               r.gaa_evals, r.gaa_ms);
-}
-
-void PrintOnline(const std::vector<OnlineRow>& rows) {
-  std::printf(
-      "\n=== online migration (Pro-Schema, m=4 independent, 512 rows/entity) ===\n"
-      "%-10s %-9s %-5s %12s %12s %10s %8s %7s\n",
-      "batch-rows", "io-budget", "phase", "query-cost", "migration-io", "probe-io", "batches",
-      "probes");
-  for (const OnlineRow& r : rows) {
-    std::printf("%-10llu %-9llu %-5zu %12.1f %12.1f %10.1f %8llu %7llu\n",
-                static_cast<unsigned long long>(r.batch_rows),
-                static_cast<unsigned long long>(r.io_budget), r.phase, r.query_cost,
-                r.migration_io, r.probe_io, static_cast<unsigned long long>(r.batches),
-                static_cast<unsigned long long>(r.probes));
-  }
 }
 
 }  // namespace
@@ -448,10 +336,6 @@ int main(int argc, char** argv) {
       PrintRow(row);
       Record(row, &json.At("rows", i++));
     }
-    std::vector<OnlineRow> online;
-    rc |= RunOnline(&online);
-    PrintOnline(online);
-    for (size_t k = 0; k < online.size(); ++k) Record(online[k], &json.At("online_migration", k));
     std::printf("\n");
   }
   std::printf(
@@ -459,11 +343,7 @@ int main(int argc, char** argv) {
       "sum of the clusters instead of their product, at identical chosen-plan cost; the\n"
       "cached column repeats the row's most expensive sweep with layout-fingerprint\n"
       "memoization + a thread pool, again at identical cost; GAA stays within its GA\n"
-      "budget.\n"
-      "\nOnline mode moves data in journaled batches and runs one foreground probe query\n"
-      "between batches; probe I/O is the price live traffic pays during movement and is\n"
-      "excluded from migration-io. Smaller batches (or an I/O budget) trade total batches\n"
-      "for shorter foreground stalls.\n");
+      "budget.\n");
   if (!json.ok()) rc = 1;
   if (!json_path.empty() && !json.Write(json_path)) rc = 1;
   return rc;

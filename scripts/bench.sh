@@ -6,9 +6,9 @@
 #                               # and BENCH_engine_micro.json
 #
 # Each binary checks its own results and exits non-zero when they are wrong
-# (an LAA cost differs from brute force, an online configuration commits no
-# batch, an engine micro returns other rows, a count differs between
-# repeats), so this script stops at the first failing bench.
+# (an LAA cost differs from brute force, an engine micro returns other rows,
+# a count differs between repeats), so this script stops at the first
+# failing bench.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +22,7 @@ echo "== bench: building =="
 cmake --build "$build_dir" -j "$jobs" --target bench_laa_scaling --target bench_engine_micro \
   >/dev/null
 
-echo "== bench: LAA scaling (pruned vs brute force vs cached vs GAA) and online migration =="
+echo "== bench: LAA scaling (pruned vs brute force vs cached vs GAA) =="
 "$build_dir"/bench/bench_laa_scaling --json=BENCH_laa_scaling.json
 
 echo "== bench: engine micro (one plan per batch operator) =="

@@ -17,10 +17,12 @@
 # src/core/cost_estimator.cc (the planners' cost-cache keys),
 # src/core/logical_database.cc (entity rows, row plans and the tenant
 # load), src/storage/database.cc (the catalog, index maintenance and
-# ANALYZE) and src/storage/bplus_tree.cc (the B+ tree and the append
-# path's cursor). With gcovr installed, writes coverage.xml (Cobertura) and
-# coverage.txt into the build dir for CI to upload; without it, falls back
-# to plain gcov for the floor check and skips the report artifact.
+# ANALYZE), src/storage/bplus_tree.cc (the B+ tree and the append path's
+# cursor) and src/storage/buffer_pool.cc (pinning, LRU eviction, and a
+# failed read or write-back that keeps its frame usable). With gcovr
+# installed, writes coverage.xml (Cobertura) and coverage.txt into the
+# build dir for CI to upload; without it, falls back to plain gcov for the
+# floor check and skips the report artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +58,7 @@ target_files=(
   "src/core/logical_database.cc"
   "src/storage/database.cc"
   "src/storage/bplus_tree.cc"
+  "src/storage/buffer_pool.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then

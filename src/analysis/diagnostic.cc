@@ -34,14 +34,6 @@ const char* DiagCodeName(DiagCode code) {
       return "WORKLOAD_UNANSWERABLE_INTERMEDIATE";
     case DiagCode::kAnalysisCostIrrelevantOp:
       return "ANALYSIS_COST_IRRELEVANT_OP";
-    case DiagCode::kResumeInvalidBatch:
-      return "RESUME_INVALID_BATCH";
-    case DiagCode::kResumeNondurable:
-      return "RESUME_NONDURABLE";
-    case DiagCode::kResumeLongOp:
-      return "RESUME_LONG_OP";
-    case DiagCode::kResumeBatchPlan:
-      return "RESUME_BATCH_PLAN";
     case DiagCode::kConcurrencyQuiesceStall:
       return "CONCURRENCY_QUIESCE_STALL";
     case DiagCode::kConcurrencyHotSource:

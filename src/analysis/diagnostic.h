@@ -38,11 +38,6 @@ enum class DiagCode {
   kWorkloadUnanswerableIntermediate, ///< WORKLOAD_UNANSWERABLE_INTERMEDIATE
   // -- interaction analysis --
   kAnalysisCostIrrelevantOp,  ///< ANALYSIS_COST_IRRELEVANT_OP: no query touches op
-  // -- online-migration resumability --
-  kResumeInvalidBatch,  ///< RESUME_INVALID_BATCH: batch sizing cannot progress
-  kResumeNondurable,    ///< RESUME_NONDURABLE: journal cannot survive a crash
-  kResumeLongOp,        ///< RESUME_LONG_OP: operator spans very many batches
-  kResumeBatchPlan,     ///< RESUME_BATCH_PLAN: per-op batch schedule (note)
   // -- concurrent serving --
   kConcurrencyQuiesceStall,    ///< CONCURRENCY_QUIESCE_STALL: publish waits on long scans
   kConcurrencyHotSource,       ///< CONCURRENCY_HOT_SOURCE: copy loop contends with hot reads

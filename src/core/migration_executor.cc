@@ -109,18 +109,10 @@ struct MigrationExecutor::OpPlan {
   const PhysicalSchema* after = nullptr;
 };
 
-bool MigrationExecutor::Durable() const {
-  switch (options_.durability) {
-    case MigrationOptions::Durability::kFinalOnly:
-      return false;
-    case MigrationOptions::Durability::kAuto:
-      return db_->persistent();
-  }
-  return false;
-}
-
 Status MigrationExecutor::CommitBatch() {
-  if (Durable()) return db_->Checkpoint();
+  // An in-memory database's journal cannot outlive the process: it commits
+  // nothing per batch and flushes once per operator, at publish (RunPhases).
+  if (db_->persistent()) return db_->Checkpoint();
   return Status::OK();
 }
 
@@ -131,7 +123,6 @@ Status MigrationExecutor::FireHook(uint64_t rows_copied) {
   ev.op_id = j.op_id;
   ev.batch_index = j.batches_committed;
   ev.rows_copied = rows_copied;
-  ev.io_so_far = db_->TotalIo() - io_start_ - hook_io_;
   uint64_t before = db_->TotalIo();
   Status s = options_.on_batch(ev);
   hook_io_ += db_->TotalIo() - before;
@@ -332,7 +323,6 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
     // queries) never stack behind a whole operator. An entity source is not
     // copied: its batch is entity rows [cursor, cursor + batch_rows), read
     // in place by the transform.
-    const uint64_t batch_io_start = db_->TotalIo();
     std::vector<Row> scanned;
     size_t batch_rows = 0;
     bool exhausted = false;
@@ -347,20 +337,8 @@ Status MigrationExecutor::CopyTarget(const OpPlan& plan, size_t target_idx) {
       scanned.reserve(options_.batch_rows);
       std::shared_lock<SharedMutex> batch_lock(src_info->latch);
       PSE_ASSIGN_OR_RETURN(TableHeap::Iterator it, position());
-      if (options_.batch_io_budget == 0) {
-        // One page pin per heap page instead of one per tuple.
-        PSE_RETURN_NOT_OK(it.FillBatch(options_.batch_rows, &scanned).status());
-      } else {
-        // The budget counts the batch's own I/O, positioning included, and
-        // is checked per scanned row, so the batch can stop mid-page the
-        // moment its allowance runs out. The first row is always taken: a
-        // batch whose positioning alone spends the budget still progresses.
-        while (!it.AtEnd() && scanned.size() < options_.batch_rows &&
-               (scanned.empty() || db_->TotalIo() - batch_io_start < options_.batch_io_budget)) {
-          scanned.push_back(it.row());
-          PSE_RETURN_NOT_OK(it.Next());
-        }
-      }
+      // One page pin per heap page instead of one per tuple.
+      PSE_RETURN_NOT_OK(it.FillBatch(options_.batch_rows, &scanned).status());
       // The iterator stops on the first unconsumed tuple: that rid is the
       // new frontier, journaled at the commit point. At end-of-source the
       // completed flag is the durable end-state instead.
@@ -647,12 +625,11 @@ Status MigrationExecutor::RunPhases(const OpPlan& plan, bool resume) {
   for (const auto& t : plan.targets) {
     PSE_RETURN_NOT_OK(db_->Analyze(t.schema.name()));
   }
-  last_op_batches_ = j->batches_committed;
   j->Clear();
   if (options_.on_publish) options_.on_publish(*plan.after);
   // Data movement must be durable before the migration point completes, so
   // the written pages count as physical I/O even when they fit in cache.
-  if (Durable()) return db_->Checkpoint();
+  if (db_->persistent()) return db_->Checkpoint();
   return db_->pool()->FlushAll();
 }
 
@@ -811,7 +788,6 @@ Result<uint64_t> MigrationExecutor::ApplyAll(const std::vector<MigrationOperator
     }
     local.ops_applied = i + 1;
     local.io += *io;
-    local.batches += last_op_batches_;
   }
   if (progress) *progress = local;
   return local.io;

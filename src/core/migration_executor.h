@@ -39,29 +39,17 @@ struct MigrationBatchEvent {
   int op_id = 0;                ///< id of the in-flight operator
   uint64_t batch_index = 0;     ///< batches committed so far for this operator
   uint64_t rows_copied = 0;     ///< rows moved by this operator so far
-  uint64_t io_so_far = 0;       ///< migration I/O so far (hook I/O excluded)
 };
 
 /// Tuning and instrumentation knobs for online execution.
 struct MigrationOptions {
-  /// When the per-batch journal commit runs. kAuto checkpoints every batch
-  /// on persistent databases and only flushes once per operator on
-  /// in-memory ones (whose journal could never survive a crash anyway,
-  /// and whose I/O numbers feed the cost-model validation tests);
-  /// kFinalOnly flushes once per operator everywhere.
-  enum class Durability { kAuto, kFinalOnly };
-
   /// Rows moved per batch before committing and yielding to the hook.
   uint64_t batch_rows = 1024;
-  /// Physical I/O budget per batch; a batch closes early once its own reads
-  /// and writes exceed this. 0 = unlimited (row count alone bounds batches).
-  uint64_t batch_io_budget = 0;
-  Durability durability = Durability::kAuto;
   /// Called after every committed batch. I/O performed inside the hook
-  /// (foreground queries, probes) is excluded from the migration's reported
-  /// I/O. A non-OK return aborts the operator — the fault-injection tests
-  /// use this to simulate crashes between batches. Runs with no latches
-  /// held, so the hook may execute queries freely.
+  /// (foreground queries) is excluded from the migration's reported I/O.
+  /// A non-OK return aborts the operator — the fault-injection tests use
+  /// this to simulate crashes between batches. Runs with no latches held,
+  /// so the hook may execute queries freely.
   std::function<Status(const MigrationBatchEvent&)> on_batch;
   /// Called once per operator, inside the exclusive-catalog quiesce window,
   /// right after the sources are dropped and the targets analyzed — i.e. at
@@ -92,7 +80,6 @@ struct MigrationOptions {
 struct MigrationProgress {
   size_t ops_applied = 0;  ///< operators fully applied
   uint64_t io = 0;         ///< migration I/O consumed by those operators
-  uint64_t batches = 0;    ///< batches committed across all operators
 };
 
 /// \brief Applies migration operators to a materialized database.
@@ -150,7 +137,6 @@ class MigrationExecutor {
   Status CommitBatch();
   Status FireHook(uint64_t rows_copied);
   Status RollbackInternal();
-  bool Durable() const;
 
   Result<OpPlan> BuildPlan(const MigrationOperator& op, const PhysicalSchema& before,
                            const PhysicalSchema& after) const;
@@ -163,9 +149,6 @@ class MigrationExecutor {
   /// (excluded from the reported migration I/O).
   uint64_t hook_io_ = 0;
   uint64_t io_start_ = 0;
-  /// Batches committed by the most recent successful operator (the journal
-  /// itself clears when an operator finishes).
-  uint64_t last_op_batches_ = 0;
 };
 
 }  // namespace pse

@@ -17,6 +17,10 @@ namespace pse {
 
 namespace {
 
+/// Weight of one page of estimated data movement against one page of query
+/// I/O in GAA's objective (GaaOptions::include_migration_cost).
+constexpr double kMigrationIoWeight = 1.0;
+
 /// Cheap static gate run before any candidate costing: operator-set
 /// well-formedness only (arity, cycles, dangling references, one clean
 /// symbolic replay of the remaining operators, convergence to the object
@@ -385,7 +389,7 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
           PSE_ASSIGN_OR_RETURN(
               double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], *schema,
                                             ctx.StatsAt(current_phase + off)));
-          total += options.migration_io_weight * io;
+          total += kMigrationIoWeight * io;
         }
         PSE_RETURN_NOT_OK(apply(i));
       }
@@ -411,7 +415,7 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
         PSE_ASSIGN_OR_RETURN(
             double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], *schema,
                                           ctx.StatsAt(ctx.num_phases() - 1)));
-        total += options.migration_io_weight * io;
+        total += kMigrationIoWeight * io;
         PSE_RETURN_NOT_OK(apply(i));
       }
     }

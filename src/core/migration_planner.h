@@ -119,7 +119,6 @@ struct GaaOptions {
   /// Add EstimateOperatorIo of each op at its assigned point to the
   /// objective (the forward scan then also optimizes *when* to move data).
   bool include_migration_cost = false;
-  double migration_io_weight = 1.0;
   /// Price queries that cannot run yet via the object schema (see
   /// CostOptions).
   double unservable_penalty = 3.0;

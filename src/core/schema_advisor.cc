@@ -14,6 +14,10 @@ namespace pse {
 
 namespace {
 
+/// Minimum relative improvement to keep climbing (guards oscillation on
+/// estimator noise).
+constexpr double kMinImprovement = 1e-6;
+
 /// Candidate operators applicable to `schema` right now:
 ///  * split off any single non-key attribute of a multi-attribute table;
 ///  * split off any embedded entity's whole attribute group;
@@ -257,7 +261,7 @@ Result<AdvisorResult> AdviseSchema(const PhysicalSchema& seed, const LogicalStat
       }
     }
     if (!best_op.has_value() ||
-        cost - best_cost < options.min_improvement * std::max(1.0, cost)) {
+        cost - best_cost < kMinImprovement * std::max(1.0, cost)) {
       break;
     }
     PhysicalSchema best_schema = std::move(trials[best_index].second);

@@ -24,9 +24,6 @@ namespace pse {
 struct AdvisorOptions {
   /// Hill-climbing step limit (each step applies one operator).
   size_t max_steps = 64;
-  /// Minimum relative improvement to keep climbing (guards oscillation on
-  /// estimator noise).
-  double min_improvement = 1e-6;
   /// Also propose CreateTable for workload-referenced attributes that the
   /// seed schema does not store yet.
   bool allow_creates = true;

@@ -10,6 +10,13 @@
 
 namespace pse {
 
+namespace {
+
+/// Largest interference cluster LAA enumerates exhaustively at a point.
+constexpr size_t kLaaMaxOps = 22;
+
+}  // namespace
+
 const char* SituationName(Situation s) {
   switch (s) {
     case Situation::kOptSchema:
@@ -31,18 +38,6 @@ double SituationReport::OverallCost() const {
 double SituationReport::TotalMigrationIo() const {
   double total = final_migration_io;
   for (const auto& p : phases) total += p.migration_io;
-  return total;
-}
-
-double SituationReport::TotalOnlineProbeIo() const {
-  double total = 0;
-  for (const auto& p : phases) total += p.online_probe_io;
-  return total;
-}
-
-uint64_t SituationReport::TotalOnlineBatches() const {
-  uint64_t total = 0;
-  for (const auto& p : phases) total += p.online_batches;
   return total;
 }
 
@@ -75,7 +70,7 @@ Result<double> MigrationSimulation::MeasureQuery(Database* db, const PhysicalSch
       // Not servable yet (new attribute missing): price via the object
       // schema with the configured penalty.
       PSE_ASSIGN_OR_RETURN(double est, EstimateQueryCost(query, *object_, stats));
-      return config_.unservable_penalty * est;
+      return config_.gaa.unservable_penalty * est;
     }
     return bound.status();
   }
@@ -196,14 +191,6 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
   bool have_gaa_plan = false;
   WorkloadCollector collector(queries_->size());
 
-  // Batch sizing of the online mode. Plain mode keeps the executor's
-  // defaults, which the Fig 8 page counts are measured with.
-  auto batch_options = [this] {
-    MigrationOptions mo;
-    mo.batch_rows = config_.migration_batch_rows;
-    mo.batch_io_budget = config_.migration_io_budget;
-    return mo;
-  };
   std::vector<std::vector<double>> planning_freqs = phase_freqs_;
   for (size_t p = 0; p < num_phases; ++p) {
     if (grows) {
@@ -237,15 +224,12 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       // The paper's LAA adapts to the *measured* system status: at the
       // migration point opening phase p the collector has seen phase p-1.
       size_t observed = p == 0 ? 0 : p - 1;
-      PSE_ASSIGN_OR_RETURN(LaaResult laa,
-                           SelectOpsLaa(ctx, p, observed, config_.laa_max_ops));
+      PSE_ASSIGN_OR_RETURN(LaaResult laa, SelectOpsLaa(ctx, p, observed, kLaaMaxOps));
       last_planner_evaluations_ += laa.schemas_evaluated;
       to_apply = laa.ops_to_apply;
     } else {
-      GaaOptions gaa = config_.gaa;
-      gaa.unservable_penalty = config_.unservable_penalty;
       if (config_.replan_each_point || !have_gaa_plan) {
-        PSE_ASSIGN_OR_RETURN(GaaResult plan, PlanGaa(ctx, p, gaa));
+        PSE_ASSIGN_OR_RETURN(GaaResult plan, PlanGaa(ctx, p, config_.gaa));
         last_planner_evaluations_ += plan.evaluations;
         committed_gaa = std::move(plan);
         have_gaa_plan = true;
@@ -271,49 +255,12 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       }
       to_apply = ordered;
     }
-    // Online mode: between batches, run one of the phase's queries against
-    // the still-current schema (source tables stay live until the copy is
-    // durable), warm-cache, the way foreground traffic sees an online
-    // schema change. Probe I/O is tracked separately from migration I/O.
-    std::vector<size_t> probe_queries;
-    size_t next_probe = 0;
-    if (config_.online_migration) {
-      for (size_t q = 0; q < queries_->size(); ++q) {
-        if (phase_freqs_[p][q] > 0) probe_queries.push_back(q);
-      }
-      MigrationOptions mo = batch_options();
-      mo.on_batch = [&](const MigrationBatchEvent&) -> Status {
-        ++phase.online_batches;
-        if (probe_queries.empty() || !config_.measure_actual) return Status::OK();
-        const WorkloadQuery& wq =
-            (*queries_)[probe_queries[next_probe % probe_queries.size()]];
-        ++next_probe;
-        Result<BoundQuery> bound = RewriteQuery(wq.query, current);
-        if (!bound.ok()) {
-          // Queries not yet servable mid-migration are simply skipped.
-          if (bound.status().IsBindError()) return Status::OK();
-          return bound.status();
-        }
-        DatabaseCatalogView view(&db);
-        PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*bound, view));
-        uint64_t before = db.TotalIo();
-        PSE_RETURN_NOT_OK(ExecutePlan(*plan, &db).status());
-        phase.online_probe_io += static_cast<double>(db.TotalIo() - before);
-        ++phase.online_probes;
-        return Status::OK();
-      };
-      executor.set_options(std::move(mo));
-    }
     for (int op : to_apply) {
       PSE_ASSIGN_OR_RETURN(uint64_t io,
                            executor.Apply(opset.ops[static_cast<size_t>(op)], &current));
       phase.migration_io += static_cast<double>(io);
       applied[static_cast<size_t>(op)] = true;
     }
-    // The probe hook captures this iteration's locals; detach it (batch
-    // sizing stays in effect for the forced completion). Plain mode stays
-    // on the executor's default options.
-    if (config_.online_migration) executor.set_options(batch_options());
     phase.ops_applied = to_apply;
     phase.schema_desc = std::to_string(current.tables().size()) + " tables";
 

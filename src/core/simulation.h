@@ -33,6 +33,9 @@ const char* SituationName(Situation s);
 struct SimulationConfig {
   size_t buffer_pool_pages = 4096;
   PlannerKind planner = PlannerKind::kLaa;
+  /// GAA's options. Its `unservable_penalty` also prices, in every
+  /// situation, a query the current schema cannot serve yet: that multiple
+  /// of the query's estimated cost on the object schema.
   GaaOptions gaa;
   /// Execute queries for real and count buffer I/O (true), or use the cost
   /// model's estimates only (false; much faster, used by big sweeps).
@@ -40,11 +43,6 @@ struct SimulationConfig {
   /// GAA re-plans at every migration point (the paper's imprecision-of-
   /// forecast argument); false commits to the first plan.
   bool replan_each_point = true;
-  /// Penalty multiplier for queries not yet servable on an intermediate
-  /// schema (priced via the object schema).
-  double unservable_penalty = 3.0;
-  /// LAA exhaustive-search guard.
-  size_t laa_max_ops = 22;
   /// Plan from a WorkloadCollector's observations instead of the true
   /// schedule: at each migration point the planner sees only the phases
   /// measured so far and a least-squares forecast of the rest (the paper's
@@ -56,16 +54,6 @@ struct SimulationConfig {
   /// static data. Growth inserts happen between phases and are not charged
   /// to query or migration I/O.
   std::vector<std::vector<size_t>> visible_rows;
-  /// Online migration: move data in bounded batches and run one workload
-  /// probe query (cycling through the phase's active queries, warm cache)
-  /// between batches, the way foreground traffic interleaves with an online
-  /// schema change. Probe I/O is reported per phase and excluded from
-  /// migration_io. Requires measure_actual for the probes to execute.
-  bool online_migration = false;
-  /// Rows per migration batch in online mode.
-  uint64_t migration_batch_rows = 256;
-  /// Per-batch physical I/O budget in online mode (0 = unlimited).
-  uint64_t migration_io_budget = 0;
 };
 
 struct PhaseReport {
@@ -73,10 +61,6 @@ struct PhaseReport {
   double migration_io = 0;   ///< data-movement I/O at this migration point
   std::vector<int> ops_applied;
   std::string schema_desc;
-  // Online-migration instrumentation (zero unless config.online_migration).
-  double online_probe_io = 0;   ///< I/O of probe queries run between batches
-  uint64_t online_batches = 0;  ///< migration batches committed this phase
-  uint64_t online_probes = 0;   ///< probe queries executed this phase
 };
 
 struct SituationReport {
@@ -87,8 +71,6 @@ struct SituationReport {
 
   double OverallCost() const;
   double TotalMigrationIo() const;
-  double TotalOnlineProbeIo() const;
-  uint64_t TotalOnlineBatches() const;
 };
 
 /// \brief Experiment driver for one (schedule, data) instance.

@@ -108,9 +108,8 @@ struct FleetOptions {
   /// Produces the i-th write of a lane against `shard` (the lane's rng keeps
   /// the workload reproducible per (seed, lane)).
   std::function<LogicalDml(size_t shard, uint64_t i, std::mt19937_64& rng)> make_write;
-  /// Base migration options per operator (batch sizing, durability, user
-  /// hooks); each shard wires its router/publish on top — see
-  /// TenantShard::AdvanceOneOp.
+  /// Base migration options per operator (batch sizing, user hooks); each
+  /// shard wires its router/publish on top — see TenantShard::AdvanceOneOp.
   MigrationOptions migration;
   /// Per-shard serve weight; hot-tenant-deferred migrates low weights first
   /// and serve lanes sample shards proportionally. Empty = uniform 1.0.

@@ -26,15 +26,17 @@ Result<size_t> BufferPool::GetFreeFrame() {
     return Status::ResourceExhausted("buffer pool: all frames pinned");
   }
   const size_t victim = lru_.back();
-  lru_.pop_back();
   Frame& fr = frames_[victim];
-  fr.in_lru = false;
-  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   if (fr.dirty) {
+    // A failed write-back leaves the victim mapped, dirty and still at the
+    // evicting end of the LRU list, so the next miss retries it.
     PSE_RETURN_NOT_OK(disk_->WritePage(fr.page_id, fr.data.get()));
     stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
     fr.dirty = false;
   }
+  lru_.pop_back();
+  fr.in_lru = false;
+  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   page_table_.erase(fr.page_id);
   fr.page_id = kInvalidPageId;
   return victim;
@@ -74,7 +76,12 @@ Result<PageGuard> BufferPool::FetchPage(PageId page_id) {
   // not overlap device latency).
   PSE_ASSIGN_OR_RETURN(size_t f, GetFreeFrame());
   Frame& fr = frames_[f];
-  PSE_RETURN_NOT_OK(disk_->ReadPage(page_id, fr.data.get()));
+  Status read = disk_->ReadPage(page_id, fr.data.get());
+  if (!read.ok()) {
+    // The frame holds no page now: hand it back rather than lose it.
+    free_frames_.push_back(f);
+    return read;
+  }
   fr.page_id = page_id;
   fr.pin_count = 1;
   fr.dirty = false;

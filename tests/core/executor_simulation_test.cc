@@ -255,6 +255,30 @@ TEST_F(SimulationTest, EstimateOnlyModeIsConsistent) {
   EXPECT_LE(pro->OverallCost(), obj->OverallCost() * 1.05);
 }
 
+// Opt-Schema runs an old query on the source schema. One that reads
+// b_abstract, which only the object schema stores, is unservable there and
+// is priced at the GAA's unservable penalty times its object-schema
+// estimate.
+TEST_F(SimulationTest, UnservableQueriesCostTheGaaPenalty) {
+  LogicalQuery abstract;
+  abstract.anchor = bs_->book;
+  abstract.select.emplace_back(Col("b_abstract"), AggFunc::kNone, "b_abstract");
+  abstract.name = "O3";
+  std::vector<WorkloadQuery> queries;
+  queries.emplace_back(std::move(abstract), /*is_old=*/true);
+  std::vector<double> costs;
+  for (double penalty : {3.0, 6.0}) {
+    SimulationConfig config = Config(PlannerKind::kLaa);
+    config.gaa.unservable_penalty = penalty;
+    MigrationSimulation sim(&bs_->source, &bs_->object, &queries, {{1.0}}, data_.get(), config);
+    auto opt = sim.Run(Situation::kOptSchema);
+    ASSERT_TRUE(opt.ok()) << opt.status().ToString();
+    costs.push_back(opt->OverallCost());
+  }
+  EXPECT_GT(costs[0], 0.0);
+  EXPECT_DOUBLE_EQ(costs[1], 2 * costs[0]);
+}
+
 TEST_F(SimulationTest, PhaseCostsArePositive) {
   MigrationSimulation sim(&bs_->source, &bs_->object, &queries_, freqs_, data_.get(),
                           Config(PlannerKind::kLaa));

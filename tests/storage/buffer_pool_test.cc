@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 namespace pse {
 namespace {
@@ -87,6 +88,70 @@ TEST(BufferPoolTest, AllPinnedExhaustsPool) {
   g1->Release();
   auto g4 = pool.NewPage();
   EXPECT_TRUE(g4.ok());
+}
+
+// A miss whose disk read fails hands its frame back: with one page pinned,
+// the next miss still finds a frame in a 2-frame pool.
+TEST(BufferPoolTest, FailedReadReturnsItsFrame) {
+  FaultInjectionDiskManager dm(std::make_unique<InMemoryDiskManager>());
+  BufferPool pool(&dm, 2);
+  PageId a, c;
+  {
+    auto g = pool.NewPage();
+    ASSERT_TRUE(g.ok());
+    a = g->page_id();
+    std::memset(g->mutable_data(), 0x3C, kPageSize);
+  }
+  ASSERT_TRUE(pool.NewPage().ok());
+  {
+    auto g = pool.NewPage();  // evicts a, writing it back
+    ASSERT_TRUE(g.ok());
+    c = g->page_id();
+  }
+  dm.set_read_budget(dm.reads_done());
+  auto failed = pool.FetchPage(a);  // evicts the second page, then the read fails
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  dm.set_read_budget(FaultInjectionDiskManager::kNoLimit);
+
+  auto pinned = pool.FetchPage(c);
+  ASSERT_TRUE(pinned.ok());
+  auto g = pool.FetchPage(a);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(static_cast<uint8_t>(g->data()[i]), 0x3C);
+}
+
+// A dirty victim whose write-back fails stays dirty at the evicting end of
+// the LRU list: the next miss retries the write-back and evicts it, and the
+// page's bytes reach the disk.
+TEST(BufferPoolTest, FailedWriteBackKeepsTheVictimEvictable) {
+  FaultInjectionDiskManager dm(std::make_unique<InMemoryDiskManager>());
+  BufferPool pool(&dm, 2);
+  PageId a, b;
+  {
+    auto g = pool.NewPage();
+    ASSERT_TRUE(g.ok());
+    a = g->page_id();
+    std::memset(g->mutable_data(), 0x5A, kPageSize);
+  }
+  {
+    auto g = pool.NewPage();
+    ASSERT_TRUE(g.ok());
+    b = g->page_id();
+  }
+  dm.set_write_budget(dm.writes_done());
+  auto failed = pool.NewPage();  // a's write-back fails
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  dm.set_write_budget(FaultInjectionDiskManager::kNoLimit);
+
+  auto pinned = pool.FetchPage(b);
+  ASSERT_TRUE(pinned.ok());
+  auto g = pool.NewPage();  // evicts a again, this time writing it back
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  char buf[kPageSize];
+  ASSERT_TRUE(dm.inner()->ReadPage(a, buf).ok());
+  for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(static_cast<uint8_t>(buf[i]), 0x5A);
 }
 
 TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
