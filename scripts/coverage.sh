@@ -18,8 +18,10 @@
 # src/core/logical_database.cc (entity rows, row plans and the tenant
 # load), src/storage/database.cc (the catalog, index maintenance and
 # ANALYZE), src/storage/bplus_tree.cc (the B+ tree and the append path's
-# cursor) and src/storage/buffer_pool.cc (pinning, LRU eviction, and a
-# failed read or write-back that keeps its frame usable). With gcovr
+# cursor), src/storage/buffer_pool.cc (pinning, LRU eviction, and a
+# failed read or write-back that keeps its frame usable),
+# src/core/migration_planner.cc (LAA, GAA and the exhaustive baseline) and
+# src/core/schema_advisor.cc (the design advisor's climb). With gcovr
 # installed, writes coverage.xml (Cobertura) and coverage.txt into the
 # build dir for CI to upload; without it, falls back to plain gcov for the
 # floor check and skips the report artifact.
@@ -59,6 +61,8 @@ target_files=(
   "src/storage/database.cc"
   "src/storage/bplus_tree.cc"
   "src/storage/buffer_pool.cc"
+  "src/core/migration_planner.cc"
+  "src/core/schema_advisor.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then

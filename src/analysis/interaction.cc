@@ -134,8 +134,7 @@ std::set<AttrId> QuerySupportAttrs(const LogicalQuery& query, const LogicalSchem
 Result<InteractionAnalysis> AnalyzeInteractions(const OperatorSet& opset,
                                                 const PhysicalSchema& source,
                                                 const std::vector<bool>& applied,
-                                                const std::vector<WorkloadQuery>* queries,
-                                                const std::vector<std::set<AttrId>>* coupling) {
+                                                const std::vector<WorkloadQuery>* queries) {
   if (source.logical() == nullptr) {
     return Status::InvalidArgument("source schema has no logical schema");
   }
@@ -191,25 +190,6 @@ Result<InteractionAnalysis> AnalyzeInteractions(const OperatorSet& opset,
     for (int d : opset.deps[static_cast<size_t>(out.remaining[p])]) {
       if (!applied[static_cast<size_t>(d)]) {
         uf.Unite(static_cast<int>(p), position[static_cast<size_t>(d)]);
-      }
-    }
-  }
-  // Caller-supplied coupling groups (e.g. the write-safety planners' per-
-  // version-table attribute sets): like a query support set, every operator
-  // touching one group must land in the same cluster.
-  if (coupling != nullptr) {
-    for (const std::set<AttrId>& group : *coupling) {
-      int first = -1;
-      for (AttrId a : group) {
-        auto it = attr_positions.find(a);
-        if (it == attr_positions.end()) continue;
-        for (int p : it->second) {
-          if (first < 0) {
-            first = p;
-          } else {
-            uf.Unite(first, p);
-          }
-        }
       }
     }
   }

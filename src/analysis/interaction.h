@@ -19,9 +19,8 @@
 //      are merged into one cluster by construction), so the argmin over the
 //      product space factorizes;
 //  (d) per-query *relevance sets* — which operators can affect a query's
-//      rewrite or cost on any reachable intermediate schema — so planners
-//      re-estimate cost deltas only for affected queries, and operators no
-//      query ever touches surface as ANALYSIS_COST_IRRELEVANT_OP notes.
+//      rewrite or cost on any reachable intermediate schema — so operators
+//      no query ever touches surface as ANALYSIS_COST_IRRELEVANT_OP notes.
 //
 // The exactness argument is spelled out in DESIGN.md §12 and property-tested
 // against brute-force SelectOpsLaa in tests/analysis/interaction_test.cc.
@@ -40,19 +39,12 @@ namespace pse {
 class QueryCostCache;
 class ThreadPool;
 
-/// Opt-in toggles for interaction-analysis-driven planning. Defaults keep
-/// LAA pruning on (it is exact) and the heuristic consumers off.
+/// Planner options shared by LAA and GAA.
 struct AnalysisOptions {
   /// LAA: enumerate per-cluster powersets and combine best-per-cluster
   /// choices instead of the full 2^m sweep. Exact under the interference
   /// analysis; the max_ops guard then bounds the largest cluster, not m.
   bool prune_laa = true;
-  /// GAA: seed the GA population with the greedy trajectory of cluster-wise
-  /// LAA (cluster-local optima per phase), accelerating convergence.
-  bool seed_gaa_from_clusters = false;
-  /// SchemaAdvisor: when scoring a candidate operator, re-estimate only the
-  /// queries whose support set intersects the operator's footprint.
-  bool advisor_query_relevance = false;
   /// Shared memoized query-cost cache (engine/cost_cache.h), keyed by
   /// interned ids of the query, the statistics and the tables storing the
   /// query's support attributes (core/cost_estimator.h). Caller-owned so it
@@ -62,35 +54,10 @@ struct AnalysisOptions {
   /// to uncached runs.
   QueryCostCache* cost_cache = nullptr;
   /// Thread pool (common/thread_pool.h) for parallel candidate costing:
-  /// per-cluster powersets in LAA, per-individual GA evaluation, per-
-  /// candidate advisor scoring. Null = serial. Planning is deterministic
-  /// either way: costs land in index-addressed slots and are reduced
-  /// serially in enumeration order.
+  /// per-cluster powersets in LAA, per-individual GA evaluation. Null =
+  /// serial. Planning is deterministic either way: costs land in
+  /// index-addressed slots and are reduced serially in enumeration order.
   ThreadPool* pool = nullptr;
-
-  // -- write-safety planning dimension (analysis/writability.h) --
-  /// Price each candidate schema by its writability matrix for the declared
-  /// live versions: write_unservable_penalty per unservable write cell plus
-  /// write_propagation_penalty per needs-propagation one, added to the
-  /// phase cost C(Schema) and surfaced in the planner result's
-  /// write_penalty. Off by default: results stay bit-identical to planning
-  /// without the knob.
-  bool write_safety = false;
-  /// The old application's layout (defines the old version's tables). Null =
-  /// the planner's starting schema — correct at migration start; pass the
-  /// original source explicitly when planning resumes mid-migration.
-  const PhysicalSchema* write_old_schema = nullptr;
-  /// Which versions are live (drive whose matrices are priced). The new
-  /// version's layout is the planner's object schema.
-  bool write_old_live = true;
-  bool write_new_live = true;
-  double write_unservable_penalty = 1e6;
-  double write_propagation_penalty = 0.0;
-  /// Hard-reject: candidates opening a write-unservable window for a live
-  /// version price as +infinity instead (they lose to any servable plan;
-  /// when every candidate is rejected the least-bad one is still returned,
-  /// recognizable by an infinite write_penalty).
-  bool write_reject_unservable = false;
 };
 
 /// Read/write footprint of one operator, per (a) above.
@@ -154,21 +121,14 @@ std::set<AttrId> QuerySupportAttrs(const LogicalQuery& query, const LogicalSchem
 /// (null disables query coupling and relevance sets — clusters then reflect
 /// footprint overlap and dependencies only, which is still exact for any
 /// workload whose every query couples at most one cluster... callers that
-/// plan against a workload must pass it). `coupling` (optional) supplies
-/// extra attribute groups that must not span clusters: all remaining
-/// operators whose footprint intersects one group are united, exactly like a
-/// query's support set. The write-safety planners pass the live versions'
-/// per-table attribute sets here so each table's penalty term is confined to
-/// one cluster (analysis/writability.h); null changes nothing.
+/// plan against a workload must pass it).
 ///
 /// Fails when the operator set cannot be replayed (cycle, inapplicable op) —
 /// run VerifyMigration first; the planners' gate already does.
 Result<InteractionAnalysis> AnalyzeInteractions(const OperatorSet& opset,
                                                 const PhysicalSchema& source,
                                                 const std::vector<bool>& applied,
-                                                const std::vector<WorkloadQuery>* queries,
-                                                const std::vector<std::set<AttrId>>* coupling =
-                                                    nullptr);
+                                                const std::vector<WorkloadQuery>* queries);
 
 /// Appends ANALYSIS_COST_IRRELEVANT_OP notes to `report`: one per remaining
 /// operator whose footprint no workload query's support set touches. Such

@@ -344,64 +344,60 @@ DiagnosticReport VerifyMigration(const VerifyInput& input, const VerifyOptions& 
 
   // --- (a) well-formedness: per-operator references. ---
   std::vector<bool> replayable(opset.size(), true);
-  if (options.check_opset || options.check_preservation) {
-    for (size_t i = 0; i < opset.size(); ++i) {
-      replayable[i] = CheckOperatorRefs(L, opset.ops[i], i, &report);
-    }
+  for (size_t i = 0; i < opset.size(); ++i) {
+    replayable[i] = CheckOperatorRefs(L, opset.ops[i], i, &report);
   }
 
   // --- (a)+(b): symbolic replay of the remaining operators, in topological
   // order, on a copy of the current schema. Each must apply exactly once.
   bool converged_check = true;
-  if (options.check_opset) {
-    PhysicalSchema schema = *input.source;
-    auto topo = opset.TopologicalOrder();  // cycle excluded by CheckFoundations
-    for (int idx : *topo) {
-      const size_t i = static_cast<size_t>(idx);
-      if (applied[i]) continue;
-      if (!replayable[i]) {
-        converged_check = false;  // cannot assess convergence past a broken op
-        break;
+  PhysicalSchema replayed = *input.source;
+  auto topo = opset.TopologicalOrder();  // cycle excluded by CheckFoundations
+  for (int idx : *topo) {
+    const size_t i = static_cast<size_t>(idx);
+    if (applied[i]) continue;
+    if (!replayable[i]) {
+      converged_check = false;  // cannot assess convergence past a broken op
+      break;
+    }
+    const MigrationOperator& op = opset.ops[i];
+    bool clean = true;
+    if (options.check_preservation) {
+      clean = CheckOperatorPreservation(L, replayed, op, i, &report);
+    }
+    Status s = ApplyOperator(op, &replayed);
+    if (!s.ok()) {
+      if (clean) {
+        report.AddError(DiagCode::kOpsetNotApplicable, OpLocation(i),
+                        op.ToString(L) + " is not applicable at its point in the "
+                        "dependency order: " + s.message());
       }
-      const MigrationOperator& op = opset.ops[i];
-      bool clean = true;
-      if (options.check_preservation) {
-        clean = CheckOperatorPreservation(L, schema, op, i, &report);
-      }
-      Status s = ApplyOperator(op, &schema);
-      if (!s.ok()) {
-        if (clean) {
-          report.AddError(DiagCode::kOpsetNotApplicable, OpLocation(i),
-                          op.ToString(L) + " is not applicable at its point in the "
-                          "dependency order: " + s.message());
-        }
-        converged_check = false;
-        break;
-      }
-      // Exactly-once: a second application must be rejected.
-      PhysicalSchema scratch = schema;
-      if (ApplyOperator(op, &scratch).ok()) {
-        report.AddError(DiagCode::kOpsetReapply, OpLocation(i),
-                        op.ToString(L) + " is applicable more than once — the operator set "
-                        "does not identify its operand unambiguously");
-      }
-      if (options.check_preservation) {
-        // No stored source attribute may vanish mid-replay.
-        for (AttrId a : StoredNonKeyAttrs(*input.source)) {
-          if (!schema.TableOfNonKeyAttr(a).ok()) {
-            report.AddError(DiagCode::kPreserveAttrLost, OpLocation(i),
-                            "source attribute '" + L.attr(a).name +
-                                "' is no longer derivable after " + op.ToString(L));
-          }
+      converged_check = false;
+      break;
+    }
+    // Exactly-once: a second application must be rejected.
+    PhysicalSchema scratch = replayed;
+    if (ApplyOperator(op, &scratch).ok()) {
+      report.AddError(DiagCode::kOpsetReapply, OpLocation(i),
+                      op.ToString(L) + " is applicable more than once — the operator set "
+                      "does not identify its operand unambiguously");
+    }
+    if (options.check_preservation) {
+      // No stored source attribute may vanish mid-replay.
+      for (AttrId a : StoredNonKeyAttrs(*input.source)) {
+        if (!replayed.TableOfNonKeyAttr(a).ok()) {
+          report.AddError(DiagCode::kPreserveAttrLost, OpLocation(i),
+                          "source attribute '" + L.attr(a).name +
+                              "' is no longer derivable after " + op.ToString(L));
         }
       }
     }
-    if (converged_check && !schema.EquivalentTo(*input.object)) {
-      report.AddError(DiagCode::kOpsetNoConvergence, "",
-                      "applying every remaining operator does not reproduce the object "
-                      "schema; replay ended at:\n" + schema.ToString() + "object is:\n" +
-                          input.object->ToString());
-    }
+  }
+  if (converged_check && !replayed.EquivalentTo(*input.object)) {
+    report.AddError(DiagCode::kOpsetNoConvergence, "",
+                    "applying every remaining operator does not reproduce the object "
+                    "schema; replay ended at:\n" + replayed.ToString() + "object is:\n" +
+                        input.object->ToString());
   }
 
   // --- (b) preservation at the target: every source attribute must have a

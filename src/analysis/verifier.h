@@ -38,7 +38,6 @@ struct MigrationContext;  // core/migration_planner.h
 
 /// Tuning knobs for VerifyMigration.
 struct VerifyOptions {
-  bool check_opset = true;
   bool check_preservation = true;
   bool check_workload = true;
   /// Candidate intermediate schemas are enumerated exhaustively (every

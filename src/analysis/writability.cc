@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <set>
 
+#include "analysis/interaction.h"
 #include "core/operators.h"
 
 namespace pse {
@@ -555,75 +557,6 @@ std::string WritabilityAnalysis::ToString(const OperatorSet& opset,
     rows(old_tables, step.old_version, "old");
     rows(new_tables, step.new_version, "new");
   }
-  return out;
-}
-
-WriteSafetySpec ResolveWriteSafety(const AnalysisOptions& analysis,
-                                   const PhysicalSchema* fallback_old,
-                                   const PhysicalSchema* new_schema) {
-  WriteSafetySpec spec;
-  const PhysicalSchema* old_schema =
-      analysis.write_old_schema != nullptr ? analysis.write_old_schema : fallback_old;
-  spec.old_schema = analysis.write_old_live ? old_schema : nullptr;
-  spec.new_schema = analysis.write_new_live ? new_schema : nullptr;
-  spec.unservable_penalty = analysis.write_unservable_penalty;
-  spec.propagation_penalty = analysis.write_propagation_penalty;
-  spec.reject_unservable = analysis.write_reject_unservable;
-  return spec;
-}
-
-double WriteSafetyPenalty(const PhysicalSchema& schema, const WriteSafetySpec& spec,
-                          const std::set<AttrId>* filter, bool invert) {
-  double total = 0;
-  bool rejected = false;
-  auto tally_version = [&](const PhysicalSchema* version) {
-    if (version == nullptr) return;
-    const LogicalSchema& L = *version->logical();
-    for (const PhysicalTable& pt : version->tables()) {
-      VersionTable t = MakeVersionTable(pt, L);
-      if (filter != nullptr) {
-        bool hit = false;
-        for (AttrId a : t.attrs) {
-          if (filter->count(a)) {
-            hit = true;
-            break;
-          }
-        }
-        if (hit == invert) continue;
-      }
-      std::array<WritabilityCell, kNumDmlKinds> cells = ClassifyVersionTable(t, schema);
-      for (DmlKind kind : kWriteKinds) {
-        const WritabilityCell& cell = cells[static_cast<size_t>(kind)];
-        if (cell.level == Writability::kUnservable) {
-          total += spec.unservable_penalty;
-          if (spec.reject_unservable) rejected = true;
-        } else if (cell.level == Writability::kNeedsPropagation) {
-          total += spec.propagation_penalty;
-        }
-      }
-    }
-  };
-  tally_version(spec.old_schema);
-  tally_version(spec.new_schema);
-  if (rejected) return std::numeric_limits<double>::infinity();
-  return total;
-}
-
-std::vector<std::set<AttrId>> WriteSafetyCouplingGroups(const WriteSafetySpec& spec) {
-  std::vector<std::set<AttrId>> out;
-  auto add_version = [&](const PhysicalSchema* version) {
-    if (version == nullptr) return;
-    const LogicalSchema& L = *version->logical();
-    for (const PhysicalTable& pt : version->tables()) {
-      std::set<AttrId> group;
-      for (AttrId a : pt.attrs) {
-        if (!L.attr(a).is_key) group.insert(a);
-      }
-      if (!group.empty()) out.push_back(std::move(group));
-    }
-  };
-  add_version(spec.old_schema);
-  add_version(spec.new_schema);
   return out;
 }
 

@@ -40,23 +40,20 @@
 // attributes; for the new version: the first still-pending one). Findings
 // surface as the WRITE_* diagnostic family through DiagnosticReport.
 //
-// The matrix is also a planning dimension: AnalysisOptions::write_safety
-// makes SelectOpsLaa/PlanGaa/AdviseSchema price (or hard-reject) candidate
-// schemas that open write-unservable windows for the declared live versions
-// (WriteSafetyPenalty below), and AnalyzeConcurrency consumes the matrix so
-// serving-phase lints cover writes, not just reads. The SELECT column of the
-// matrix is computed statically (attribute-placement only) and agrees with
-// Rewriter servability on valid schemas — property-tested in
-// tests/analysis/writability_test.cc. DESIGN.md §16 spells out the rules.
+// The DML router (core/rewriter_dml.h) refuses exactly the statements whose
+// ClassifyVersionTable cell is kUnservable, and AnalyzeConcurrency consumes
+// the matrix so serving-phase lints cover writes, not just reads. The
+// SELECT column of the matrix is computed statically (attribute-placement
+// only) and agrees with Rewriter servability on valid schemas —
+// property-tested in tests/analysis/writability_test.cc. DESIGN.md §16
+// spells out the rules.
 #pragma once
 
 #include <array>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/diagnostic.h"
-#include "analysis/interaction.h"
 #include "core/mapping.h"
 
 namespace pse {
@@ -154,7 +151,7 @@ struct WritabilityAnalysis {
   /// steps[k] = after trajectory[k-1]; trajectory.size()+1 entries.
   std::vector<StepWritability> steps;
   /// kUnservable cells of *live* versions across all steps and DML kinds —
-  /// the write-unservable-window mass planners penalize.
+  /// the trajectory's write-unservable-window mass.
   size_t unservable_cells = 0;
 
   /// Human-readable matrices, one block per step, deterministic order.
@@ -173,41 +170,5 @@ struct WritabilityAnalysis {
 /// VerifyMigration first for a full report.
 Result<WritabilityAnalysis> AnalyzeWritability(const WritabilityInput& input,
                                                DiagnosticReport* report = nullptr);
-
-// -- planner integration (AnalysisOptions::write_safety) --
-
-/// The resolved write-safety pricing the planners evaluate per candidate
-/// schema. Null schema pointers mean "that version is not live".
-struct WriteSafetySpec {
-  const PhysicalSchema* old_schema = nullptr;
-  const PhysicalSchema* new_schema = nullptr;
-  double unservable_penalty = 1e6;
-  double propagation_penalty = 0.0;
-  bool reject_unservable = false;
-};
-
-/// Resolves the spec from planner options: old layout from
-/// `analysis.write_old_schema` (falling back to `fallback_old`), new layout
-/// `new_schema`, liveness/pricing from the write_* fields.
-WriteSafetySpec ResolveWriteSafety(const AnalysisOptions& analysis,
-                                   const PhysicalSchema* fallback_old,
-                                   const PhysicalSchema* new_schema);
-
-/// Write-safety penalty of `schema` for the live versions in `spec`:
-/// unservable_penalty per kUnservable write cell (INSERT/UPDATE/DELETE) plus
-/// propagation_penalty per kNeedsPropagation write cell. Returns +infinity
-/// when reject_unservable is set and any counted cell is kUnservable. Never
-/// fails. `filter` (optional) restricts the tally to version tables whose
-/// attribute set intersects it — with `invert`, to tables disjoint from it —
-/// which is how the pruned LAA decomposes the penalty per interference
-/// cluster without losing exactness (DESIGN.md §16).
-double WriteSafetyPenalty(const PhysicalSchema& schema, const WriteSafetySpec& spec,
-                          const std::set<AttrId>* filter = nullptr, bool invert = false);
-
-/// The live versions' table attribute sets — the coupling groups planners
-/// pass to AnalyzeInteractions so every operator touching one version
-/// table's attributes lands in a single cluster, keeping the per-cluster
-/// penalty decomposition exact.
-std::vector<std::set<AttrId>> WriteSafetyCouplingGroups(const WriteSafetySpec& spec);
 
 }  // namespace pse

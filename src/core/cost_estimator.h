@@ -1,5 +1,5 @@
-// Memoized + parallel workload costing: the shared engine under SelectOpsLaa,
-// PlanGaa, and AdviseSchema.
+// Memoized + parallel workload costing: the shared engine under SelectOpsLaa
+// and PlanGaa.
 //
 // CachedCostEstimator mirrors EstimateQueryCost / EstimateWorkloadCost
 // semantics exactly (including fallback pricing of unservable queries) while

@@ -7,7 +7,6 @@
 #include <map>
 
 #include "analysis/verifier.h"
-#include "analysis/writability.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/virtual_catalog.h"
@@ -31,6 +30,15 @@ Status GateContext(const MigrationContext& ctx) {
   gate.check_preservation = false;
   gate.check_workload = false;
   return VerifyContext(ctx, gate).ToStatus();
+}
+
+/// Every planning entry point's guard on a migration point: phases are
+/// 0-based indexes into ctx.phase_freqs.
+Status CheckPhase(const MigrationContext& ctx, size_t phase) {
+  if (phase < ctx.num_phases()) return Status::OK();
+  return Status::InvalidArgument("phase " + std::to_string(phase) +
+                                 " out of range: the schedule has " +
+                                 std::to_string(ctx.num_phases()) + " phases");
 }
 
 }  // namespace
@@ -58,16 +66,11 @@ struct SweepOutcome {
 /// across the pool; memory stays bounded). The reduction is serial and keeps
 /// the exhaustive sweep's tie rule — on equal cost the later (larger, more
 /// progressed) subset wins — so scheduling cannot change the winner.
-/// `extra_cost` (optional) prices each candidate schema beyond its workload
-/// cost — the write-safety penalty; it is evaluated inside the fan-out but
-/// lands in an index-addressed slot, so determinism is unaffected.
 Result<SweepOutcome> SweepClosedSubsets(const MigrationContext& ctx, const std::vector<int>& ops,
                                         const LogicalStats& stats,
                                         const std::vector<double>& freqs,
                                         const CostOptions& cost_options,
-                                        ParallelCostEstimator* parallel,
-                                        const std::function<double(const PhysicalSchema&)>*
-                                            extra_cost) {
+                                        ParallelCostEstimator* parallel) {
   constexpr size_t kBatch = 4096;
   const size_t k = ops.size();
   SweepOutcome out;
@@ -89,22 +92,15 @@ Result<SweepOutcome> SweepClosedSubsets(const MigrationContext& ctx, const std::
   batch.reserve(std::min(kBatch, size_t{1} << std::min<size_t>(k, 12)));
   auto flush = [&]() -> Status {
     if (batch.empty()) return Status::OK();
-    std::vector<double> extra(batch.size(), 0.0);
     std::vector<Result<double>> costs = parallel->CostAll(
-        batch.size(),
-        [&](size_t i) {
-          Result<PhysicalSchema> schema = apply(batch[i]);
-          if (extra_cost != nullptr && schema.ok()) extra[i] = (*extra_cost)(*schema);
-          return schema;
-        },
-        stats, freqs, cost_options);
+        batch.size(), [&](size_t i) { return apply(batch[i]); }, stats, freqs, cost_options);
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!costs[i].ok()) return costs[i].status();
       ++out.evaluated;
       // Paper's Algorithm 1 uses Min >= TempCost: on ties, the later subset
       // wins, pushing the migration forward.
-      if (*costs[i] + extra[i] <= out.best_cost) {
-        out.best_cost = *costs[i] + extra[i];
+      if (*costs[i] <= out.best_cost) {
+        out.best_cost = *costs[i];
         out.best_subset = std::move(batch[i]);
       }
     }
@@ -177,9 +173,8 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
                                const AnalysisOptions& analysis) {
   std::vector<int> remaining = ctx.RemainingOps();
   const size_t m = remaining.size();
-  if (current_phase >= ctx.num_phases() || observed_phase >= ctx.num_phases()) {
-    return Status::InvalidArgument("phase out of range");
-  }
+  PSE_RETURN_NOT_OK(CheckPhase(ctx, current_phase));
+  PSE_RETURN_NOT_OK(CheckPhase(ctx, observed_phase));
   PSE_RETURN_NOT_OK(GateContext(ctx));
   Stopwatch wall;
   const std::vector<double>& freqs = (*ctx.phase_freqs)[observed_phase];
@@ -192,10 +187,6 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
   const CostCacheStats cache_before =
       analysis.cost_cache != nullptr ? analysis.cost_cache->Snapshot() : CostCacheStats{};
 
-  // Write-safety pricing (off by default — zero behavioral change then).
-  const bool write_safety = analysis.write_safety;
-  const WriteSafetySpec write_spec = ResolveWriteSafety(analysis, ctx.current, ctx.object);
-
   LaaResult result;
   result.threads = parallel.threads();
   std::vector<int> best_subset;
@@ -207,11 +198,8 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
           "LAA is exhaustive (2^m); m=" + std::to_string(m) + " exceeds the guard of " +
           std::to_string(max_ops) + " — use GAA or enable interaction-analysis pruning");
     }
-    std::function<double(const PhysicalSchema&)> penalty =
-        [&write_spec](const PhysicalSchema& s) { return WriteSafetyPenalty(s, write_spec); };
-    PSE_ASSIGN_OR_RETURN(SweepOutcome sweep,
-                         SweepClosedSubsets(ctx, remaining, stats, freqs, cost_options,
-                                            &parallel, write_safety ? &penalty : nullptr));
+    PSE_ASSIGN_OR_RETURN(SweepOutcome sweep, SweepClosedSubsets(ctx, remaining, stats, freqs,
+                                                                cost_options, &parallel));
     result.schemas_evaluated = sweep.evaluated;
     result.best_cost = sweep.best_cost;
     best_subset = std::move(sweep.best_subset);
@@ -220,16 +208,9 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
     // Cluster-wise enumeration: exact because C(Schema) decomposes over
     // queries and every query's cost term is confined to one interference
     // cluster (see interaction.h and DESIGN.md §12), so the argmin over the
-    // product space factorizes into independent per-cluster argmins. With
-    // write-safety on, the live versions' table attribute sets join the
-    // coupling so each table's penalty term is cluster-confined too; tables
-    // no remaining operator touches are priced once, like untouched queries.
-    std::vector<std::set<AttrId>> coupling;
-    if (write_safety) coupling = WriteSafetyCouplingGroups(write_spec);
-    PSE_ASSIGN_OR_RETURN(
-        InteractionAnalysis ia,
-        AnalyzeInteractions(*ctx.opset, *ctx.current, ctx.applied, ctx.queries,
-                            write_safety ? &coupling : nullptr));
+    // product space factorizes into independent per-cluster argmins.
+    PSE_ASSIGN_OR_RETURN(InteractionAnalysis ia, AnalyzeInteractions(*ctx.opset, *ctx.current,
+                                                                     ctx.applied, ctx.queries));
     for (const InteractionCluster& cluster : ia.clusters) {
       if (cluster.ops.size() > max_ops || cluster.ops.size() > 63) {
         return Status::ResourceExhausted(
@@ -248,40 +229,16 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
     PSE_ASSIGN_OR_RETURN(double total,
                          estimator.WorkloadCost(*ctx.current, stats, residual, cost_options));
     ++result.schemas_evaluated;
-    // Per-cluster union footprints, and their overall union: version tables
-    // disjoint from every footprint keep a constant penalty (no remaining
-    // operator can move their attributes), priced once on the current schema.
-    std::map<int, size_t> position_of;
-    for (size_t p = 0; p < ia.remaining.size(); ++p) position_of[ia.remaining[p]] = p;
-    std::set<AttrId> touched_attrs;
-    if (write_safety) {
-      for (const OperatorFootprint& fp : ia.footprints) {
-        touched_attrs.insert(fp.attrs.begin(), fp.attrs.end());
-      }
-      total += WriteSafetyPenalty(*ctx.current, write_spec, &touched_attrs, /*invert=*/true);
-    }
     for (const InteractionCluster& cluster : ia.clusters) {
       std::vector<double> masked(freqs.size(), 0.0);
       for (size_t q : cluster.queries) {
         if (q < masked.size()) masked[q] = freqs[q];
       }
-      std::set<AttrId> cluster_attrs;
-      if (write_safety) {
-        for (int op : cluster.ops) {
-          const OperatorFootprint& fp = ia.footprints[position_of[op]];
-          cluster_attrs.insert(fp.attrs.begin(), fp.attrs.end());
-        }
-      }
-      std::function<double(const PhysicalSchema&)> penalty =
-          [&write_spec, &cluster_attrs](const PhysicalSchema& s) {
-            return WriteSafetyPenalty(s, write_spec, &cluster_attrs);
-          };
       LaaClusterInfo info;
       info.ops = cluster.ops;
       // Dependencies never cross clusters, so closure is cluster-local.
-      PSE_ASSIGN_OR_RETURN(SweepOutcome sweep,
-                           SweepClosedSubsets(ctx, cluster.ops, stats, masked, cost_options,
-                                              &parallel, write_safety ? &penalty : nullptr));
+      PSE_ASSIGN_OR_RETURN(SweepOutcome sweep, SweepClosedSubsets(ctx, cluster.ops, stats, masked,
+                                                                  cost_options, &parallel));
       info.schemas_evaluated = sweep.evaluated;
       info.best_cost = sweep.best_cost;
       info.chosen = sweep.best_subset;
@@ -299,14 +256,6 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
   for (int i : best_subset) in_subset[static_cast<size_t>(i)] = true;
   for (int i : topo) {
     if (in_subset[static_cast<size_t>(i)]) result.ops_to_apply.push_back(i);
-  }
-  if (write_safety) {
-    // Surface the penalty component of the winner (already inside best_cost).
-    PhysicalSchema winner = *ctx.current;
-    for (int i : result.ops_to_apply) {
-      PSE_RETURN_NOT_OK(ApplyOperator(ctx.opset->ops[static_cast<size_t>(i)], &winner));
-    }
-    result.write_penalty = WriteSafetyPenalty(winner, write_spec);
   }
   if (analysis.cost_cache != nullptr) {
     result.cache_stats = analysis.cost_cache->Snapshot() - cache_before;
@@ -341,16 +290,11 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
                                   const std::vector<int>& assignment,
                                   const GaaOptions& options, CachedCostEstimator* estimator,
                                   PhaseSchemaMemo* memo) {
+  PSE_RETURN_NOT_OK(CheckPhase(ctx, current_phase));
   const size_t phases_left = ctx.num_phases() - current_phase;
   CostOptions cost_options;
   cost_options.fallback_schema = ctx.object;
   cost_options.unservable_penalty = options.unservable_penalty;
-  // Write-safety pricing: each phase schema adds its penalty for the live
-  // versions. Operators deferred past the last phase (offset == phases_left)
-  // never contribute — the old users are gone by the completion step.
-  const bool write_safety = options.analysis.write_safety;
-  const WriteSafetySpec write_spec =
-      ResolveWriteSafety(options.analysis, ctx.current, ctx.object);
 
   if (assignment.size() != remaining_ops.size()) {
     return Status::InvalidArgument("assignment arity mismatch");
@@ -394,7 +338,6 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
         PSE_RETURN_NOT_OK(apply(i));
       }
     }
-    if (write_safety) total += WriteSafetyPenalty(*schema, write_spec);
     const std::vector<double>& freqs = (*ctx.phase_freqs)[current_phase + off];
     const LogicalStats& phase_stats = ctx.StatsAt(current_phase + off);
     double cost = 0;
@@ -424,32 +367,6 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
 }
 
 namespace {
-
-/// The write-safety component of EvaluateAssignment's total for one
-/// assignment — replayed separately so planners can surface it next to the
-/// cost without disturbing the GA's memoized fitness path.
-Result<double> AssignmentWritePenalty(const MigrationContext& ctx, size_t current_phase,
-                                      const std::vector<int>& remaining_ops,
-                                      const std::vector<int>& assignment,
-                                      const WriteSafetySpec& write_spec) {
-  const size_t phases_left = ctx.num_phases() - current_phase;
-  PSE_ASSIGN_OR_RETURN(std::vector<int> topo, ctx.opset->TopologicalOrder());
-  std::vector<int> offset_of(ctx.opset->size(), -1);
-  for (size_t i = 0; i < remaining_ops.size(); ++i) {
-    offset_of[static_cast<size_t>(remaining_ops[i])] = assignment[i];
-  }
-  PhysicalSchema schema = *ctx.current;
-  double total = 0;
-  for (size_t off = 0; off < phases_left; ++off) {
-    for (int i : topo) {
-      if (offset_of[static_cast<size_t>(i)] == static_cast<int>(off)) {
-        PSE_RETURN_NOT_OK(ApplyOperator(ctx.opset->ops[static_cast<size_t>(i)], &schema));
-      }
-    }
-    total += WriteSafetyPenalty(schema, write_spec);
-  }
-  return total;
-}
 
 /// Builds the dependency-clamping repair: offset(dependent) >= offset(prereq)
 /// among remaining ops; prerequisites already applied impose nothing.
@@ -487,9 +404,7 @@ std::function<void(Chromosome*, Rng*)> MakeRepair(const MigrationContext& ctx,
 
 Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
                           const GaaOptions& options) {
-  if (current_phase >= ctx.num_phases()) {
-    return Status::InvalidArgument("phase out of range");
-  }
+  PSE_RETURN_NOT_OK(CheckPhase(ctx, current_phase));
   PSE_RETURN_NOT_OK(GateContext(ctx));
   Stopwatch wall;
   GaaResult result;
@@ -599,54 +514,12 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
     };
   }
 
-  if (options.analysis.seed_gaa_from_clusters) {
-    // Seed the population with the greedy trajectory of cluster-wise LAA:
-    // walk the remaining phases, at each point apply the (clairvoyant)
-    // cluster-local optima, and record each op's chosen offset. The GA then
-    // starts from a known-good plan instead of random noise. Best-effort:
-    // when any LAA step fails (e.g. an uncuttable cluster exceeds the
-    // guard), the GA simply starts unseeded.
-    MigrationContext walk = ctx;
-    PhysicalSchema walk_schema = *ctx.current;
-    walk.current = &walk_schema;
-    Chromosome seed_chrom(m, phases_left);  // default: defer past the last phase
-    std::vector<int> pos(ctx.opset->size(), -1);
-    for (size_t i = 0; i < m; ++i) {
-      pos[static_cast<size_t>(result.remaining_ops[i])] = static_cast<int>(i);
-    }
-    bool seeded = true;
-    for (int off = 0; off < phases_left && seeded; ++off) {
-      Result<LaaResult> laa = SelectOpsLaa(walk, current_phase + static_cast<size_t>(off),
-                                           current_phase + static_cast<size_t>(off),
-                                           /*max_ops=*/30, options.analysis);
-      if (!laa.ok()) {
-        seeded = false;
-        break;
-      }
-      for (int op : laa->ops_to_apply) {
-        if (!ApplyOperator(ctx.opset->ops[static_cast<size_t>(op)], &walk_schema).ok()) {
-          seeded = false;
-          break;
-        }
-        seed_chrom[static_cast<size_t>(pos[static_cast<size_t>(op)])] = off;
-        walk.applied[static_cast<size_t>(op)] = true;
-      }
-    }
-    if (seeded) problem.seeds.push_back(std::move(seed_chrom));
-  }
-
   Rng rng(options.seed + current_phase * 7919);
   GaResult ga = RunGa(problem, options.ga, &rng);
   if (!eval_error.ok() && std::isinf(ga.best_fitness)) return eval_error;
   result.assignment = ga.best;
   result.best_cost = -ga.best_fitness;
   result.evaluations = ga.evaluations;
-  if (options.analysis.write_safety) {
-    PSE_ASSIGN_OR_RETURN(
-        result.write_penalty,
-        AssignmentWritePenalty(ctx, current_phase, result.remaining_ops, result.assignment,
-                               ResolveWriteSafety(options.analysis, ctx.current, ctx.object)));
-  }
   if (options.analysis.cost_cache != nullptr) {
     result.cache_stats = options.analysis.cost_cache->Snapshot() - cache_before;
   }
@@ -664,6 +537,7 @@ std::vector<int> GaaResult::ApplyNow() const {
 
 Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t current_phase,
                                        const GaaOptions& options, size_t max_ops) {
+  PSE_RETURN_NOT_OK(CheckPhase(ctx, current_phase));
   PSE_RETURN_NOT_OK(GateContext(ctx));
   GaaResult result;
   result.remaining_ops = ctx.RemainingOps();
@@ -717,12 +591,6 @@ Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t curre
   }
   result.assignment = best_assignment;
   result.best_cost = best;
-  if (options.analysis.write_safety) {
-    PSE_ASSIGN_OR_RETURN(
-        result.write_penalty,
-        AssignmentWritePenalty(ctx, current_phase, result.remaining_ops, result.assignment,
-                               ResolveWriteSafety(options.analysis, ctx.current, ctx.object)));
-  }
   return result;
 }
 

@@ -33,7 +33,8 @@ struct MigrationContext {
   /// ops already applied in earlier points (size == opset->size()).
   std::vector<bool> applied;
   /// Predicted workload per phase: phase_freqs[p][q]. Phase indexes are
-  /// global (0-based); planning at point p considers phases p..end.
+  /// global (0-based); planning at point p considers phases p..end. Every
+  /// planning function below returns InvalidArgument for p >= num_phases().
   const std::vector<std::vector<double>>* phase_freqs = nullptr;
   /// Predicted data statistics per phase (size == phases, or 1 = static).
   const std::vector<LogicalStats>* phase_stats = nullptr;
@@ -79,10 +80,6 @@ struct LaaResult {
   size_t threads = 1;
   /// Wall-clock time of this planning run, milliseconds.
   double wall_ms = 0;
-  /// Write-safety penalty of the winning schema (analysis/writability.h);
-  /// included in best_cost. 0 when AnalysisOptions::write_safety is off;
-  /// +infinity when hard-reject left only rejected candidates.
-  double write_penalty = 0;
 };
 
 /// Runs LAA at the migration point opening `current_phase`, scoring the
@@ -122,9 +119,8 @@ struct GaaOptions {
   /// Price queries that cannot run yet via the object schema (see
   /// CostOptions).
   double unservable_penalty = 3.0;
-  /// Interaction-analysis toggles; `analysis.seed_gaa_from_clusters` seeds
-  /// the GA population with the greedy trajectory of cluster-wise LAA
-  /// (cluster-local optima per phase), accelerating convergence.
+  /// The shared cost cache and thread pool for candidate costing (GAA
+  /// ignores `analysis.prune_laa`).
   AnalysisOptions analysis;
 };
 
@@ -141,9 +137,6 @@ struct GaaResult {
   size_t threads = 1;
   /// Wall-clock time of this planning run, milliseconds.
   double wall_ms = 0;
-  /// Write-safety penalty summed over the plan's phase schemas (analysis/
-  /// writability.h); included in best_cost. 0 when the knob is off.
-  double write_penalty = 0;
   /// Ops assigned to offset 0, in dependency order — what to apply now.
   std::vector<int> ApplyNow() const;
 };

@@ -14,10 +14,8 @@
 
 #include <vector>
 
-#include "analysis/interaction.h"
 #include "core/operators.h"
 #include "core/workload.h"
-#include "engine/cost_cache.h"
 
 namespace pse {
 
@@ -27,12 +25,6 @@ struct AdvisorOptions {
   /// Also propose CreateTable for workload-referenced attributes that the
   /// seed schema does not store yet.
   bool allow_creates = true;
-  /// Interaction-analysis toggles; `analysis.advisor_query_relevance` scores
-  /// each candidate operator by re-estimating only the queries whose support
-  /// set intersects the attributes the operator moves (delta update), instead
-  /// of re-costing the whole workload per candidate. Exact: the remaining
-  /// queries' plans cannot change.
-  AnalysisOptions analysis;
 };
 
 struct AdvisorStep {
@@ -46,22 +38,9 @@ struct AdvisorResult {
   double initial_cost = 0;        ///< C(seed)
   double final_cost = 0;          ///< C(recommendation)
   std::vector<AdvisorStep> steps; ///< the improving operators, in order
-  size_t candidates_evaluated = 0;
-  /// Individual query-cost estimations performed while scoring candidates;
-  /// with `analysis.advisor_query_relevance` this drops from
-  /// candidates × queries to candidates × affected-queries.
-  size_t queries_estimated = 0;
-  /// Cost-cache activity of this run (all zeros when no cache was passed).
-  CostCacheStats cache_stats;
-  /// Execution lanes used for candidate scoring (1 = serial).
-  size_t threads = 1;
+  size_t candidates_evaluated = 0;  ///< legal trial schemas costed
   /// Wall-clock time of this advisory run, milliseconds.
   double wall_ms = 0;
-  /// Write-safety penalty of the recommended design against the seed layout
-  /// as the live version (analysis/writability.h). With
-  /// `analysis.write_safety` every candidate is scored as C(S) + penalty, so
-  /// initial_cost/final_cost include it; 0 when the knob is off.
-  double write_penalty = 0;
 };
 
 /// Searches for the best physical design for (queries, freqs) reachable

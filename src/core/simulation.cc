@@ -187,8 +187,6 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
   ctx.phase_stats = &phase_stats_;
   ctx.queries = queries_;
 
-  GaaResult committed_gaa;  // used when replan_each_point is false
-  bool have_gaa_plan = false;
   WorkloadCollector collector(queries_->size());
 
   std::vector<std::vector<double>> planning_freqs = phase_freqs_;
@@ -228,23 +226,11 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       last_planner_evaluations_ += laa.schemas_evaluated;
       to_apply = laa.ops_to_apply;
     } else {
-      if (config_.replan_each_point || !have_gaa_plan) {
-        PSE_ASSIGN_OR_RETURN(GaaResult plan, PlanGaa(ctx, p, config_.gaa));
-        last_planner_evaluations_ += plan.evaluations;
-        committed_gaa = std::move(plan);
-        have_gaa_plan = true;
-        to_apply = committed_gaa.ApplyNow();
-      } else {
-        // Follow the committed plan: ops assigned to offset (p - plan time).
-        to_apply.clear();
-        for (size_t i = 0; i < committed_gaa.assignment.size(); ++i) {
-          int op = committed_gaa.remaining_ops[i];
-          if (!applied[static_cast<size_t>(op)] &&
-              committed_gaa.assignment[i] == static_cast<int>(p)) {
-            to_apply.push_back(op);
-          }
-        }
-      }
+      // GAA re-plans at every point: the forecast it planned against may
+      // have been imprecise (the paper's argument for re-planning).
+      PSE_ASSIGN_OR_RETURN(GaaResult plan, PlanGaa(ctx, p, config_.gaa));
+      last_planner_evaluations_ += plan.evaluations;
+      to_apply = plan.ApplyNow();
       // Dependency order.
       PSE_ASSIGN_OR_RETURN(std::vector<int> topo, opset.TopologicalOrder());
       std::vector<int> ordered;

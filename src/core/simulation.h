@@ -40,9 +40,6 @@ struct SimulationConfig {
   /// Execute queries for real and count buffer I/O (true), or use the cost
   /// model's estimates only (false; much faster, used by big sweeps).
   bool measure_actual = true;
-  /// GAA re-plans at every migration point (the paper's imprecision-of-
-  /// forecast argument); false commits to the first plan.
-  bool replan_each_point = true;
   /// Plan from a WorkloadCollector's observations instead of the true
   /// schedule: at each migration point the planner sees only the phases
   /// measured so far and a least-squares forecast of the rest (the paper's

@@ -5,6 +5,19 @@
 
 namespace pse {
 
+namespace {
+
+/// Probability a child is produced by crossover (else a cloned parent).
+constexpr double kCrossoverRate = 0.9;
+/// Probability a child is mutated.
+constexpr double kMutationRate = 0.3;
+/// Top chromosomes copied unchanged into the next generation.
+constexpr size_t kEliteCount = 2;
+/// Individuals drawn per tournament selection.
+constexpr size_t kTournamentSize = 3;
+
+}  // namespace
+
 Chromosome TwoPointCrossover(const Chromosome& a, const Chromosome& b, Rng* rng) {
   if (a.empty()) return a;
   size_t n = a.size();
@@ -24,8 +37,7 @@ Chromosome OrderCrossover(const Chromosome& a, const Chromosome& b, Rng* rng) {
   if (i > j) std::swap(i, j);
   Chromosome child;
   child.reserve(n);
-  std::vector<bool> taken_value;  // values are a permutation of 0..n-1 typically,
-  // but support arbitrary ints via a sorted lookup.
+  // Values may be arbitrary ints, so membership in the slice is a sorted lookup.
   std::vector<int> slice(a.begin() + static_cast<long>(i), a.begin() + static_cast<long>(j) + 1);
   child.insert(child.end(), slice.begin(), slice.end());
   std::vector<int> sorted_slice = slice;
@@ -88,7 +100,7 @@ GaResult RunGa(const GaProblem& problem, const GaConfig& config, Rng* rng) {
     std::vector<Chromosome> cohort;
     cohort.reserve(config.population_size);
     for (size_t i = 0; i < config.population_size; ++i) {
-      Chromosome c = i < problem.seeds.size() ? problem.seeds[i] : problem.random_chromosome(rng);
+      Chromosome c = problem.random_chromosome(rng);
       if (problem.repair) problem.repair(&c, rng);
       cohort.push_back(std::move(c));
     }
@@ -110,12 +122,12 @@ GaResult RunGa(const GaProblem& problem, const GaConfig& config, Rng* rng) {
     std::vector<Individual> next;
     next.reserve(config.population_size);
     // Elitism.
-    for (size_t e = 0; e < config.elite_count && e < population.size(); ++e) {
+    for (size_t e = 0; e < kEliteCount && e < population.size(); ++e) {
       next.push_back(population[e]);
     }
     auto tournament = [&]() -> const Individual& {
       const Individual* best = &population[rng->Index(population.size())];
-      for (size_t t = 1; t < config.tournament_size; ++t) {
+      for (size_t t = 1; t < kTournamentSize; ++t) {
         const Individual& cand = population[rng->Index(population.size())];
         if (cand.fitness > best->fitness) best = &cand;
       }
@@ -155,13 +167,13 @@ GaResult RunGa(const GaProblem& problem, const GaConfig& config, Rng* rng) {
     while (next.size() + cohort.size() < config.population_size) {
       const Individual& p1 = select();
       Chromosome child;
-      if (rng->Bernoulli(config.crossover_rate)) {
+      if (rng->Bernoulli(kCrossoverRate)) {
         const Individual& p2 = select();
         child = crossover(p1.genes, p2.genes, rng);
       } else {
         child = p1.genes;
       }
-      if (rng->Bernoulli(config.mutation_rate)) mutate(&child, rng);
+      if (rng->Bernoulli(kMutationRate)) mutate(&child, rng);
       if (problem.repair) problem.repair(&child, rng);
       cohort.push_back(std::move(child));
     }

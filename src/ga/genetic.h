@@ -25,13 +25,6 @@ struct GaConfig {
   /// Parent selection: tournament (default) or fitness-proportional
   /// roulette (fitness is shifted to be non-negative per generation).
   GaSelection selection = GaSelection::kTournament;
-  /// Probability a child is produced by crossover (else cloned parent).
-  double crossover_rate = 0.9;
-  /// Probability a child is mutated.
-  double mutation_rate = 0.3;
-  /// Top chromosomes copied unchanged into the next generation.
-  size_t elite_count = 2;
-  size_t tournament_size = 3;
   /// Record best fitness per generation in GaResult::history.
   bool track_history = false;
   /// Stop early after this many generations without improvement (0 = never).
@@ -40,11 +33,6 @@ struct GaConfig {
 
 /// Problem definition; fitness is maximized.
 struct GaProblem {
-  /// Chromosomes injected verbatim into the initial population (repaired and
-  /// evaluated like any other individual). Lets callers seed the search with
-  /// known-good solutions — e.g. GAA seeding from cluster-local LAA optima.
-  /// Seeds beyond population_size are ignored.
-  std::vector<Chromosome> seeds;
   /// Generates a random (valid) chromosome.
   std::function<Chromosome(Rng*)> random_chromosome;
   /// Fitness; higher is better. Called once per individual per generation.

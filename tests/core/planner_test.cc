@@ -237,49 +237,6 @@ TEST_F(PlannerTest, GaaForwardScanBeatsOrMatchesGreedy) {
   EXPECT_LE(gaa->best_cost, *greedy_cost * 1.0001);
 }
 
-TEST_F(PlannerTest, GaaClusterSeedReproducesGreedyLaaTrajectory) {
-  // With population_size=1 and generations=0 the GA result IS the injected
-  // seed (repair is a no-op on a dependency-valid chromosome), so the
-  // assignment must equal the greedy cluster-wise LAA trajectory computed
-  // independently here.
-  std::vector<std::vector<double>> freqs{{80, 20, 40}, {50, 50, 40}, {20, 80, 40}};
-  MigrationContext ctx = MakeContext(&bs_->source, &freqs);
-  GaaOptions options;
-  options.analysis.seed_gaa_from_clusters = true;
-  options.ga.population_size = 1;
-  options.ga.generations = 0;
-  auto gaa = PlanGaa(ctx, 0, options);
-  ASSERT_TRUE(gaa.ok()) << gaa.status().ToString();
-  ASSERT_EQ(gaa->assignment.size(), opset_r_->size());
-
-  PhysicalSchema current = bs_->source;
-  std::vector<bool> applied(opset_r_->size(), false);
-  std::vector<int> expected(opset_r_->size(), static_cast<int>(freqs.size()));
-  for (size_t p = 0; p < freqs.size(); ++p) {
-    MigrationContext step = MakeContext(&current, &freqs);
-    step.applied = applied;
-    auto laa = SelectOpsLaa(step, p);
-    ASSERT_TRUE(laa.ok());
-    for (int op : laa->ops_to_apply) {
-      ASSERT_TRUE(ApplyOperator(opset_r_->ops[static_cast<size_t>(op)], &current).ok());
-      applied[static_cast<size_t>(op)] = true;
-      expected[static_cast<size_t>(op)] = static_cast<int>(p);
-    }
-  }
-  for (size_t i = 0; i < gaa->remaining_ops.size(); ++i) {
-    EXPECT_EQ(gaa->assignment[i], expected[static_cast<size_t>(gaa->remaining_ops[i])])
-        << "op " << gaa->remaining_ops[i];
-  }
-
-  // A real seeded run can only improve on (or match) the seed's cost.
-  GaaOptions full = options;
-  full.ga.population_size = 24;
-  full.ga.generations = 30;
-  auto seeded = PlanGaa(ctx, 0, full);
-  ASSERT_TRUE(seeded.ok());
-  EXPECT_LE(seeded->best_cost, gaa->best_cost * 1.0001);
-}
-
 TEST_F(PlannerTest, OperatorIoEstimatesArePositive) {
   const LogicalStats& stats = stats_[0];
   for (const auto& op : opset_r_->ops) {
@@ -306,6 +263,30 @@ TEST_F(PlannerTest, EmptyRemainingOpsIsTrivial) {
   ASSERT_TRUE(gaa.ok());
   EXPECT_TRUE(gaa->assignment.empty());
   EXPECT_TRUE(gaa->ApplyNow().empty());
+}
+
+TEST_F(PlannerTest, EveryEntryPointRefusesAPhasePastTheSchedule) {
+  // Phases are 0-based, so a 3-phase schedule has migration points 0..2.
+  // Past it, every planner returns InvalidArgument naming the phase before
+  // it reads a frequency vector that does not exist.
+  std::vector<std::vector<double>> freqs{{90, 10, 40}, {50, 50, 40}, {10, 90, 40}};
+  MigrationContext ctx = MakeContext(&bs_->source, &freqs);
+  const std::vector<int> remaining = ctx.RemainingOps();
+  const std::vector<int> assignment(remaining.size(), 0);
+  GaaOptions options;
+  for (size_t phase : {freqs.size(), freqs.size() + 1}) {
+    const std::string name = "phase " + std::to_string(phase) + " ";
+    const Status statuses[] = {
+        SelectOpsLaa(ctx, phase).status(),
+        PlanGaa(ctx, phase, options).status(),
+        EvaluateAssignment(ctx, phase, remaining, assignment, options).status(),
+        PlanExhaustiveGlobal(ctx, phase, options).status(),
+    };
+    for (const Status& status : statuses) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << name << "-> " << status.ToString();
+      EXPECT_NE(status.message().find(name), std::string::npos) << status.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -119,29 +119,6 @@ TEST_F(SchemaAdvisorTest, IdempotentOnitsOwnOutput) {
   EXPECT_TRUE(second->steps.empty());
 }
 
-TEST_F(SchemaAdvisorTest, QueryRelevanceScoringMatchesFullScoring) {
-  // Delta scoring re-estimates only the queries whose support set intersects
-  // a candidate's footprint; the climb must reach the same design at the
-  // same cost while estimating strictly fewer (query, schema) pairs.
-  for (const std::vector<double>& freqs :
-       std::vector<std::vector<double>>{{100, 1}, {1, 100}, {50, 50}}) {
-    auto full = AdviseSchema(bs_->source, stats_, queries_, freqs);
-    ASSERT_TRUE(full.ok()) << full.status().ToString();
-    AdvisorOptions options;
-    options.analysis.advisor_query_relevance = true;
-    auto delta = AdviseSchema(bs_->source, stats_, queries_, freqs, options);
-    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-    EXPECT_TRUE(delta->schema.EquivalentTo(full->schema))
-        << delta->schema.ToString() << "\nvs\n"
-        << full->schema.ToString();
-    EXPECT_NEAR(delta->final_cost, full->final_cost,
-                1e-6 * std::max(1.0, full->final_cost));
-    EXPECT_EQ(delta->candidates_evaluated, full->candidates_evaluated);
-    EXPECT_GT(delta->queries_estimated, 0u);
-    EXPECT_LT(delta->queries_estimated, full->queries_estimated);
-  }
-}
-
 TEST_F(SchemaAdvisorTest, StepLimitRespected) {
   AdvisorOptions options;
   options.max_steps = 1;

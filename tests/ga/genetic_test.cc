@@ -150,65 +150,6 @@ TEST(GaTest, RepairIsAppliedToEveryIndividual) {
   EXPECT_EQ(res.best_fitness, 8.0 * 5);
 }
 
-TEST(GaTest, SeedsEnterInitialPopulation) {
-  Rng rng(11);
-  const Chromosome optimum{1, 2, 3, 4};
-  GaProblem problem;
-  problem.random_chromosome = [](Rng* r) {
-    Chromosome c(4);
-    for (auto& g : c) g = static_cast<int>(r->UniformInt(0, 9));
-    return c;
-  };
-  problem.fitness = [&optimum](const Chromosome& c) {
-    double score = 0;
-    for (size_t i = 0; i < c.size(); ++i) {
-      if (c[i] == optimum[i]) score += 1;
-    }
-    return score;
-  };
-  problem.seeds.push_back(optimum);
-  // With zero generations the result is the best of the initial population;
-  // random 4-digit strings match the optimum with probability 1e-4, so the
-  // injected seed must be the winner.
-  GaConfig config;
-  config.population_size = 8;
-  config.generations = 0;
-  GaResult res = RunGa(problem, config, &rng);
-  EXPECT_EQ(res.best, optimum);
-  EXPECT_EQ(res.best_fitness, 4.0);
-}
-
-TEST(GaTest, SeedsAreRepairedAndExcessIgnored) {
-  Rng rng(12);
-  GaProblem problem;
-  problem.random_chromosome = [](Rng* r) {
-    Chromosome c(4);
-    for (auto& g : c) g = static_cast<int>(r->UniformInt(0, 5));
-    return c;
-  };
-  problem.repair = [](Chromosome* c, Rng*) {
-    for (auto& g : *c) g = std::min(g, 5);
-  };
-  bool violated = false;
-  problem.fitness = [&violated](const Chromosome& c) {
-    double s = 0;
-    for (int g : c) {
-      if (g > 5) violated = true;
-      s += g;
-    }
-    return s;
-  };
-  // More seeds than population slots; the out-of-range one must be repaired
-  // before evaluation, and the overflow silently dropped.
-  problem.seeds.assign(4, Chromosome{9, 9, 9, 9});
-  GaConfig config;
-  config.population_size = 2;
-  config.generations = 0;
-  GaResult res = RunGa(problem, config, &rng);
-  EXPECT_FALSE(violated);
-  EXPECT_EQ(res.best_fitness, 4.0 * 5);
-}
-
 TEST(GaTest, HistoryIsMonotone) {
   Rng rng(8);
   GaProblem problem;

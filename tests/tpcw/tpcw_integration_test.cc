@@ -204,15 +204,5 @@ TEST_F(TpcwIntegrationTest, ForecastDrivenGaaStaysClose) {
   EXPECT_GT(forecast->OverallCost(), truth->OverallCost() * 0.90);
 }
 
-TEST_F(TpcwIntegrationTest, CommittedGaaPlanWithoutReplanning) {
-  auto freqs = RegularFrequencies(3);
-  SimulationConfig config = Config(PlannerKind::kGaa);
-  config.replan_each_point = false;
-  MigrationSimulation sim(&schema_->source, &schema_->object, &queries_, freqs, data_.get(),
-                          config);
-  auto pro = sim.Run(Situation::kProSchema);
-  ASSERT_TRUE(pro.ok()) << pro.status().ToString();
-}
-
 }  // namespace
 }  // namespace pse
