@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "core/mapping.h"
 #include "core/migration_planner.h"
 #include "engine/cost_cache.h"
@@ -137,11 +136,10 @@ struct BenchRow {
   bool cost_equal = true;
   size_t gaa_evals = 0;
   double gaa_ms = 0;
-  /// Cached + pooled repeat of the row's most expensive serial sweep (the
-  /// brute sweep when it ran, else the pruned one).
+  /// Cached repeat of the row's most expensive sweep (the brute sweep when
+  /// it ran, else the pruned one).
   double cached_ms = 0;
   double cache_hit_pct = 0;
-  size_t threads = 1;
 };
 
 /// Runs pruned LAA, optionally brute-force LAA, and GAA on one instance.
@@ -201,29 +199,21 @@ int RunPoint(const std::string& family, Synthetic* s, bool run_exhaustive, Bench
     serial_best = brute->best_cost;
   }
 
-  // Cached + pooled repeat of the row's most expensive serial sweep: same
-  // enumeration, with candidate costing fanned across a thread pool and
-  // memoized by layout fingerprint. The chosen plan's cost must be
-  // bit-identical to the serial run (deterministic reduction, exact cache).
+  // Cached repeat of the row's most expensive sweep: same enumeration, with
+  // each query's cost memoized by the tables storing its support. The
+  // chosen plan's cost must equal the uncached run's (the cache is exact).
   {
     QueryCostCache cache;
-    ThreadPool pool;
     AnalysisOptions cached_options;
     cached_options.prune_laa = !run_exhaustive;
     cached_options.cost_cache = &cache;
-    cached_options.pool = &pool;
     auto cached = SelectOpsLaa(ctx, 0, 0, /*max_ops=*/20, cached_options);
     if (!cached.ok()) {
       std::fprintf(stderr, "cached LAA: %s\n", cached.status().ToString().c_str());
       return 1;
     }
     row->cached_ms = cached->wall_ms;
-    // A sample, not a count: the cache counts a lookup and its insert
-    // separately, so two workers that both look a layout up before either
-    // inserts it both count a miss. How often that happens depends on
-    // thread scheduling, and two runs of one binary read differently.
     row->cache_hit_pct = cached->cache_stats.hit_pct();
-    row->threads = cached->threads;
     double tol = 1e-6 * std::max(1.0, std::fabs(serial_best));
     row->cost_equal = row->cost_equal && std::fabs(cached->best_cost - serial_best) <= tol;
   }
@@ -274,8 +264,7 @@ void Record(const BenchRow& r, bench::BenchJson::Row* j) {
     j->Null("exhaustive_ms");
   }
   j->Sample("cached_ms", r.cached_ms);
-  j->Sample("cache_hit_pct", r.cache_hit_pct);
-  j->Count("threads", r.threads);
+  j->Count("cache_hit_pct", r.cache_hit_pct);
   j->Count("gaa_evaluations", r.gaa_evals);
   j->Sample("gaa_ms", r.gaa_ms);
 }
@@ -288,8 +277,8 @@ void PrintRow(const BenchRow& r) {
   } else {
     std::printf(" %13s %8s", "-", r.cost_equal ? "yes" : "NO");
   }
-  std::printf(" %10.1f %10.1f %10.1f %6.1f%% %4zu %12zu %10.1f\n", r.pruned_ms,
-              r.exhaustive_run ? r.exhaustive_ms : 0.0, r.cached_ms, r.cache_hit_pct, r.threads,
+  std::printf(" %10.1f %10.1f %10.1f %6.1f%% %12zu %10.1f\n", r.pruned_ms,
+              r.exhaustive_run ? r.exhaustive_ms : 0.0, r.cached_ms, r.cache_hit_pct,
               r.gaa_evals, r.gaa_ms);
 }
 
@@ -315,10 +304,9 @@ int main(int argc, char** argv) {
     std::printf("=== repeat %zu/%zu: LAA pruned (interaction clusters) vs brute force vs "
                 "cached vs GAA ===\n",
                 rep, kRepeats);
-    std::printf("%-12s %-4s %8s %13s %16s %13s %8s %10s %10s %10s %7s %4s %12s %10s\n",
+    std::printf("%-12s %-4s %8s %13s %16s %13s %8s %10s %10s %10s %7s %12s %10s\n",
                 "family", "m", "clusters", "pruned-evals", "brute-closed", "brute-evals",
-                "equal", "pruned-ms", "brute-ms", "cached-ms", "hit", "thr", "GAA-evals",
-                "GAA-ms");
+                "equal", "pruned-ms", "brute-ms", "cached-ms", "hit", "GAA-evals", "GAA-ms");
     size_t i = 0;
     for (size_t m : {4u, 6u, 8u, 10u, 12u, 14u, 16u}) {
       Synthetic s = MakeIndependent(m);
@@ -342,8 +330,7 @@ int main(int argc, char** argv) {
       "Brute-force LAA doubles per operator (the paper's 2^m); cluster-wise LAA pays the\n"
       "sum of the clusters instead of their product, at identical chosen-plan cost; the\n"
       "cached column repeats the row's most expensive sweep with layout-fingerprint\n"
-      "memoization + a thread pool, again at identical cost; GAA stays within its GA\n"
-      "budget.\n");
+      "memoization, again at identical cost; GAA stays within its GA budget.\n");
   if (!json.ok()) rc = 1;
   if (!json_path.empty() && !json.Write(json_path)) rc = 1;
   return rc;

@@ -115,8 +115,8 @@ inline Summary Summarize(std::vector<double> v) {
 ///   - a value (a count, a text, a flag, or null for a run that was
 ///     skipped) must read the same on every repeat; one that differs is
 ///     named on stderr and makes ok() false;
-///   - a sample (a timing, or a rate that thread scheduling moves) keeps
-///     every repeat's reading and is written as {"median", "q1", "q3", "n"}.
+///   - a sample (a timing, or a rate computed from one) keeps every
+///     repeat's reading and is written as {"median", "q1", "q3", "n"}.
 class BenchJson {
  public:
   class Row {

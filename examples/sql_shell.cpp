@@ -12,8 +12,8 @@
 // verifies the built-in TPC-W source->object migration (operator set,
 // information preservation, workload answerability), ".interactions" prints
 // the operator-interaction analysis of that migration (footprints,
-// interference clusters, plan-space reduction), ".coststats" runs cached +
-// parallel LAA planning over that migration twice and prints the cost-cache
+// interference clusters, plan-space reduction), ".coststats" runs cached
+// LAA planning over that migration twice and prints the cost-cache
 // hit/miss/eviction counters, ".writability" prints the per-version DML
 // writability matrix over that migration's trajectory (operator lenses,
 // per-step Safe/NeedsPropagation/Unservable cells, WRITE_* findings),
@@ -35,7 +35,6 @@
 #include "analysis/writability.h"
 #include "common/lock_registry.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/mapping.h"
 #include "core/migration_executor.h"
 #include "core/migration_planner.h"
@@ -125,7 +124,7 @@ int RunInteractionsDemo() {
   return 0;
 }
 
-/// `.coststats`: cached + parallel LAA over the TPC-W migration. Two rounds
+/// `.coststats`: cached LAA over the TPC-W migration. Two rounds
 /// against one shared cache show the cold-run miss population and the warm
 /// run served entirely from memoized estimates.
 int RunCostStatsDemo() {
@@ -153,10 +152,8 @@ int RunCostStatsDemo() {
   ctx.queries = &*queries;
 
   QueryCostCache cache;
-  ThreadPool pool;
   AnalysisOptions analysis;
   analysis.cost_cache = &cache;
-  analysis.pool = &pool;
   std::printf("TPC-W source -> object migration: %zu operators, %zu queries\n", opset->size(),
               queries->size());
   for (int round = 1; round <= 2; ++round) {
@@ -165,9 +162,8 @@ int RunCostStatsDemo() {
       std::printf("error: %s\n", laa.status().ToString().c_str());
       return 1;
     }
-    std::printf("LAA round %d: %zu schemas costed in %.2f ms on %zu threads\n  %s\n", round,
-                laa->schemas_evaluated, laa->wall_ms, laa->threads,
-                laa->cache_stats.ToString().c_str());
+    std::printf("LAA round %d: %zu schemas costed in %.2f ms\n  %s\n", round,
+                laa->schemas_evaluated, laa->wall_ms, laa->cache_stats.ToString().c_str());
   }
   std::printf("cache holds %zu distinct (query, layout, stats) entries\n", cache.size());
   return 0;

@@ -3,11 +3,11 @@
 #
 #   scripts/check.sh            # ASan+UBSan build, ctest, clang-tidy, format
 #   scripts/check.sh --fast     # skip the lint passes (build + test only)
-#   scripts/check.sh --tsan     # ThreadSanitizer build + the concurrency
-#                               # test suites (thread pool, cost cache,
-#                               # parallel planners, concurrent serving
-#                               # stress) — nothing else; latches are
-#                               # lockdep-instrumented so stress suites
+#   scripts/check.sh --tsan     # ThreadSanitizer build + the suites that
+#                               # run threads (cost cache, phase-schema
+#                               # memo, serve lanes, fleet scheduler,
+#                               # serving stress) — nothing else; latches
+#                               # are lockdep-instrumented so stress suites
 #                               # assert a clean lock-order report
 #   scripts/check.sh --lockdep  # PROGSCHEMA_LOCKDEP=ON build, full test
 #                               # suite, then sql_shell .lockgraph — fails
@@ -109,7 +109,7 @@ fi
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== check: clang-tidy over src/ =="
   mapfile -t tidy_files < <(git ls-files 'src/*.cc' \
-    ':!src/analysis/*.cc' ':!src/common/thread_pool.cc' ':!src/common/lock_registry.cc' \
+    ':!src/analysis/*.cc' ':!src/common/lock_registry.cc' \
     ':!src/engine/cost_cache.cc' ':!src/core/cost_estimator.cc' \
     ':!src/core/migration_executor.cc' ':!src/storage/migration_journal.cc' \
     ':!src/core/rewriter_dml.cc' ':!src/fleet/*.cc' \
@@ -124,7 +124,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
   # shard advance, the shared plan cache)
   echo "== check: clang-tidy (strict, warnings-as-errors) over src/analysis/ + concurrency + migration + write-rewriter + batch-engine + fleet targets =="
   mapfile -t strict_files < <(git ls-files 'src/analysis/*.cc' \
-    'src/common/thread_pool.cc' 'src/common/lock_registry.cc' \
+    'src/common/lock_registry.cc' \
     'src/engine/cost_cache.cc' 'src/core/cost_estimator.cc' \
     'src/core/migration_executor.cc' 'src/storage/migration_journal.cc' \
     'src/core/rewriter_dml.cc' 'src/fleet/*.cc' \

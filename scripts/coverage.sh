@@ -7,7 +7,8 @@
 #
 # The report covers src/core + src/storage (the online-migration execution
 # path), src/analysis (the static verification stack), the execution
-# engine core, the planner's cost cache, and the multi-tenant fleet layer;
+# engine core, the planner's cost cache, the GA, and the multi-tenant fleet
+# layer;
 # the floor gates src/core/migration_executor.cc, src/core/rewriter_dml.cc
 # (the write rewriter), src/analysis/writability.cc,
 # src/engine/vec_executor.cc, src/fleet/scheduler.cc (the fleet scheduler),
@@ -20,8 +21,10 @@
 # ANALYZE), src/storage/bplus_tree.cc (the B+ tree and the append path's
 # cursor), src/storage/buffer_pool.cc (pinning, LRU eviction, and a
 # failed read or write-back that keeps its frame usable),
-# src/core/migration_planner.cc (LAA, GAA and the exhaustive baseline) and
-# src/core/schema_advisor.cc (the design advisor's climb). With gcovr
+# src/core/migration_planner.cc (LAA, GAA and the exhaustive baseline),
+# src/core/schema_advisor.cc (the design advisor's climb),
+# src/ga/genetic.cc (GAA's genetic algorithm) and
+# src/storage/persistence.cc (the superblock and journal decoder). With gcovr
 # installed, writes coverage.xml (Cobertura) and coverage.txt into the
 # build dir for CI to upload; without it, falls back to plain gcov for the
 # floor check and skips the report artifact.
@@ -63,14 +66,16 @@ target_files=(
   "src/storage/buffer_pool.cc"
   "src/core/migration_planner.cc"
   "src/core/schema_advisor.cc"
+  "src/ga/genetic.cc"
+  "src/storage/persistence.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then
-  echo "== coverage: gcovr report over src/core + src/storage + src/analysis + vec engine + cost cache + fleet =="
+  echo "== coverage: gcovr report over src/core + src/storage + src/analysis + vec engine + cost cache + GA + fleet =="
   gcovr --root . --object-directory "$build_dir" \
     --filter 'src/core/.*' --filter 'src/storage/.*' --filter 'src/analysis/.*' \
     --filter 'src/engine/vec_executor\.cc' --filter 'src/engine/cost_cache\.cc' \
-    --filter 'src/fleet/.*' \
+    --filter 'src/ga/genetic\.cc' --filter 'src/fleet/.*' \
     --xml "$build_dir/coverage.xml" \
     --txt "$build_dir/coverage.txt" \
     --print-summary

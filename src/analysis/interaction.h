@@ -37,7 +37,6 @@
 namespace pse {
 
 class QueryCostCache;
-class ThreadPool;
 
 /// Planner options shared by LAA and GAA.
 struct AnalysisOptions {
@@ -53,11 +52,6 @@ struct AnalysisOptions {
   /// relevant tables agree (DESIGN.md §13), and results stay bit-identical
   /// to uncached runs.
   QueryCostCache* cost_cache = nullptr;
-  /// Thread pool (common/thread_pool.h) for parallel candidate costing:
-  /// per-cluster powersets in LAA, per-individual GA evaluation. Null =
-  /// serial. Planning is deterministic either way: costs land in
-  /// index-addressed slots and are reduced serially in enumeration order.
-  ThreadPool* pool = nullptr;
 };
 
 /// Read/write footprint of one operator, per (a) above.

@@ -153,24 +153,4 @@ Result<double> CachedCostEstimator::WorkloadCost(const PhysicalSchema& schema,
   return total;
 }
 
-std::vector<Result<double>> ParallelCostEstimator::CostAll(
-    size_t n, const std::function<Result<PhysicalSchema>(size_t)>& schema_at,
-    const LogicalStats& stats, const std::vector<double>& freqs, const CostOptions& options) {
-  std::vector<Result<double>> out(n, Result<double>(Status::Internal("candidate not costed")));
-  auto cost_one = [&](size_t i) {
-    Result<PhysicalSchema> schema = schema_at(i);
-    if (!schema.ok()) {
-      out[i] = schema.status();
-      return;
-    }
-    out[i] = estimator_->WorkloadCost(*schema, stats, freqs, options);
-  };
-  if (pool_ == nullptr) {
-    for (size_t i = 0; i < n; ++i) cost_one(i);
-  } else {
-    pool_->ParallelFor(n, cost_one);
-  }
-  return out;
-}
-
 }  // namespace pse

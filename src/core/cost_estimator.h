@@ -1,5 +1,5 @@
-// Memoized + parallel workload costing: the shared engine under SelectOpsLaa
-// and PlanGaa.
+// Memoized workload costing: the shared engine under SelectOpsLaa and
+// PlanGaa.
 //
 // CachedCostEstimator mirrors EstimateQueryCost / EstimateWorkloadCost
 // semantics exactly (including fallback pricing of unservable queries) while
@@ -17,13 +17,9 @@
 // table (PhysicalSchema invariant 2), so two keys are equal exactly when the
 // two schemas store the query's support in the same table layouts.
 //
-// ParallelCostEstimator fans independent candidate-schema costings across a
-// ThreadPool. Each estimation already uses per-call scratch state (rewrite ->
-// plan -> cost allocate locally; the engine is single-threaded by design), so
-// the only shared mutable state is the mutex-guarded cache. Determinism:
-// results land in index-addressed slots and callers reduce serially in
-// enumeration order, so the parallel path picks the same winner as the
-// serial one, ties included.
+// The planners cost their candidates one after another on the calling
+// thread, as the paper's Algorithms 1 and 2 do. The cache and the stats-id
+// memo lock, so one estimator and one cache may serve several threads.
 #pragma once
 
 #include <memory>
@@ -31,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/workload.h"
 #include "engine/cost_cache.h"
 
@@ -97,31 +92,6 @@ class CachedCostEstimator {
 
   std::mutex stats_ids_mu_;
   std::vector<std::pair<const LogicalStats*, Id>> stats_ids_;
-};
-
-/// \brief Deterministic parallel fan-out of candidate-schema costing.
-class ParallelCostEstimator {
- public:
-  /// `pool` may be null (serial). The estimator must outlive this object.
-  ParallelCostEstimator(CachedCostEstimator* estimator, ThreadPool* pool)
-      : estimator_(estimator), pool_(pool) {}
-
-  /// Costs `n` candidates: result[i] = WorkloadCost(schema_at(i), ...), with
-  /// schema_at invoked inside the worker (candidate materialization is part
-  /// of the fanned-out work). Results are positional, so any serial
-  /// reduction over them is independent of worker scheduling.
-  std::vector<Result<double>> CostAll(size_t n,
-                                      const std::function<Result<PhysicalSchema>(size_t)>& schema_at,
-                                      const LogicalStats& stats,
-                                      const std::vector<double>& freqs,
-                                      const CostOptions& options);
-
-  /// Execution lanes used by CostAll (1 when no pool was given).
-  size_t threads() const { return pool_ == nullptr ? 1 : pool_->num_threads(); }
-
- private:
-  CachedCostEstimator* estimator_;
-  ThreadPool* pool_;
 };
 
 }  // namespace pse

@@ -8,7 +8,6 @@
 
 #include "analysis/verifier.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/virtual_catalog.h"
 #include "engine/cost_model.h"
 
@@ -62,22 +61,24 @@ struct SweepOutcome {
 };
 
 /// Enumerates the dependency-closed subsets of `ops` in ascending-mask order
-/// and costs them in index-addressed batches (materialize + cost fan out
-/// across the pool; memory stays bounded). The reduction is serial and keeps
-/// the exhaustive sweep's tie rule — on equal cost the later (larger, more
-/// progressed) subset wins — so scheduling cannot change the winner.
+/// and costs each as it is enumerated. On equal cost the later (larger, more
+/// progressed) subset wins.
 Result<SweepOutcome> SweepClosedSubsets(const MigrationContext& ctx, const std::vector<int>& ops,
                                         const LogicalStats& stats,
                                         const std::vector<double>& freqs,
                                         const CostOptions& cost_options,
-                                        ParallelCostEstimator* parallel) {
-  constexpr size_t kBatch = 4096;
+                                        CachedCostEstimator* estimator) {
   const size_t k = ops.size();
   SweepOutcome out;
   // One topological sort serves every candidate (ApplySubset would recompute
   // it per subset — measurable across a 2^m sweep).
   PSE_ASSIGN_OR_RETURN(std::vector<int> topo, ctx.opset->TopologicalOrder());
-  auto apply = [&](const std::vector<int>& subset) -> Result<PhysicalSchema> {
+  for (uint64_t mask = 0; mask < (1ull << k); ++mask) {
+    std::vector<int> subset;
+    for (size_t b = 0; b < k; ++b) {
+      if (mask & (1ull << b)) subset.push_back(ops[b]);
+    }
+    if (!ctx.opset->IsClosed(subset, ctx.applied)) continue;
     PhysicalSchema schema = *ctx.current;
     std::vector<bool> in_subset(ctx.opset->size(), false);
     for (int i : subset) in_subset[static_cast<size_t>(i)] = true;
@@ -86,37 +87,15 @@ Result<SweepOutcome> SweepClosedSubsets(const MigrationContext& ctx, const std::
         PSE_RETURN_NOT_OK(ApplyOperator(ctx.opset->ops[static_cast<size_t>(i)], &schema));
       }
     }
-    return schema;
-  };
-  std::vector<std::vector<int>> batch;
-  batch.reserve(std::min(kBatch, size_t{1} << std::min<size_t>(k, 12)));
-  auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::OK();
-    std::vector<Result<double>> costs = parallel->CostAll(
-        batch.size(), [&](size_t i) { return apply(batch[i]); }, stats, freqs, cost_options);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!costs[i].ok()) return costs[i].status();
-      ++out.evaluated;
-      // Paper's Algorithm 1 uses Min >= TempCost: on ties, the later subset
-      // wins, pushing the migration forward.
-      if (*costs[i] <= out.best_cost) {
-        out.best_cost = *costs[i];
-        out.best_subset = std::move(batch[i]);
-      }
+    PSE_ASSIGN_OR_RETURN(double cost, estimator->WorkloadCost(schema, stats, freqs, cost_options));
+    ++out.evaluated;
+    // Paper's Algorithm 1 uses Min >= TempCost: on ties, the later subset
+    // wins, pushing the migration forward.
+    if (cost <= out.best_cost) {
+      out.best_cost = cost;
+      out.best_subset = std::move(subset);
     }
-    batch.clear();
-    return Status::OK();
-  };
-  for (uint64_t mask = 0; mask < (1ull << k); ++mask) {
-    std::vector<int> subset;
-    for (size_t b = 0; b < k; ++b) {
-      if (mask & (1ull << b)) subset.push_back(ops[b]);
-    }
-    if (!ctx.opset->IsClosed(subset, ctx.applied)) continue;
-    batch.push_back(std::move(subset));
-    if (batch.size() == kBatch) PSE_RETURN_NOT_OK(flush());
   }
-  PSE_RETURN_NOT_OK(flush());
   return out;
 }
 
@@ -183,12 +162,10 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
   cost_options.fallback_schema = ctx.object;
 
   CachedCostEstimator estimator(ctx.queries, ctx.current->logical(), analysis.cost_cache);
-  ParallelCostEstimator parallel(&estimator, analysis.pool);
   const CostCacheStats cache_before =
       analysis.cost_cache != nullptr ? analysis.cost_cache->Snapshot() : CostCacheStats{};
 
   LaaResult result;
-  result.threads = parallel.threads();
   std::vector<int> best_subset;
 
   if (!analysis.prune_laa) {
@@ -199,7 +176,7 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
           std::to_string(max_ops) + " — use GAA or enable interaction-analysis pruning");
     }
     PSE_ASSIGN_OR_RETURN(SweepOutcome sweep, SweepClosedSubsets(ctx, remaining, stats, freqs,
-                                                                cost_options, &parallel));
+                                                                cost_options, &estimator));
     result.schemas_evaluated = sweep.evaluated;
     result.best_cost = sweep.best_cost;
     best_subset = std::move(sweep.best_subset);
@@ -238,7 +215,7 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
       info.ops = cluster.ops;
       // Dependencies never cross clusters, so closure is cluster-local.
       PSE_ASSIGN_OR_RETURN(SweepOutcome sweep, SweepClosedSubsets(ctx, cluster.ops, stats, masked,
-                                                                  cost_options, &parallel));
+                                                                  cost_options, &estimator));
       info.schemas_evaluated = sweep.evaluated;
       info.best_cost = sweep.best_cost;
       info.chosen = sweep.best_subset;
@@ -414,8 +391,6 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
 
   CachedCostEstimator estimator(ctx.queries, ctx.current->logical(), options.analysis.cost_cache);
   PhaseSchemaMemo memo(ctx);
-  ThreadPool* pool = options.analysis.pool;
-  result.threads = pool != nullptr ? pool->num_threads() : 1;
   const CostCacheStats cache_before = options.analysis.cost_cache != nullptr
                                           ? options.analysis.cost_cache->Snapshot()
                                           : CostCacheStats{};
@@ -461,58 +436,20 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
       }
     };
   }
-  // Turns one evaluation outcome into a fitness, recording the first error.
-  auto to_fitness = [&eval_error](const Result<double>& cost) -> double {
-    if (!cost.ok()) {
-      if (eval_error.ok()) eval_error = cost.status();
-      return -std::numeric_limits<double>::infinity();
-    }
-    return -*cost;
-  };
   problem.fitness = [&](const Chromosome& c) -> double {
     auto cached = fitness_cache.find(c);
     if (cached != fitness_cache.end()) return cached->second;
-    double fitness = to_fitness(EvaluateAssignment(ctx, current_phase, result.remaining_ops, c,
-                                                   options, &estimator, &memo));
+    Result<double> cost = EvaluateAssignment(ctx, current_phase, result.remaining_ops, c, options,
+                                             &estimator, &memo);
+    double fitness = -std::numeric_limits<double>::infinity();
+    if (cost.ok()) {
+      fitness = -*cost;
+    } else if (eval_error.ok()) {
+      eval_error = cost.status();
+    }
     fitness_cache.emplace(c, fitness);
     return fitness;
   };
-  if (pool != nullptr) {
-    // Fan one generation's unseen chromosomes across the pool. The fitness
-    // memo is read and written only on this thread; workers touch nothing
-    // but their own result slot (and the internally-locked cost cache and
-    // phase-schema memo), and
-    // the serial fill-in order makes error reporting deterministic (first
-    // failing cohort index wins, matching the element-wise path).
-    problem.batch_fitness = [&](const std::vector<Chromosome>& cohort) {
-      std::vector<double> fitnesses(cohort.size(), 0.0);
-      std::vector<size_t> misses;                       // cohort indexes to evaluate
-      std::map<Chromosome, std::vector<size_t>> dups;   // duplicate resolution
-      for (size_t i = 0; i < cohort.size(); ++i) {
-        auto cached = fitness_cache.find(cohort[i]);
-        if (cached != fitness_cache.end()) {
-          fitnesses[i] = cached->second;
-          continue;
-        }
-        auto [it, inserted] = dups.try_emplace(cohort[i]);
-        it->second.push_back(i);
-        if (inserted) misses.push_back(i);
-      }
-      std::vector<Result<double>> outcomes(misses.size(),
-                                           Result<double>(Status::Internal("not evaluated")));
-      pool->ParallelFor(misses.size(), [&](size_t j) {
-        outcomes[j] = EvaluateAssignment(ctx, current_phase, result.remaining_ops,
-                                         cohort[misses[j]], options, &estimator, &memo);
-      });
-      for (size_t j = 0; j < misses.size(); ++j) {
-        double fitness = to_fitness(outcomes[j]);
-        const Chromosome& c = cohort[misses[j]];
-        fitness_cache.emplace(c, fitness);
-        for (size_t i : dups[c]) fitnesses[i] = fitness;
-      }
-      return fitnesses;
-    };
-  }
 
   Rng rng(options.seed + current_phase * 7919);
   GaResult ga = RunGa(problem, options.ga, &rng);

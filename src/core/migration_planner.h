@@ -76,8 +76,6 @@ struct LaaResult {
   std::vector<LaaClusterInfo> clusters;
   /// Cost-cache activity of this run (all zeros when no cache was passed).
   CostCacheStats cache_stats;
-  /// Execution lanes used for candidate costing (1 = serial).
-  size_t threads = 1;
   /// Wall-clock time of this planning run, milliseconds.
   double wall_ms = 0;
 };
@@ -119,8 +117,8 @@ struct GaaOptions {
   /// Price queries that cannot run yet via the object schema (see
   /// CostOptions).
   double unservable_penalty = 3.0;
-  /// The shared cost cache and thread pool for candidate costing (GAA
-  /// ignores `analysis.prune_laa`).
+  /// The shared cost cache for candidate costing (GAA ignores
+  /// `analysis.prune_laa`).
   AnalysisOptions analysis;
 };
 
@@ -133,8 +131,6 @@ struct GaaResult {
   size_t evaluations = 0;
   /// Cost-cache activity of this run (all zeros when no cache was passed).
   CostCacheStats cache_stats;
-  /// Execution lanes used for candidate costing (1 = serial).
-  size_t threads = 1;
   /// Wall-clock time of this planning run, milliseconds.
   double wall_ms = 0;
   /// Ops assigned to offset 0, in dependency order — what to apply now.

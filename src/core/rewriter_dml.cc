@@ -677,7 +677,7 @@ Status DmlRouter::BackfillProvenance() {
       if (j->active && ts.journal_idx < j->targets.size()) {
         ++j->targets[ts.journal_idx].dest_rows;
       }
-      ++stats_.fragment_writes;
+      stats_.fragment_writes.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return Status::OK();
@@ -701,7 +701,7 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current) 
   PSE_ASSIGN_OR_RETURN(bool exists,
                        EntityRowExists(ctx, dml.table.anchor, Value::Int(dml.key)));
   if (dml.kind == DmlKind::kInsert ? exists : !exists) {
-    ++stats_.statements;
+    stats_.statements.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
 
@@ -724,7 +724,7 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current) 
         const LogicalAttribute& attr = lg.attr(dml.set_attrs[i]);
         if (attr.entity != e || attr.is_key) continue;
         provenance_->Put(e, pk.AsInt(), dml.set_attrs[i], dml.set_values[i]);
-        ++stats_.provenance_rows;
+        stats_.provenance_rows.fetch_add(1, std::memory_order_relaxed);
       }
     };
     bool anchor_anchored = false;
@@ -758,12 +758,12 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current) 
     PSE_ASSIGN_OR_RETURN(BoundDml bound_after, RewriteDml(dml, *after_));
     PSE_RETURN_NOT_OK(ApplyBound(bound_after, *after_, current, parent_exists,
                                  /*dest_mode=*/true));
-    ++stats_.dual_applied;
+    stats_.dual_applied.fetch_add(1, std::memory_order_relaxed);
   }
   if (dml.kind == DmlKind::kDelete) {
     provenance_->Erase(dml.table.anchor, dml.key);
   }
-  ++stats_.statements;
+  stats_.statements.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -818,7 +818,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
     provenance_->EnsureRow(attr.entity, pk.AsInt());
     if (!row[c].is_null()) {
       provenance_->Put(attr.entity, pk.AsInt(), a, row[c]);
-      ++stats_.provenance_rows;
+      stats_.provenance_rows.fetch_add(1, std::memory_order_relaxed);
     }
   };
 
@@ -902,7 +902,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
             PSE_ASSIGN_OR_RETURN(row[c], CastForColumn(row[c], frag_schema.column(c)));
           }
           PSE_RETURN_NOT_OK(db_->Insert(w.table, row).status());
-          ++stats_.fragment_writes;
+          stats_.fragment_writes.fetch_add(1, std::memory_order_relaxed);
           if (dest_mode) {
             ts->keys.insert(match);
             bump_dest(ts, 1);
@@ -928,7 +928,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
               PSE_ASSIGN_OR_RETURN(next[c], CastForColumn(v, frag_schema.column(c)));
             }
             PSE_RETURN_NOT_OK(db_->Update(w.table, rid, next).status());
-            ++stats_.fragment_writes;
+            stats_.fragment_writes.fetch_add(1, std::memory_order_relaxed);
           }
         }
         break;
@@ -987,7 +987,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
             PSE_ASSIGN_OR_RETURN(next[cols[i]], CastForColumn(values[i], frag_schema.column(cols[i])));
           }
           PSE_RETURN_NOT_OK(db_->Update(w.table, rid, next).status());
-          ++stats_.fragment_writes;
+          stats_.fragment_writes.fetch_add(1, std::memory_order_relaxed);
         }
         // A row that lives only in provenance (no covering rows) is updated
         // there; and provenance copies are kept fresh either way.
@@ -997,7 +997,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
             AttrId a = AttrAtCol(lg, frag, w.cols[i]);
             if (lg.attr(a).entity != w.entity) continue;
             provenance_->Put(w.entity, match.AsInt(), a, w.values[i]);
-            ++stats_.provenance_rows;
+            stats_.provenance_rows.fetch_add(1, std::memory_order_relaxed);
           }
         }
         break;
@@ -1010,7 +1010,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
             for (size_t c = 0; c < frag.attrs.size(); ++c) snapshot(frag, w.entity, row, c);
           }
           PSE_RETURN_NOT_OK(db_->Delete(w.table, rid));
-          ++stats_.fragment_writes;
+          stats_.fragment_writes.fetch_add(1, std::memory_order_relaxed);
           if (dest_mode) bump_dest(ts, -1);
         }
         // A later INSERT of the same key must reach the dest again.
@@ -1022,9 +1022,13 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
         PSE_ASSIGN_OR_RETURN(auto rows, MatchRows(db_, lg, frag, w.match_col, match));
         for (auto& [rid, row] : rows) {
           Row next = row;
-          for (size_t i = 0; i < w.cols.size(); ++i) next[w.cols[i]] = w.values[i];
+          for (size_t i = 0; i < w.cols.size(); ++i) {
+            // A cleared grandparent column may be the last copy of its value.
+            if (!dest_mode) snapshot(frag, w.entity, row, w.cols[i]);
+            next[w.cols[i]] = w.values[i];
+          }
           PSE_RETURN_NOT_OK(db_->Update(w.table, rid, next).status());
-          ++stats_.fragment_writes;
+          stats_.fragment_writes.fetch_add(1, std::memory_order_relaxed);
         }
         break;
       }

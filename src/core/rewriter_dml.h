@@ -53,6 +53,7 @@
 // kLockRankProvenance (26) and never does I/O.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -171,13 +172,14 @@ class ProvenanceStore {
   std::map<std::pair<EntityId, int64_t>, std::map<AttrId, Value>> rows_;
 };
 
-/// Cumulative counters of one router (read without synchronization —
-/// inspect them from quiesced code or accept approximate values).
+/// Cumulative counters of one router. The router bumps them under its write
+/// mutex; any thread may read them while statements run, each counter on
+/// its own (the four are not read as one snapshot).
 struct DmlStats {
-  uint64_t statements = 0;        ///< statements fully applied
-  uint64_t fragment_writes = 0;   ///< physical row writes performed
-  uint64_t provenance_rows = 0;   ///< provenance entries written
-  uint64_t dual_applied = 0;      ///< statements additionally applied to targets
+  std::atomic<uint64_t> statements{0};       ///< statements fully applied
+  std::atomic<uint64_t> fragment_writes{0};  ///< physical row writes performed
+  std::atomic<uint64_t> provenance_rows{0};  ///< provenance entries written
+  std::atomic<uint64_t> dual_applied{0};     ///< statements additionally applied to targets
 };
 
 /// \brief Executes rewritten DML against a Database, dual-applying onto the

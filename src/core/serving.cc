@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <numeric>
 #include <random>
 #include <shared_mutex>
+#include <thread>
 
 #include "common/latency_histogram.h"
 #include "common/lock_registry.h"
-#include "common/thread_pool.h"
 #include "core/rewriter.h"
 #include "engine/catalog_view.h"
 #include "engine/executor.h"
@@ -25,7 +23,7 @@ double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// One serve lane's tallies, merged serially after the pool joins (gtest
+/// One serve lane's tallies, merged serially after the lanes join (gtest
 /// assertions never run inside lanes).
 struct LaneTally {
   LatencyHistogram latency;  // reads and writes together
@@ -49,14 +47,6 @@ Result<ServeMetrics> ServeWhile(const ServeWindow& window,
   if (window.targets.empty() || !window.rewrite) {
     return Status::InvalidArgument("serve window needs targets and a read rewrite");
   }
-  const std::vector<double>& w = window.target_weights;
-  if (!w.empty() &&
-      (w.size() != window.targets.size() ||
-       !std::all_of(w.begin(), w.end(), [](double x) { return std::isfinite(x) && x >= 0; }) ||
-       std::accumulate(w.begin(), w.end(), 0.0) <= 0)) {
-    return Status::InvalidArgument(
-        "serve target weights need one finite, non-negative weight per target, not all zero");
-  }
   // The mix: active queries, weighted by frequency. Both versions' queries
   // land here — old ones serve throughout, new ones start serving the
   // moment their operators publish.
@@ -68,8 +58,6 @@ Result<ServeMetrics> ServeWhile(const ServeWindow& window,
       query_weights.push_back(freqs[q]);
     }
   }
-  std::vector<double> target_weights = window.target_weights;
-  if (target_weights.empty()) target_weights.assign(window.targets.size(), 1.0);
   const bool writes_on =
       window.write_fraction > 0 && window.make_write &&
       std::all_of(window.targets.begin(), window.targets.end(),
@@ -80,13 +68,10 @@ Result<ServeMetrics> ServeWhile(const ServeWindow& window,
   std::atomic<size_t> running{background.size()};
   std::atomic<bool> abort{false};
 
-  // Background lanes take the low indices: the pool hands indices out in
-  // order, so each background lane has a thread before any serve lane
-  // starts waiting for it to finish.
+  // Background lanes take the low indices. Lanes 1.. each get a thread of
+  // their own; lane 0 runs on the caller's.
   const size_t lanes = background.size() + window.lanes;
-  Clock::time_point window_start = Clock::now();
-  ThreadPool pool(std::max<size_t>(lanes, 1));
-  pool.ParallelFor(lanes, [&](size_t lane) {
+  auto run_lane = [&](size_t lane) {
     if (lane < background.size()) {
       Status s = background[lane](abort);
       if (!s.ok()) {
@@ -103,7 +88,7 @@ Result<ServeMetrics> ServeWhile(const ServeWindow& window,
     if (!active.empty()) {
       pick_query = std::discrete_distribution<size_t>(query_weights.begin(), query_weights.end());
     }
-    std::discrete_distribution<size_t> pick_target(target_weights.begin(), target_weights.end());
+    std::uniform_int_distribution<size_t> pick_target(0, window.targets.size() - 1);
     std::bernoulli_distribution write_coin(writes_on ? window.write_fraction : 0.0);
     uint64_t lane_writes = 0;
     // The floor counts *attempts*, not successes: a window whose every
@@ -164,7 +149,15 @@ Result<ServeMetrics> ServeWhile(const ServeWindow& window,
             std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count()));
       }
     }
-  });
+  };
+  Clock::time_point window_start = Clock::now();
+  {
+    // A jthread joins when it is destroyed, so every lane has returned when
+    // this scope ends, also if the caller's lane throws.
+    std::vector<std::jthread> threads;
+    for (size_t lane = 1; lane < lanes; ++lane) threads.emplace_back(run_lane, lane);
+    if (lanes > 0) run_lane(0);
+  }
 
   ServeMetrics m;
   m.wall_ms = MsSince(window_start);

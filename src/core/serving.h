@@ -130,10 +130,8 @@ using BackgroundLane = std::function<Status(const std::atomic<bool>& abort)>;
 
 /// What the serve lanes of one window issue, and against what.
 struct ServeWindow {
+  /// A lane picks one of these uniformly for each statement.
   std::vector<ServeTarget> targets;
-  /// A lane's pick among `targets`: proportional to these weights, which
-  /// must be finite and non-negative with a positive sum. Empty = uniform.
-  std::vector<double> target_weights;
   ReadRewrite rewrite;  ///< required
   size_t lanes = 0;
   /// Statements each lane attempts even if the background lanes finish at

@@ -41,18 +41,6 @@ uint64_t IoTokenBucket::total_acquired() const {
   return total_;
 }
 
-const char* FleetPolicyName(FleetPolicy policy) {
-  switch (policy) {
-    case FleetPolicy::kRoundRobin:
-      return "round-robin";
-    case FleetPolicy::kLaggardFirst:
-      return "laggard-first";
-    case FleetPolicy::kHotTenantDeferred:
-      return "hot-tenant-deferred";
-  }
-  return "unknown";
-}
-
 FleetScheduler::FleetScheduler(FleetSchedule schedule, SharedPlanCache* cache)
     : schedule_(std::move(schedule)), cache_(cache) {
   mu_.LockdepRegister("fleet", kLockRankFleet, /*allows_io=*/false);
@@ -63,43 +51,19 @@ void FleetScheduler::AddShard(std::unique_ptr<TenantShard> shard) {
   busy_.push_back(0);
 }
 
-int FleetScheduler::PickNext(const FleetOptions& options) {
+int FleetScheduler::PickNext() {
   PSE_LOCKDEP_SCOPE("FleetScheduler::PickNext");
   std::lock_guard<Mutex> lock(mu_);
   const size_t n = shards_.size();
-  int best = -1;
-  double best_key = 0;
-  size_t best_step = 0;
+  // Scan from the cursor so successive picks cycle the fleet.
   for (size_t k = 0; k < n; ++k) {
-    // Round-robin scans from the cursor so successive picks cycle the
-    // fleet; the other policies scan all shards and keep the best.
-    size_t i = options.policy == FleetPolicy::kRoundRobin ? (rr_cursor_ + k) % n : k;
-    if (busy_[i] != 0) continue;
-    size_t step = shards_[i]->step();
-    if (step >= schedule_.steps()) continue;
-    if (options.policy == FleetPolicy::kRoundRobin) {
-      best = static_cast<int>(i);
-      break;
-    }
-    double key = options.policy == FleetPolicy::kLaggardFirst
-                     ? static_cast<double>(step)
-                     : (i < options.hotness.size() ? options.hotness[i] : 1.0);
-    // Ties break toward the laggard, then the lower id — deterministic and
-    // starvation-free (a deferred hot tenant is picked once it is the only
-    // eligible shard left).
-    if (best < 0 || key < best_key || (key == best_key && step < best_step)) {
-      best = static_cast<int>(i);
-      best_key = key;
-      best_step = step;
-    }
+    const size_t i = (rr_cursor_ + k) % n;
+    if (busy_[i] != 0 || shards_[i]->step() >= schedule_.steps()) continue;
+    busy_[i] = 1;
+    rr_cursor_ = (i + 1) % n;
+    return static_cast<int>(i);
   }
-  if (best >= 0) {
-    busy_[static_cast<size_t>(best)] = 1;
-    if (options.policy == FleetPolicy::kRoundRobin) {
-      rr_cursor_ = (static_cast<size_t>(best) + 1) % n;
-    }
-  }
-  return best;
+  return -1;
 }
 
 void FleetScheduler::FinishShard(size_t shard) {
@@ -134,7 +98,7 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
   BackgroundLane migrate = [&](const std::atomic<bool>& abort) -> Status {
     while (!abort.load(std::memory_order_acquire) &&
            remaining_ops.load(std::memory_order_acquire) != 0) {
-      int pick = PickNext(options);
+      int pick = PickNext();
       if (pick < 0) {
         std::this_thread::yield();
         continue;
@@ -155,7 +119,6 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
   for (const auto& shard : shards_) {
     window.targets.push_back(ServeTarget{shard->db(), shard->serving(), shard->router()});
   }
-  window.target_weights = options.hotness;
   // The published step is read under the same catalog latch as the serving
   // snapshot, so the (step, snapshot) pair is consistent and the
   // fleet-shared rewrite for that step applies verbatim.

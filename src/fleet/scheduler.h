@@ -11,20 +11,18 @@
 //                   at any instant — the SaaS operator's "don't melt the
 //                   storage tier" knob.
 //
-//   staggering      which eligible shard migrates next: round-robin (fair
-//   policies        interleave), laggard-first (minimize trajectory spread),
-//                   hot-tenant-deferred (migrate cold tenants while hot ones
-//                   keep serving; hot ones go last). Every policy drains the
-//                   whole fleet — deferral reorders, never starves.
+//   round-robin     which eligible shard migrates next: a cursor cycles the
+//   picks           shard ids, skipping shards that are busy or done, so
+//                   the lanes interleave the fleet and drain all of it.
 //
 //   serve lanes     core's one serve driver (ServeWhile, core/serving.h)
-//                   with the shards as its targets, hotness as the target
-//                   weights, and the migration lanes as its background
-//                   lanes. A lane's read rewrite comes from the fleet's
-//                   SharedPlanCache, keyed on the shard's published step
-//                   and fetched under the shard's catalog latch; plans stay
-//                   per-tenant, rewrites amortize fleet-wide. Writes go
-//                   through the shard's DmlRouter.
+//                   with the shards as its targets, picked uniformly, and
+//                   the migration lanes as its background lanes. A lane's
+//                   read rewrite comes from the fleet's SharedPlanCache,
+//                   keyed on the shard's published step and fetched under
+//                   the shard's catalog latch; plans stay per-tenant,
+//                   rewrites amortize fleet-wide. Writes go through the
+//                   shard's DmlRouter.
 //
 // Lock classes (DESIGN.md §17/§20): "fleet" (rank 4) guards pick/busy
 // state, "shard:<id>" (6) each shard's trajectory state, "fleet:iobudget"
@@ -81,18 +79,8 @@ class IoTokenBucket {
   uint64_t total_ = 0;
 };
 
-/// Which eligible shard a migration lane picks next.
-enum class FleetPolicy {
-  kRoundRobin,        ///< cycle shard ids, skipping busy/done
-  kLaggardFirst,      ///< lowest trajectory step first
-  kHotTenantDeferred  ///< lowest hotness first; hot tenants migrate last
-};
-
-const char* FleetPolicyName(FleetPolicy policy);
-
 /// Knobs for one fleet run.
 struct FleetOptions {
-  FleetPolicy policy = FleetPolicy::kRoundRobin;
   /// Lanes advancing migrations (each works one shard at a time).
   size_t migration_lanes = 2;
   /// Lanes serving foreground traffic across all shards.
@@ -111,13 +99,9 @@ struct FleetOptions {
   /// Base migration options per operator (batch sizing, user hooks); each
   /// shard wires its router/publish on top — see TenantShard::AdvanceOneOp.
   MigrationOptions migration;
-  /// Per-shard serve weight; hot-tenant-deferred migrates low weights first
-  /// and serve lanes sample shards proportionally. Empty = uniform 1.0.
-  /// Weights must be finite and non-negative with a positive sum.
-  std::vector<double> hotness;
   /// Observer called after every successfully applied operator (outside all
-  /// fleet locks) with the shard index and its new step — the policy tests
-  /// reconstruct migration order from it.
+  /// fleet locks) with the shard index and its new step — the scheduler
+  /// tests reconstruct migration order from it.
   std::function<void(size_t shard, size_t step)> on_shard_op;
 };
 
@@ -157,8 +141,9 @@ class FleetScheduler {
                            const std::vector<double>& freqs, const FleetOptions& options);
 
  private:
-  /// Picks and busy-marks the next shard per policy; -1 when none eligible.
-  int PickNext(const FleetOptions& options);
+  /// Picks and busy-marks the next eligible shard after the round-robin
+  /// cursor; -1 when none is eligible.
+  int PickNext();
   void FinishShard(size_t shard);
 
   Mutex mu_;  ///< "fleet": busy marks + round-robin cursor

@@ -79,17 +79,12 @@ GaResult RunGa(const GaProblem& problem, const GaConfig& config, Rng* rng) {
   auto mutate = problem.mutate ? problem.mutate
                                : [](Chromosome* c, Rng* r) { SegmentReversalMutation(c, r); };
 
-  // Evaluates a whole cohort at once (batch hook or element-wise fitness).
-  // Cohorts are fully generated before evaluation, so the rng stream is
-  // identical either way — evaluation consumes no randomness.
+  // Evaluates a whole cohort, in order. Cohorts are fully generated before
+  // evaluation, which consumes no randomness.
   auto evaluate_all = [&](const std::vector<Chromosome>& cohort) {
     std::vector<double> fitnesses;
-    if (problem.batch_fitness) {
-      fitnesses = problem.batch_fitness(cohort);
-    } else {
-      fitnesses.reserve(cohort.size());
-      for (const Chromosome& c : cohort) fitnesses.push_back(problem.fitness(c));
-    }
+    fitnesses.reserve(cohort.size());
+    for (const Chromosome& c : cohort) fitnesses.push_back(problem.fitness(c));
     result.evaluations += cohort.size();
     return fitnesses;
   };

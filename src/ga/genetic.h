@@ -35,15 +35,9 @@ struct GaConfig {
 struct GaProblem {
   /// Generates a random (valid) chromosome.
   std::function<Chromosome(Rng*)> random_chromosome;
-  /// Fitness; higher is better. Called once per individual per generation.
+  /// Fitness; higher is better. Called once per individual per generation,
+  /// in cohort order, after RunGa has produced the whole cohort.
   std::function<double(const Chromosome&)> fitness;
-  /// Optional: evaluates one generation's chromosomes as a batch, returning
-  /// their fitnesses in order; used instead of `fitness` when set (e.g. to
-  /// fan evaluations across a thread pool). RunGa produces every offspring
-  /// of a generation *before* evaluating any of them, and evaluation never
-  /// consumes randomness, so batch and per-element runs draw the identical
-  /// rng stream — results must therefore match element-wise `fitness`.
-  std::function<std::vector<double>(const std::vector<Chromosome>&)> batch_fitness;
   /// Optional: coerce a chromosome back into validity after recombination.
   std::function<void(Chromosome*, Rng*)> repair;
   /// Optional: custom crossover; defaults to TwoPointCrossover.

@@ -16,11 +16,11 @@
 #include <random>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <unordered_set>
 
 #include "analysis/lockorder.h"
 #include "common/lock_registry.h"
-#include "common/thread_pool.h"
 #include "core/mapping.h"
 #include "core/migration_executor.h"
 #include "core/rewriter.h"
@@ -28,12 +28,14 @@
 #include "engine/catalog_view.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
+#include "tests/common/run_lanes.h"
 #include "tests/common/test_db_builder.h"
 
 namespace pse {
 namespace {
 
 using testutil::Bookstore;
+using testutil::RunLanes;
 using testutil::SameRows;
 using testutil::SortRows;
 
@@ -164,8 +166,7 @@ TEST_F(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
   };
   std::vector<Tally> tallies(kReaders);
 
-  ThreadPool pool(kReaders + 1);
-  pool.ParallelFor(kReaders + 1, [&](size_t lane) {
+  RunLanes(kReaders + 1, [&](size_t lane) {
     if (lane == kReaders) {  // migration lane
       for (int op : *topo) {
         auto io = exec.Apply(opset_.ops[static_cast<size_t>(op)], &current);
@@ -368,6 +369,57 @@ TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   }
 }
 
+// A router's counters are read while its statements run: benchmark/ reads
+// them from its driver thread while clients write. One lane executes
+// kStatements inserts under the shared catalog latch, as callers must; the
+// other reads stats() until it has seen every statement. The counters only
+// grow, and the reader ends on the writer's totals.
+TEST_F(ServingStressTest, RouterStatsAreReadWhileStatementsRun) {
+  constexpr uint64_t kStatements = 2000;
+  LockdepCleanScope lockdep;
+  Database db(1024);
+  ASSERT_TRUE(data_->Materialize(&db, bs_->source).ok());
+  DmlRouter router(&db);
+  const std::vector<VersionTable> tables = VersionTablesOf(bs_->source);
+  std::atomic<bool> writer_done{false};
+  Status write_status;
+  uint64_t reads = 0;
+  uint64_t seen_statements = 0;
+  uint64_t seen_writes = 0;
+  bool monotone = true;
+  RunLanes(2, [&](size_t lane) {
+    if (lane == 0) {
+      for (uint64_t i = 0; i < kStatements && write_status.ok(); ++i) {
+        LogicalDml dml;
+        dml.kind = DmlKind::kInsert;
+        dml.table = tables[i % tables.size()];
+        dml.key = 100000 + static_cast<int64_t>(i);
+        std::shared_lock<SharedMutex> schema_lock(db.schema_latch());
+        write_status = router.Execute(dml, bs_->source);
+      }
+      writer_done.store(true, std::memory_order_release);
+      return;
+    }
+    while (true) {
+      const bool done = writer_done.load(std::memory_order_acquire);
+      const uint64_t statements = router.stats().statements;
+      const uint64_t writes = router.stats().fragment_writes;
+      ++reads;
+      if (statements < seen_statements || writes < seen_writes) monotone = false;
+      seen_statements = statements;
+      seen_writes = writes;
+      if (statements == kStatements || done) break;
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_TRUE(write_status.ok()) << write_status.ToString();
+  EXPECT_TRUE(monotone) << "a counter went backwards";
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(seen_statements, kStatements);
+  EXPECT_GE(seen_writes, kStatements);  // every insert writes a row
+  EXPECT_EQ(router.stats().statements, kStatements);
+}
+
 TEST_F(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
   // Regression for the glibc shared_mutex starvation that motivated
   // common/rw_latch.h: a tight release/re-acquire reader loop must not keep
@@ -376,8 +428,7 @@ TEST_F(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
   Database db(256);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> exclusive_grants{0};
-  ThreadPool pool(4);
-  pool.ParallelFor(4, [&](size_t lane) {
+  RunLanes(4, [&](size_t lane) {
     if (lane == 0) {
       for (int i = 0; i < 50; ++i) {
         std::unique_lock<SharedMutex> w(db.schema_latch());
@@ -434,8 +485,7 @@ TEST(ReadConsistencyTest, ScansSeeEachRowOnceWhileUpdatesRelocateRows) {
   Status write_status;
   uint64_t bad_scans = 0;
   Status read_status;
-  ThreadPool pool(2);
-  pool.ParallelFor(2, [&](size_t lane) {
+  RunLanes(2, [&](size_t lane) {
     if (lane == 0) {
       // Round r gives ids 0-999 values of r + 2 characters, one more than
       // round r - 1, so every update relocates its row.

@@ -306,6 +306,96 @@ TEST_F(RewriteDmlTest, DeleteSnapshotsParentValuesIntoProvenance) {
   EXPECT_GT(router.stats().fragment_writes, 0u);
 }
 
+// A DELETE's fan-clear NULLs every column whose FK chain runs through the
+// deleted row. Here one order_line-anchored fragment stores the line's item
+// and that item's author, and no fragment is anchored at author, so those
+// columns are the author's only copy. Deleting the item must not delete
+// the author: a new line that reaches the same author through a new item
+// reads the author's values back.
+TEST(DmlFanClearTest, DeletingAMiddleRowKeepsTheGrandparentItClears) {
+  std::unique_ptr<TpcwSchema> tpcw = BuildTpcwSchema();
+  const LogicalSchema& L = tpcw->logical;
+  std::map<std::string, AttrId> attr;
+  for (const char* name : {"ol_id", "ol_i_id", "ol_qty", "i_a_id", "i_title", "a_id", "a_fname",
+                           "a_lname"}) {
+    auto id = L.AttrByName(name);
+    ASSERT_TRUE(id.ok()) << name;
+    attr[name] = *id;
+  }
+  PhysicalSchema layout(&L);
+  ASSERT_TRUE(layout
+                  .AddTable("line", tpcw->order_line,
+                            {attr["ol_i_id"], attr["ol_qty"], attr["i_a_id"], attr["a_fname"],
+                             attr["a_lname"]})
+                  .ok());
+  ASSERT_TRUE(layout.AddTable("item", tpcw->item, {attr["i_title"]}).ok());
+  ASSERT_TRUE(layout.Validate().ok()) << layout.Validate().ToString();
+
+  // Author 1 has one item (10) with one line (100); author 2's chain is
+  // left alone.
+  LogicalDatabase data(&L);
+  auto add = [&](EntityId e, int64_t key, const std::vector<AttrId>& attrs,
+                 const std::vector<Value>& values) {
+    ASSERT_TRUE(data.AddRow(e, testutil::FullEntityRow(L, e, key, attrs, values)).ok());
+  };
+  const std::map<int64_t, std::pair<std::string, std::string>> names = {{1, {"Ann", "Lee"}},
+                                                                        {2, {"Bo", "Kim"}}};
+  for (const auto& [a, name] : names) {
+    add(tpcw->author, a, {attr["a_fname"], attr["a_lname"]},
+        {Value::Varchar(name.first), Value::Varchar(name.second)});
+    add(tpcw->item, 10 * a, {attr["i_title"], attr["i_a_id"]},
+        {Value::Varchar("title"), Value::Int(a)});
+    add(tpcw->order_line, 100 * a, {attr["ol_i_id"], attr["ol_qty"]},
+        {Value::Int(10 * a), Value::Int(3)});
+  }
+  Database db(256);
+  ASSERT_TRUE(data.Materialize(&db, layout).ok());
+  DmlRouter router(&db);
+  const std::vector<VersionTable> tables = VersionTablesOf(layout);
+  const VersionTable* line = FindTable(tables, "line");
+  const VersionTable* item = FindTable(tables, "item");
+  ASSERT_TRUE(line != nullptr && item != nullptr);
+
+  LogicalDml del;
+  del.kind = DmlKind::kDelete;
+  del.table = *item;
+  del.key = 10;
+  ASSERT_TRUE(router.Execute(del, layout).ok());
+  // A new item 11 of author 1, reached through a new line 101.
+  LogicalDml ins;
+  ins.kind = DmlKind::kInsert;
+  ins.table = *line;
+  ins.key = 101;
+  ins.set_attrs = {attr["i_a_id"], attr["ol_i_id"], attr["ol_qty"]};
+  ins.set_values = {Value::Int(1), Value::Int(11), Value::Int(1)};
+  ASSERT_TRUE(router.Execute(ins, layout).ok());
+
+  auto line_idx = layout.TableByName("line");
+  ASSERT_TRUE(line_idx.ok());
+  const TableSchema line_schema = layout.ToTableSchema(*line_idx);
+  auto col = [&](const char* name) {
+    for (size_t c = 0; c < line_schema.num_columns(); ++c) {
+      if (line_schema.column(c).name == name) return c;
+    }
+    ADD_FAILURE() << "no column " << name;
+    return size_t{0};
+  };
+  std::map<int64_t, Row> lines;
+  for (const Row& r : TableRows(&db, "line")) lines[r[col("ol_id")].AsInt()] = r;
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_TRUE(lines[100][col("a_fname")].is_null()) << "the fan-clear left line 100's author";
+  const std::vector<std::pair<int64_t, int64_t>> line_authors = {{101, 1}, {200, 2}};
+  for (const auto& [key, author] : line_authors) {
+    SCOPED_TRACE("line " + std::to_string(key));
+    const Row& r = lines[key];
+    EXPECT_TRUE(r[col("a_id")].SqlEquals(Value::Int(author))) << r[col("a_id")].ToString();
+    EXPECT_TRUE(r[col("a_fname")].SqlEquals(Value::Varchar(names.at(author).first)))
+        << r[col("a_fname")].ToString();
+    EXPECT_TRUE(r[col("a_lname")].SqlEquals(Value::Varchar(names.at(author).second)))
+        << r[col("a_lname")].ToString();
+  }
+}
+
 TEST_F(RewriteDmlTest, InsertAndDeleteAreIdempotent) {
   auto data = bs_->MakeData(2, 2, 3);
   Database db(1024);

@@ -1,13 +1,11 @@
 // FleetScheduler invariants: the global I/O token budget is never exceeded,
-// every staggering policy drains the whole fleet (deferral reorders, never
-// starves), a fleet of 1024 tenants migrates end to end, pick order matches
-// each policy's contract, and the
-// SharedPlanCache amortizes rewrites to (N-1)/N hits across same-step
-// tenants while returning rewrites identical to a direct RewriteQuery, also
-// for same-named queries whose constants differ past the sixth digit.
+// the round-robin picks drain the whole fleet and cycle distinct shards, a
+// fleet of 1024 tenants migrates end to end, and the SharedPlanCache
+// amortizes rewrites to (N-1)/N hits across same-step tenants while
+// returning rewrites identical to a direct RewriteQuery, also for
+// same-named queries whose constants differ past the sixth digit.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -115,22 +113,6 @@ TEST_F(FleetSchedulerTest, RunValidatesItsInputs) {
   auto fleet = MakeFleet(2);
   std::vector<double> bad_freqs = {1.0};
   EXPECT_FALSE(fleet->Run(queries_, bad_freqs, FleetOptions{}).ok());
-  FleetOptions bad_hotness;
-  bad_hotness.hotness = {1.0, 2.0, 3.0};
-  EXPECT_FALSE(fleet->Run(queries_, freqs_, bad_hotness).ok());
-
-  // Hotness feeds a discrete distribution: all-zero weights give NaN
-  // probabilities and a negative one skews every pick, so both are refused,
-  // as is a non-finite weight.
-  for (const std::vector<double>& hotness :
-       {std::vector<double>{0.0, 0.0}, std::vector<double>{-1.0, 1.0},
-        std::vector<double>{std::numeric_limits<double>::infinity(), 1.0}}) {
-    FleetOptions options;
-    options.hotness = hotness;
-    auto result = fleet->Run(queries_, freqs_, options);
-    EXPECT_TRUE(result.status().IsInvalidArgument())
-        << hotness[0] << ", " << hotness[1] << ": " << result.status().ToString();
-  }
 
   // Serve lanes run until the migration lanes finish, so a run with none
   // is refused instead of serving forever.
@@ -164,29 +146,23 @@ TEST_F(FleetSchedulerTest, IoBudgetNeverExceeded) {
   EXPECT_GT(metrics->batches, 0u);
 }
 
-TEST_F(FleetSchedulerTest, EveryPolicyDrainsTheWholeFleet) {
-  for (FleetPolicy policy : {FleetPolicy::kRoundRobin, FleetPolicy::kLaggardFirst,
-                             FleetPolicy::kHotTenantDeferred}) {
-    SCOPED_TRACE(FleetPolicyName(policy));
-    auto fleet = MakeFleet(5);
-    FleetOptions options;
-    options.policy = policy;
-    options.migration_lanes = 2;
-    options.serve_lanes = 2;
-    options.io_tokens = 2;
-    options.min_queries_per_lane = 8;
-    options.migration.batch_rows = 16;
-    options.hotness = {1.0, 3.0, 1.0, 5.0, 1.0};
-    auto metrics = fleet->Run(queries_, freqs_, options);
-    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-    EXPECT_EQ(metrics->tenants, 5u);
-    EXPECT_EQ(metrics->tenants_migrated, 5u);
-    EXPECT_EQ(metrics->ops_applied, 5u * schedule_->steps());
-    EXPECT_EQ(metrics->errors, 0u);
-    for (size_t i = 0; i < fleet->size(); ++i) {
-      EXPECT_TRUE(fleet->shard(i)->done(*schedule_)) << "shard " << i;
-      EXPECT_EQ(fleet->shard(i)->published_step(), schedule_->steps()) << "shard " << i;
-    }
+TEST_F(FleetSchedulerTest, RoundRobinDrainsTheWholeFleet) {
+  auto fleet = MakeFleet(5);
+  FleetOptions options;
+  options.migration_lanes = 2;
+  options.serve_lanes = 2;
+  options.io_tokens = 2;
+  options.min_queries_per_lane = 8;
+  options.migration.batch_rows = 16;
+  auto metrics = fleet->Run(queries_, freqs_, options);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(metrics->tenants, 5u);
+  EXPECT_EQ(metrics->tenants_migrated, 5u);
+  EXPECT_EQ(metrics->ops_applied, 5u * schedule_->steps());
+  EXPECT_EQ(metrics->errors, 0u);
+  for (size_t i = 0; i < fleet->size(); ++i) {
+    EXPECT_TRUE(fleet->shard(i)->done(*schedule_)) << "shard " << i;
+    EXPECT_EQ(fleet->shard(i)->published_step(), schedule_->steps()) << "shard " << i;
   }
 }
 
@@ -245,7 +221,6 @@ TEST_F(FleetSchedulerTest, RoundRobinCyclesDistinctShards) {
   std::mutex order_mu;
   std::vector<size_t> order;
   FleetOptions options;
-  options.policy = FleetPolicy::kRoundRobin;
   options.migration_lanes = 1;
   options.serve_lanes = 0;
   options.on_shard_op = [&](size_t shard, size_t) {
@@ -261,73 +236,6 @@ TEST_F(FleetSchedulerTest, RoundRobinCyclesDistinctShards) {
                             order.begin() + static_cast<long>(w + kTenants));
     EXPECT_EQ(window.size(), kTenants) << "window at " << w << " revisited a shard";
   }
-}
-
-TEST_F(FleetSchedulerTest, LaggardFirstClosesTheTrajectorySpread) {
-  constexpr size_t kTenants = 4;
-  auto fleet = MakeFleet(kTenants);
-  // Spread the fleet: shard 0 two ops ahead, shard 1 one op ahead.
-  MigrationOptions clean;
-  ASSERT_TRUE(fleet->shard(0)->AdvanceOneOp(*schedule_, clean).ok());
-  ASSERT_TRUE(fleet->shard(0)->AdvanceOneOp(*schedule_, clean).ok());
-  ASSERT_TRUE(fleet->shard(1)->AdvanceOneOp(*schedule_, clean).ok());
-
-  std::mutex order_mu;
-  std::vector<std::pair<size_t, size_t>> order;  // (shard, new step)
-  FleetOptions options;
-  options.policy = FleetPolicy::kLaggardFirst;
-  options.migration_lanes = 1;
-  options.serve_lanes = 0;
-  options.on_shard_op = [&](size_t shard, size_t step) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    order.emplace_back(shard, step);
-  };
-  auto metrics = fleet->Run(queries_, freqs_, options);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  ASSERT_FALSE(order.empty());
-
-  // The laggards (step 0) migrate before the shards that were ahead ever
-  // advance again: with one lane the pre-op step sequence is non-decreasing.
-  size_t last_pre_step = 0;
-  for (const auto& [shard, step] : order) {
-    size_t pre_step = step - 1;
-    EXPECT_GE(pre_step, last_pre_step)
-        << "shard " << shard << " advanced from step " << pre_step
-        << " while a laggard at step " << last_pre_step << " was eligible";
-    last_pre_step = pre_step;
-  }
-  EXPECT_EQ(order.front().first, 2u) << "first pick must be the lowest-id laggard";
-  EXPECT_EQ(metrics->tenants_migrated, kTenants);
-}
-
-TEST_F(FleetSchedulerTest, HotTenantDeferredMigratesTheHotTenantLast) {
-  constexpr size_t kTenants = 4;
-  constexpr size_t kHot = 2;
-  auto fleet = MakeFleet(kTenants);
-  std::mutex order_mu;
-  std::vector<size_t> order;
-  FleetOptions options;
-  options.policy = FleetPolicy::kHotTenantDeferred;
-  options.migration_lanes = 1;
-  options.serve_lanes = 0;
-  options.hotness = {1.0, 1.0, 8.0, 1.0};
-  options.on_shard_op = [&](size_t shard, size_t) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    order.push_back(shard);
-  };
-  auto metrics = fleet->Run(queries_, freqs_, options);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  ASSERT_EQ(order.size(), kTenants * schedule_->steps());
-  // Deferral: the hot tenant's ops are exactly the tail of the order —
-  // every cold tenant finished first, and the hot one still completed.
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i < order.size() - schedule_->steps()) {
-      EXPECT_NE(order[i], kHot) << "hot tenant migrated at position " << i;
-    } else {
-      EXPECT_EQ(order[i], kHot) << "tail position " << i << " is not the hot tenant";
-    }
-  }
-  EXPECT_TRUE(fleet->shard(kHot)->done(*schedule_)) << "deferral must not starve";
 }
 
 // N tenants parked at one step issue the same workload: the first lookup
