@@ -22,6 +22,8 @@
 # cursor), src/storage/buffer_pool.cc (pinning, LRU eviction, and a
 # failed read or write-back that keeps its frame usable),
 # src/core/migration_planner.cc (LAA, GAA and the exhaustive baseline),
+# src/core/virtual_catalog.cc (candidate-schema metadata built on first
+# lookup), src/core/workload.cc (the per-query cost estimate),
 # src/core/schema_advisor.cc (the design advisor's climb),
 # src/ga/genetic.cc (GAA's genetic algorithm) and
 # src/storage/persistence.cc (the superblock and journal decoder). With gcovr
@@ -65,6 +67,8 @@ target_files=(
   "src/storage/bplus_tree.cc"
   "src/storage/buffer_pool.cc"
   "src/core/migration_planner.cc"
+  "src/core/virtual_catalog.cc"
+  "src/core/workload.cc"
   "src/core/schema_advisor.cc"
   "src/ga/genetic.cc"
   "src/storage/persistence.cc"

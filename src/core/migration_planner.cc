@@ -241,25 +241,87 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
   return result;
 }
 
-Result<const PhysicalSchema*> PhaseSchemaMemo::Apply(const PhysicalSchema& before, int op,
-                                                     std::vector<bool>* applied) {
+namespace {
+
+/// C(Schema) of `schema` at global phase `phase`, pricing unservable queries
+/// on the object schema times `unservable_penalty`: through `estimator` when
+/// there is one, else EstimateWorkloadCost.
+Result<double> PricePhase(const MigrationContext& ctx, const PhysicalSchema& schema,
+                          size_t phase, double unservable_penalty,
+                          CachedCostEstimator* estimator) {
+  CostOptions cost_options;
+  cost_options.fallback_schema = ctx.object;
+  cost_options.unservable_penalty = unservable_penalty;
+  const std::vector<double>& freqs = (*ctx.phase_freqs)[phase];
+  const LogicalStats& stats = ctx.StatsAt(phase);
+  if (estimator != nullptr) return estimator->WorkloadCost(schema, stats, freqs, cost_options);
+  return EstimateWorkloadCost(schema, stats, *ctx.queries, freqs, cost_options);
+}
+
+/// The first gene of `assignment` that no plan can have, as an index into
+/// `remaining_ops`, or -1 when there is none. A gene lies in
+/// [0, phases_left] and is no earlier than the gene of each prerequisite in
+/// `remaining_ops`; prerequisites outside it were applied earlier and
+/// impose nothing.
+int FirstInvalidGene(const OperatorSet& opset, const std::vector<int>& remaining_ops,
+                     const std::vector<int>& assignment, int phases_left) {
+  std::vector<int> offset_of(opset.size(), -1);
+  for (size_t i = 0; i < remaining_ops.size(); ++i) {
+    if (assignment[i] < 0 || assignment[i] > phases_left) return static_cast<int>(i);
+    offset_of[static_cast<size_t>(remaining_ops[i])] = assignment[i];
+  }
+  for (size_t i = 0; i < remaining_ops.size(); ++i) {
+    for (int d : opset.deps[static_cast<size_t>(remaining_ops[i])]) {
+      if (assignment[i] < offset_of[static_cast<size_t>(d)]) return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+}  // namespace
+
+PhaseSchemaMemo::PhaseSchemaMemo(const MigrationContext& ctx, double unservable_penalty)
+    : ctx_(&ctx),
+      unservable_penalty_(unservable_penalty),
+      current_(*ctx.current, ctx.num_phases()) {}
+
+Result<PhaseSchemaMemo::Entry*> PhaseSchemaMemo::Apply(const Entry& before, int op,
+                                                       std::vector<bool>* applied) {
   (*applied)[static_cast<size_t>(op)] = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = schemas_.find(*applied);
-    if (it != schemas_.end()) return &it->second;
+    auto it = entries_.find(*applied);
+    if (it != entries_.end()) return &it->second;
   }
   // Build outside the lock. Two threads racing on one set both build it;
   // the first insert wins and both return that entry.
-  PhysicalSchema after = before;
+  PhysicalSchema after = before.schema();
   PSE_RETURN_NOT_OK(ApplyOperator(ctx_->opset->ops[static_cast<size_t>(op)], &after));
   std::lock_guard<std::mutex> lock(mu_);
-  return &schemas_.try_emplace(*applied, std::move(after)).first->second;
+  return &entries_.try_emplace(*applied, Entry(std::move(after), ctx_->num_phases()))
+              .first->second;
+}
+
+Result<double> PhaseSchemaMemo::PhaseCost(Entry* entry, size_t phase,
+                                          CachedCostEstimator* estimator) {
+  PSE_RETURN_NOT_OK(CheckPhase(*ctx_, phase));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (entry->costs_[phase].has_value()) return *entry->costs_[phase];
+  }
+  // Price outside the lock, like Apply: racing threads price one pair to the
+  // same bits, and the first store wins.
+  PSE_ASSIGN_OR_RETURN(double cost,
+                       PricePhase(*ctx_, entry->schema_, phase, unservable_penalty_, estimator));
+  std::lock_guard<std::mutex> lock(mu_);
+  std::optional<double>& slot = entry->costs_[phase];
+  if (!slot.has_value()) slot = cost;
+  return *slot;
 }
 
 size_t PhaseSchemaMemo::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return schemas_.size();
+  return entries_.size();
 }
 
 Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_phase,
@@ -269,12 +331,22 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
                                   PhaseSchemaMemo* memo) {
   PSE_RETURN_NOT_OK(CheckPhase(ctx, current_phase));
   const size_t phases_left = ctx.num_phases() - current_phase;
-  CostOptions cost_options;
-  cost_options.fallback_schema = ctx.object;
-  cost_options.unservable_penalty = options.unservable_penalty;
-
   if (assignment.size() != remaining_ops.size()) {
     return Status::InvalidArgument("assignment arity mismatch");
+  }
+  const int bad = FirstInvalidGene(*ctx.opset, remaining_ops, assignment,
+                                   static_cast<int>(phases_left));
+  if (bad >= 0) {
+    const size_t i = static_cast<size_t>(bad);
+    return Status::InvalidArgument(
+        "assignment gives operator " + std::to_string(remaining_ops[i]) + " gene " +
+        std::to_string(assignment[i]) + ": a gene lies in [0, " + std::to_string(phases_left) +
+        "] and no earlier than its remaining prerequisites' genes");
+  }
+  if (memo != nullptr && (&memo->context() != &ctx ||
+                          memo->unservable_penalty() != options.unservable_penalty)) {
+    return Status::InvalidArgument(
+        "the phase-schema memo was built for another context or unservable penalty");
   }
   PSE_ASSIGN_OR_RETURN(std::vector<int> topo, ctx.opset->TopologicalOrder());
   std::vector<int> offset_of(ctx.opset->size(), -1);
@@ -283,13 +355,21 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
   }
 
   // `schema` is the schema after every operator applied so far: without a
-  // memo, `local` accumulates them; with one, it points into the memo.
+  // memo, `local` accumulates them; with one, it is the schema of `entry`,
+  // the memo's entry of the applied set.
   PhysicalSchema local;
   const PhysicalSchema* schema = ctx.current;
-  std::vector<bool> applied(memo != nullptr ? ctx.opset->size() : 0, false);
+  PhaseSchemaMemo::Entry* entry = nullptr;
+  std::vector<bool> applied;
+  if (memo != nullptr) {
+    entry = memo->current();
+    schema = &entry->schema();
+    applied.assign(ctx.opset->size(), false);
+  }
   auto apply = [&](int i) -> Status {
     if (memo != nullptr) {
-      PSE_ASSIGN_OR_RETURN(schema, memo->Apply(*schema, i, &applied));
+      PSE_ASSIGN_OR_RETURN(entry, memo->Apply(*entry, i, &applied));
+      schema = &entry->schema();
       return Status::OK();
     }
     if (schema != &local) local = *schema;
@@ -303,27 +383,25 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
   // deferred operators cost no measured query time). This matches the
   // paper's gene range of (0, c).
   for (size_t off = 0; off < phases_left; ++off) {
+    const size_t phase = current_phase + off;
     // Apply the ops assigned to this offset, in topological order.
     for (int i : topo) {
       if (offset_of[static_cast<size_t>(i)] == static_cast<int>(off)) {
         if (options.include_migration_cost) {
-          PSE_ASSIGN_OR_RETURN(
-              double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], *schema,
-                                            ctx.StatsAt(current_phase + off)));
+          PSE_ASSIGN_OR_RETURN(double io,
+                               EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)],
+                                                  *schema, ctx.StatsAt(phase)));
           total += kMigrationIoWeight * io;
         }
         PSE_RETURN_NOT_OK(apply(i));
       }
     }
-    const std::vector<double>& freqs = (*ctx.phase_freqs)[current_phase + off];
-    const LogicalStats& phase_stats = ctx.StatsAt(current_phase + off);
     double cost = 0;
-    if (estimator != nullptr) {
-      PSE_ASSIGN_OR_RETURN(cost, estimator->WorkloadCost(*schema, phase_stats, freqs,
-                                                         cost_options));
+    if (memo != nullptr) {
+      PSE_ASSIGN_OR_RETURN(cost, memo->PhaseCost(entry, phase, estimator));
     } else {
-      PSE_ASSIGN_OR_RETURN(cost, EstimateWorkloadCost(*schema, phase_stats, *ctx.queries, freqs,
-                                                      cost_options));
+      PSE_ASSIGN_OR_RETURN(cost,
+                           PricePhase(ctx, *schema, phase, options.unservable_penalty, estimator));
     }
     total += cost;
   }
@@ -389,15 +467,15 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
   const size_t m = result.remaining_ops.size();
   const int phases_left = static_cast<int>(ctx.num_phases() - current_phase);
 
-  CachedCostEstimator estimator(ctx.queries, ctx.current->logical(), options.analysis.cost_cache);
-  PhaseSchemaMemo memo(ctx);
-  const CostCacheStats cache_before = options.analysis.cost_cache != nullptr
-                                          ? options.analysis.cost_cache->Snapshot()
-                                          : CostCacheStats{};
   if (m == 0) {
     result.best_cost = 0;
     return result;
   }
+  CachedCostEstimator estimator(ctx.queries, ctx.current->logical(), options.analysis.cost_cache);
+  PhaseSchemaMemo memo(ctx, options.unservable_penalty);
+  const CostCacheStats cache_before = options.analysis.cost_cache != nullptr
+                                          ? options.analysis.cost_cache->Snapshot()
+                                          : CostCacheStats{};
 
   // The GA minimizes cost; fitness = -cost. Repaired chromosomes recur
   // often, so evaluations are memoized. Evaluation errors (should not
@@ -486,28 +564,13 @@ Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t curre
   }
   if (m == 0) return result;
   CachedCostEstimator estimator(ctx.queries, ctx.current->logical(), options.analysis.cost_cache);
-  PhaseSchemaMemo memo(ctx);
+  PhaseSchemaMemo memo(ctx, options.unservable_penalty);
   std::vector<int> assignment(m, 0);
   double best = std::numeric_limits<double>::infinity();
   std::vector<int> best_assignment = assignment;
-  // Only dependency-valid assignments are scored.
-  auto valid = [&]() {
-    std::vector<int> offset_of(ctx.opset->size(), -1);
-    for (size_t i = 0; i < m; ++i) {
-      offset_of[static_cast<size_t>(result.remaining_ops[i])] = assignment[i];
-    }
-    for (size_t i = 0; i < m; ++i) {
-      int op = result.remaining_ops[i];
-      for (int d : ctx.opset->deps[static_cast<size_t>(op)]) {
-        int pre_off = offset_of[static_cast<size_t>(d)];
-        if (pre_off < 0) continue;  // already applied earlier
-        if (assignment[i] < pre_off) return false;
-      }
-    }
-    return true;
-  };
   while (true) {
-    if (valid()) {
+    // Only dependency-valid assignments are scored.
+    if (FirstInvalidGene(*ctx.opset, result.remaining_ops, assignment, phases_left) < 0) {
       PSE_ASSIGN_OR_RETURN(double cost,
                            EvaluateAssignment(ctx, current_phase, result.remaining_ops,
                                               assignment, options, &estimator, &memo));

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -129,7 +130,8 @@ struct GaaResult {
   std::vector<int> remaining_ops;  ///< op indices matching `assignment`
   double best_cost = 0;            ///< estimated total cost of the plan
   size_t evaluations = 0;
-  /// Cost-cache activity of this run (all zeros when no cache was passed).
+  /// Cost-cache activity of this run (all zeros when no cache was passed):
+  /// one lookup per query of each (operator set, phase) pair it prices.
   CostCacheStats cache_stats;
   /// Wall-clock time of this planning run, milliseconds.
   double wall_ms = 0;
@@ -146,40 +148,75 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
 Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t current_phase,
                                        const GaaOptions& options, size_t max_ops = 10);
 
-/// \brief The phase schemas of one planning call, keyed by the set of
-/// operators applied on top of the call's current schema.
+/// \brief The phase schemas of one planning call and their phase costs,
+/// keyed by the set of operators applied on top of the call's current schema.
 ///
-/// Algorithm 2 rebuilds the schema of every phase of every assignment it
-/// scores, yet assignments share most of those schemas. The memo builds and
-/// validates each distinct one once. It holds schemas, not costs, so the
-/// cost cache sees exactly the lookups it would see without it. Safe to
-/// share between threads; entries never move, so a returned pointer stays
-/// valid for the memo's lifetime.
+/// Algorithm 2 prices every phase of every assignment it scores, yet
+/// assignments share most (operator set, phase) pairs. The memo builds and
+/// validates each distinct schema once and prices each pair once. The price
+/// is exact: a phase cost depends only on the schema, the phase's statistics
+/// and frequencies, the object schema and the unservable penalty, and a memo
+/// is bound to its `ctx` and its penalty. Safe to share between threads;
+/// entries never move, so a returned pointer stays valid for the memo's
+/// lifetime.
 class PhaseSchemaMemo {
  public:
-  /// `ctx` (its current schema is the empty set's) must outlive the memo.
-  explicit PhaseSchemaMemo(const MigrationContext& ctx) : ctx_(&ctx) {}
+  /// One operator set's schema and its cost at each phase.
+  class Entry {
+   public:
+    const PhysicalSchema& schema() const { return schema_; }
 
-  /// Adds `op` to `*applied` and returns that set's schema, building it from
-  /// `before` — the schema of `*applied` without `op` — on first use.
-  Result<const PhysicalSchema*> Apply(const PhysicalSchema& before, int op,
-                                      std::vector<bool>* applied);
+   private:
+    friend class PhaseSchemaMemo;
+    Entry(PhysicalSchema schema, size_t phases) : schema_(std::move(schema)), costs_(phases) {}
+    PhysicalSchema schema_;
+    std::vector<std::optional<double>> costs_;  ///< by global phase, under the memo's mutex
+  };
 
-  /// Distinct schemas built so far.
+  /// `ctx` must outlive the memo; its current schema is the empty set's.
+  /// Every phase is priced with `unservable_penalty`.
+  explicit PhaseSchemaMemo(const MigrationContext& ctx,
+                           double unservable_penalty = GaaOptions{}.unservable_penalty);
+
+  const MigrationContext& context() const { return *ctx_; }
+  double unservable_penalty() const { return unservable_penalty_; }
+
+  /// The empty set's entry.
+  Entry* current() { return &current_; }
+
+  /// Adds `op` to `*applied` and returns that set's entry, building its
+  /// schema from `before` — the entry of `*applied` without `op` — on first
+  /// use.
+  Result<Entry*> Apply(const Entry& before, int op, std::vector<bool>* applied);
+
+  /// C(Schema) of `entry`'s schema at global phase `phase`, priced on first
+  /// use through `estimator` (null = EstimateWorkloadCost). Errors, and
+  /// InvalidArgument for a phase past the schedule, are returned, not stored.
+  Result<double> PhaseCost(Entry* entry, size_t phase, CachedCostEstimator* estimator);
+
+  /// Distinct schemas built so far (the empty set's is not built).
   size_t size() const;
 
  private:
   const MigrationContext* ctx_;
+  double unservable_penalty_;
+  Entry current_;
   mutable std::mutex mu_;
-  std::unordered_map<std::vector<bool>, PhysicalSchema> schemas_;
+  std::unordered_map<std::vector<bool>, Entry> entries_;
 };
 
 /// Shared evaluation function (Algorithm 2): total cost of executing the
 /// remaining phases under `assignment`. Exposed for tests and benches.
-/// `estimator` optionally memoizes the per-phase workload costings and
-/// `memo` the phase schemas (null = rebuild every schema with
-/// ApplyOperator, the unmemoized reference; results are identical either
-/// way). A memo must come from the same `ctx`.
+/// Returns InvalidArgument, before any costing, for an assignment no plan
+/// can have: one whose arity differs from `remaining_ops`, or one that gives
+/// an operator a gene outside [0, phases left] or before the gene of one of
+/// its remaining prerequisites.
+/// `estimator` optionally memoizes the per-query costings and `memo` the
+/// phase schemas and phase costs (null = rebuild and reprice every phase,
+/// the unmemoized reference; results are identical either way). A memo must
+/// come from the same `ctx` and `options.unservable_penalty`, or the call
+/// returns InvalidArgument. The data-movement term of
+/// `options.include_migration_cost` is computed per call.
 Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_phase,
                                   const std::vector<int>& remaining_ops,
                                   const std::vector<int>& assignment,

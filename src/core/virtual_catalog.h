@@ -20,6 +20,12 @@ namespace pse {
 /// with null counts scaled to the anchor cardinality. Every table is assumed
 /// to carry a B+ tree index on its anchor key (the Database's auto key
 /// index), matching what the migration executor actually builds.
+///
+/// A table's metadata is built the first time a lookup names it (a query
+/// reads one to three of a candidate's tables), found case-insensitively as
+/// PhysicalSchema::TableByName finds it, and kept for the catalog's
+/// lifetime, so returned pointers stay valid. Lookups therefore write: a
+/// catalog must not be shared between threads.
 class VirtualSchemaCatalog : public CatalogView {
  public:
   VirtualSchemaCatalog(const PhysicalSchema* schema, const LogicalStats* stats);
@@ -31,12 +37,22 @@ class VirtualSchemaCatalog : public CatalogView {
   const PhysicalSchema& physical() const { return *schema_; }
 
  private:
+  /// One table's synthesized metadata.
+  struct Entry {
+    TableSchema schema;
+    TableStatistics stats;
+  };
+
+  /// The entry of the table at `index` in the physical schema, built on
+  /// first use.
+  const Entry& EntryAt(size_t index) const;
+  /// The entry of the table named `table`; NotFound when there is none.
+  Result<const Entry*> Find(const std::string& table) const;
+
   const PhysicalSchema* schema_;
   const LogicalStats* stats_;
-  // Lowercased table name -> synthesized metadata.
-  std::map<std::string, TableSchema> table_schemas_;
-  std::map<std::string, TableStatistics> table_stats_;
-  std::map<std::string, std::string> key_column_;
+  // Physical table index -> metadata, filled as lookups name tables.
+  mutable std::map<size_t, Entry> entries_;
 };
 
 }  // namespace pse

@@ -11,8 +11,8 @@ namespace pse {
 
 Result<double> EstimateQueryCost(const LogicalQuery& query, const PhysicalSchema& schema,
                                  const LogicalStats& stats) {
-  VirtualSchemaCatalog catalog(&schema, &stats);
   PSE_ASSIGN_OR_RETURN(BoundQuery bound, RewriteQuery(query, schema));
+  VirtualSchemaCatalog catalog(&schema, &stats);
   PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(bound, catalog));
   CostModel model(&catalog);
   PSE_ASSIGN_OR_RETURN(CostEstimate est, model.Estimate(*plan));

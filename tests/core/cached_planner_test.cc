@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -409,6 +410,119 @@ TEST(PhaseSchemaMemoTest, SharedMemoMatchesReferenceAcrossThreads) {
     EXPECT_GT(memo.size(), 0u);
     EXPECT_LE(memo.size(), assignments.size() / 2 * remaining.size());
   }
+}
+
+/// The (operator set, phase) pairs Algorithm 2 prices for `assignment`: at
+/// phase p, the set of operators whose gene is at most p.
+std::set<std::pair<std::vector<bool>, size_t>> PricedPairs(const TpcwPlanning& tpcw,
+                                                           const std::vector<int>& remaining,
+                                                           const std::vector<int>& assignment) {
+  std::set<std::pair<std::vector<bool>, size_t>> pairs;
+  for (size_t phase = 0; phase < tpcw.freqs.size(); ++phase) {
+    std::vector<bool> set(tpcw.opset.size(), false);
+    for (size_t i = 0; i < remaining.size(); ++i) {
+      if (assignment[i] <= static_cast<int>(phase)) set[static_cast<size_t>(remaining[i])] = true;
+    }
+    pairs.emplace(std::move(set), phase);
+  }
+  return pairs;
+}
+
+/// Cost-cache lookups of pricing one (operator set, phase) pair on its own.
+uint64_t PairLookups(const TpcwPlanning& tpcw, const std::vector<bool>& set, size_t phase) {
+  PhysicalSchema schema = tpcw.schema->source;
+  auto topo = tpcw.opset.TopologicalOrder();
+  EXPECT_TRUE(topo.ok());
+  for (int op : *topo) {
+    if (set[static_cast<size_t>(op)]) {
+      EXPECT_TRUE(ApplyOperator(tpcw.opset.ops[static_cast<size_t>(op)], &schema).ok());
+    }
+  }
+  QueryCostCache cache;
+  CachedCostEstimator estimator(&tpcw.queries, &tpcw.schema->logical, &cache);
+  CostOptions pricing;
+  pricing.fallback_schema = tpcw.ctx.object;
+  EXPECT_TRUE(estimator.WorkloadCost(schema, tpcw.stats[0], tpcw.freqs[phase], pricing).ok());
+  return cache.Snapshot().lookups();
+}
+
+// Through one memo, an assignment evaluated again makes no cost-cache
+// lookup and returns the same bits, and a second assignment that shares its
+// early phases looks up only the pairs the first did not reach.
+TEST(PhaseSchemaMemoTest, EachOperatorSetIsPricedOncePerPhase) {
+  TpcwPlanning tpcw;
+  const std::vector<int> remaining = tpcw.ctx.RemainingOps();
+  // GAA's plan-fig8 choice: four operators now, one at offset 4, and three
+  // deferred past the last of the five phases.
+  const std::vector<int> first{0, 0, 5, 4, 5, 5, 0, 0};
+  ASSERT_EQ(remaining.size(), first.size());
+  ASSERT_EQ(tpcw.freqs.size(), 5u);
+  // The same through offset 2; every later operator at offset 3.
+  std::vector<int> second = first;
+  for (int& gene : second) gene = std::min(gene, 3);
+
+  GaaOptions options;
+  PhaseSchemaMemo memo(tpcw.ctx, options.unservable_penalty);
+  QueryCostCache cache;
+  CachedCostEstimator estimator(&tpcw.queries, &tpcw.schema->logical, &cache);
+  auto once = EvaluateAssignment(tpcw.ctx, 0, remaining, first, options, &estimator, &memo);
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  const CostCacheStats after_first = cache.Snapshot();
+  const auto first_pairs = PricedPairs(tpcw, remaining, first);
+  uint64_t first_lookups = 0;
+  for (const auto& [set, phase] : first_pairs) first_lookups += PairLookups(tpcw, set, phase);
+  EXPECT_EQ(after_first.lookups(), first_lookups);
+
+  auto twice = EvaluateAssignment(tpcw.ctx, 0, remaining, first, options, &estimator, &memo);
+  ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+  EXPECT_EQ(*twice, *once);  // bit for bit
+  EXPECT_EQ(cache.Snapshot().hits, after_first.hits);
+  EXPECT_EQ(cache.Snapshot().misses, after_first.misses);
+
+  auto shared = EvaluateAssignment(tpcw.ctx, 0, remaining, second, options, &estimator, &memo);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  size_t new_pairs = 0;
+  uint64_t new_lookups = 0;
+  for (const auto& [set, phase] : PricedPairs(tpcw, remaining, second)) {
+    if (first_pairs.count({set, phase}) > 0) continue;
+    ++new_pairs;
+    new_lookups += PairLookups(tpcw, set, phase);
+  }
+  EXPECT_EQ(new_pairs, 2u);  // phases 3 and 4
+  EXPECT_EQ(cache.Snapshot().lookups() - after_first.lookups(), new_lookups);
+
+  for (const auto& [assignment, memoized] : {std::pair{first, *once}, std::pair{second, *shared}}) {
+    auto reference = EvaluateAssignment(tpcw.ctx, 0, remaining, assignment, options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(memoized, *reference);  // bit for bit
+  }
+}
+
+// A memo's phase costs carry its unservable penalty, so an evaluation under
+// another penalty is refused rather than served those costs.
+TEST(PhaseSchemaMemoTest, RefusesAnotherPenalty) {
+  TpcwPlanning tpcw;
+  const std::vector<int> remaining = tpcw.ctx.RemainingOps();
+  // Every operator deferred: each phase runs on the source schema, where the
+  // new version's queries are unservable and priced with the penalty.
+  const std::vector<int> deferred(remaining.size(), static_cast<int>(tpcw.freqs.size()));
+  GaaOptions options;
+  options.unservable_penalty = 5.0;
+  PhaseSchemaMemo default_penalty(tpcw.ctx);
+  ASSERT_NE(default_penalty.unservable_penalty(), options.unservable_penalty);
+  auto refused =
+      EvaluateAssignment(tpcw.ctx, 0, remaining, deferred, options, nullptr, &default_penalty);
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status().ToString();
+
+  PhaseSchemaMemo bound(tpcw.ctx, options.unservable_penalty);
+  auto memoized = EvaluateAssignment(tpcw.ctx, 0, remaining, deferred, options, nullptr, &bound);
+  ASSERT_TRUE(memoized.ok()) << memoized.status().ToString();
+  auto reference = EvaluateAssignment(tpcw.ctx, 0, remaining, deferred, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(*memoized, *reference);  // bit for bit
+  auto default_reference = EvaluateAssignment(tpcw.ctx, 0, remaining, deferred, GaaOptions{});
+  ASSERT_TRUE(default_reference.ok()) << default_reference.status().ToString();
+  EXPECT_NE(*default_reference, *reference);
 }
 
 }  // namespace

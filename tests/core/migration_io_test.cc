@@ -4,6 +4,10 @@
 // per-phase workload costs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/mapping.h"
 #include "core/migration_executor.h"
 #include "core/migration_planner.h"
@@ -99,8 +103,14 @@ TEST_F(MigrationIoTest, EvaluateAssignmentEqualsManualSum) {
   EXPECT_NEAR(*total, manual, 1e-6);
 }
 
-TEST_F(MigrationIoTest, ArityMismatchRejected) {
-  std::vector<std::vector<double>> freqs{{1}};
+// Assignments no plan can have are refused before any costing, with and
+// without a phase-schema memo: a wrong arity, a gene outside [0, phases]
+// (which would never apply its operator), and a prerequisite assigned after
+// its dependent (which would apply the dependent first and price a schema no
+// dependency-respecting plan reaches).
+TEST_F(MigrationIoTest, MalformedAssignmentsRejected) {
+  const int phases = 3;
+  std::vector<std::vector<double>> freqs(phases, std::vector<double>{1});
   std::vector<WorkloadQuery> queries;
   LogicalQuery q;
   q.anchor = bs_->user;
@@ -115,9 +125,49 @@ TEST_F(MigrationIoTest, ArityMismatchRejected) {
   ctx.phase_freqs = &freqs;
   ctx.phase_stats = &phase_stats;
   ctx.queries = &queries;
-  std::vector<int> remaining = ctx.RemainingOps();
-  std::vector<int> short_assignment(remaining.size() - 1, 0);
-  EXPECT_FALSE(EvaluateAssignment(ctx, 0, remaining, short_assignment, GaaOptions{}).ok());
+  const std::vector<int> remaining = ctx.RemainingOps();
+  PhaseSchemaMemo memo(ctx);
+  auto expect_rejected = [&](const std::vector<int>& assignment, const std::string& names) {
+    for (PhaseSchemaMemo* m : {static_cast<PhaseSchemaMemo*>(nullptr), &memo}) {
+      auto cost = EvaluateAssignment(ctx, 0, remaining, assignment, GaaOptions{}, nullptr, m);
+      EXPECT_TRUE(cost.status().IsInvalidArgument()) << names << " -> " << cost.status().ToString();
+      EXPECT_NE(cost.status().message().find(names), std::string::npos)
+          << cost.status().ToString();
+    }
+  };
+
+  expect_rejected(std::vector<int>(remaining.size() - 1, 0), "arity");
+  expect_rejected(std::vector<int>(remaining.size() + 1, 0), "arity");
+  for (size_t i = 0; i < remaining.size(); ++i) {
+    for (int gene : {phases + 1, 99, -1}) {
+      std::vector<int> assignment(remaining.size(), phases);  // all deferred
+      assignment[i] = gene;
+      expect_rejected(assignment, "operator " + std::to_string(remaining[i]) + " gene " +
+                                      std::to_string(gene));
+    }
+  }
+  // Some remaining operator depends on another: assign the prerequisite to
+  // offset 2 and its dependent to offset 0.
+  bool found_dependency = false;
+  for (size_t i = 0; i < remaining.size() && !found_dependency; ++i) {
+    for (size_t j = 0; j < remaining.size() && !found_dependency; ++j) {
+      const std::vector<int>& deps = opset_->deps[static_cast<size_t>(remaining[i])];
+      if (std::find(deps.begin(), deps.end(), remaining[j]) == deps.end()) continue;
+      found_dependency = true;
+      std::vector<int> assignment(remaining.size(), phases);
+      assignment[j] = 2;
+      assignment[i] = 0;
+      expect_rejected(assignment, "operator " + std::to_string(remaining[i]) + " gene 0");
+    }
+  }
+  EXPECT_TRUE(found_dependency);
+  EXPECT_EQ(memo.size(), 0u);  // refused before any schema was built
+  EXPECT_TRUE(memo.PhaseCost(memo.current(), phases, nullptr).status().IsInvalidArgument());
+
+  // A dependency-respecting assignment in range is priced.
+  EXPECT_TRUE(EvaluateAssignment(ctx, 0, remaining, std::vector<int>(remaining.size(), 0),
+                                 GaaOptions{}, nullptr, &memo)
+                  .ok());
 }
 
 TEST_F(MigrationIoTest, MigrationCostTermAddsDeferredMovement) {

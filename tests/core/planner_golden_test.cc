@@ -3,10 +3,12 @@
 // at every migration point observing the previous phase (applying each
 // winner), then GAA from the source with population 32, 40 generations and
 // a stall limit of 12 — one fresh cost cache per pass, shared by its LAA and
-// GAA runs. The values were recorded while cost-cache keys were built as
-// strings and every GA phase schema was rebuilt per evaluation; interned
-// keys and the phase-schema memo must leave every planner output, every
-// cache lookup and every miss exactly as they were.
+// GAA runs. The plans, costs, evaluation counts and misses were recorded
+// while cost-cache keys were built as strings and every GA phase schema was
+// rebuilt and repriced per evaluation; interned keys and the phase-schema
+// memo must leave them exactly as they were. The hits are the memo's: it
+// prices each (operator set, phase) pair of a GAA run once, so GAA looks up
+// the cache once per query of a priced pair, not once per chromosome.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -142,17 +144,17 @@ const std::vector<GoldenPass> kGolden = {
      {{0, 1, 6, 7}, {}, {}, {}, {}},
      {17, 7, 7, 7, 7},
      {0, 0, 5, 4, 5, 5, 0, 0},
-     0x1.074080c49ba5ep+17, 992, 19443, 0, 19681, 57},
+     0x1.074080c49ba5ep+17, 992, 4226, 0, 4464, 57},
     {1000004,
      {{0, 1, 6, 7}, {}, {}, {}, {}},
      {17, 7, 7, 7, 7},
      {0, 0, 5, 4, 5, 5, 0, 0},
-     0x1.074080c49ba5ep+17, 1052, 23834, 0, 24072, 57},
+     0x1.074080c49ba5ep+17, 1052, 4494, 0, 4732, 57},
     {1000005,
      {{0, 1, 6, 7}, {}, {}, {}, {}},
      {17, 7, 7, 7, 7},
      {0, 0, 5, 4, 5, 5, 1, 0},
-     0x1.075080c49ba5ep+17, 1202, 31191, 0, 31429, 57},
+     0x1.075080c49ba5ep+17, 1202, 4854, 0, 5092, 57},
 };
 
 TEST(PlannerGoldenTest, ThreePlanFig8PassesMatchTheirRecordedOutputs) {
