@@ -38,8 +38,11 @@
 #include "core/mapping.h"
 #include "core/migration_executor.h"
 #include "core/migration_planner.h"
-#include "core/serving.h"
 #include "engine/cost_cache.h"
+#include "fleet/plan_cache.h"
+#include "fleet/schedule.h"
+#include "fleet/scheduler.h"
+#include "fleet/tenant_shard.h"
 #include "sql/session.h"
 #include "tpcw/datagen.h"
 #include "tpcw/queries.h"
@@ -289,7 +292,7 @@ int RunMigrateDemo(Database* session_db) {
   return 0;
 }
 
-/// `.serve`: run the TPC-W source -> object migration on a scratch database
+/// `.serve`: run the TPC-W source -> object migration on a one-shard fleet
 /// while four concurrent sessions execute the mixed-version workload against
 /// live schema snapshots, then print the serve-window metrics.
 int RunServeDemo() {
@@ -299,45 +302,32 @@ int RunServeDemo() {
     std::printf("error: %s\n", queries.status().ToString().c_str());
     return 1;
   }
-  auto opset = ComputeOperatorSet(schema->source, schema->object);
-  if (!opset.ok()) {
-    std::printf("error: %s\n", opset.status().ToString().c_str());
-    return 1;
-  }
-  auto topo = opset->TopologicalOrder();
-  if (!topo.ok()) {
-    std::printf("error: %s\n", topo.status().ToString().c_str());
+  auto fleet_schedule = PlanFleetSchedule(schema->source, schema->object);
+  if (!fleet_schedule.ok()) {
+    std::printf("error: %s\n", fleet_schedule.status().ToString().c_str());
     return 1;
   }
   std::unique_ptr<LogicalDatabase> data = GenerateTpcwData(*schema, ScaleTiny());
-  Database db(2048);
-  Status mat = data->Materialize(&db, schema->source);
-  if (!mat.ok()) {
-    std::printf("error: %s\n", mat.ToString().c_str());
+  ShardOptions shard_options;
+  shard_options.pool_pages = 2048;
+  auto shard = TenantShard::Create(0, schema->source, data.get(), std::move(shard_options));
+  if (!shard.ok()) {
+    std::printf("error: %s\n", shard.status().ToString().c_str());
     return 1;
   }
+  SharedPlanCache cache;
+  FleetScheduler fleet(std::move(*fleet_schedule), &cache);
+  fleet.AddShard(std::move(*shard));
 
-  ServingSchema serving(schema->source);
-  MigrationExecutor exec(&db, data.get());
-  MigrationOptions options;
-  options.batch_rows = 128;
-  options.on_publish = [&](const PhysicalSchema& s) { serving.Publish(s); };
-  exec.set_options(options);
-
-  ServeOptions serve;
-  serve.sessions = 4;
-  serve.min_queries_per_lane = 8;
+  FleetOptions options;
+  options.migration_lanes = 1;
+  options.serve_lanes = 4;
+  options.min_queries_per_lane = 8;
+  options.migration.batch_rows = 128;
   std::vector<double> freqs(queries->size(), 1.0);
-  std::printf("TPC-W source -> object under load: %zu operators, %zu sessions\n", opset->size(),
-              serve.sessions);
-  auto metrics = ServeDuringMigration(&db, &serving, *queries, freqs, serve, [&]() -> Status {
-    PhysicalSchema current = schema->source;
-    for (int idx : *topo) {
-      auto io = exec.Apply(opset->ops[static_cast<size_t>(idx)], &current);
-      if (!io.ok()) return io.status();
-    }
-    return Status::OK();
-  });
+  std::printf("TPC-W source -> object under load: %zu operators, %zu sessions\n",
+              fleet.schedule().steps(), options.serve_lanes);
+  auto metrics = fleet.Run(*queries, freqs, options);
   if (!metrics.ok()) {
     std::printf("error: %s\n", metrics.status().ToString().c_str());
     return 1;

@@ -11,9 +11,9 @@
 # layer;
 # the floor gates src/core/migration_executor.cc, src/core/rewriter_dml.cc
 # (the write rewriter), src/analysis/writability.cc,
-# src/engine/vec_executor.cc, src/fleet/scheduler.cc (the fleet scheduler),
-# src/core/serving.cc (the serve driver), src/storage/table_heap.cc (heap
-# scans, the copy loop's Seek, and their read-error paths),
+# src/engine/vec_executor.cc, src/fleet/scheduler.cc (the fleet scheduler
+# and the one serve loop), src/storage/table_heap.cc (heap scans, the copy
+# loop's Seek, and their read-error paths),
 # src/engine/cost_cache.cc (interning and the id-tuple outcome map),
 # src/core/cost_estimator.cc (the planners' cost-cache keys),
 # src/core/logical_database.cc (entity rows, row plans and the tenant
@@ -58,7 +58,6 @@ target_files=(
   "src/analysis/writability.cc"
   "src/engine/vec_executor.cc"
   "src/fleet/scheduler.cc"
-  "src/core/serving.cc"
   "src/storage/table_heap.cc"
   "src/engine/cost_cache.cc"
   "src/core/cost_estimator.cc"

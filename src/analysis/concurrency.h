@@ -1,7 +1,7 @@
 // Concurrency diagnostics for serving mixed-version load during migration.
 //
 // When foreground sessions execute queries while the MigrationExecutor
-// evolves the schema (DESIGN.md §15, core/serving.h), three things can hurt
+// evolves the schema (DESIGN.md §15, fleet/scheduler.h), three things can hurt
 // them: the per-operator publish window must quiesce all in-flight readers
 // (a long scan stalls it and, because the catalog latch is writer-
 // preferring, every *new* reader queues behind the stall); the copy loop's
@@ -54,7 +54,7 @@ struct ConcurrencyInput {
   /// Entity cardinalities for the scan-size estimates (optional; without
   /// them the quiesce-stall check is skipped).
   const LogicalStats* stats = nullptr;
-  /// Foreground sessions the serve window will run (ServeOptions::sessions).
+  /// Foreground sessions the serve window will run (FleetOptions::serve_lanes).
   size_t sessions = 0;
   /// The new application's layout (optional). When set, the writability
   /// matrix over the window's operator sequence is computed

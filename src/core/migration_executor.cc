@@ -774,23 +774,19 @@ Status MigrationExecutor::RollbackInternal() {
 }
 
 Result<uint64_t> MigrationExecutor::ApplyAll(const std::vector<MigrationOperator>& ops,
-                                             PhysicalSchema* schema,
-                                             MigrationProgress* progress) {
-  MigrationProgress local;
+                                             PhysicalSchema* schema) {
+  uint64_t total = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     auto io = Apply(ops[i], schema);
     if (!io.ok()) {
-      if (progress) *progress = local;
       const Status& s = io.status();
-      return Status(s.code(), s.message() + " (after " + std::to_string(local.ops_applied) +
-                                  " of " + std::to_string(ops.size()) + " ops, io=" +
-                                  std::to_string(local.io) + ")");
+      return Status(s.code(), s.message() + " (after " + std::to_string(i) + " of " +
+                                  std::to_string(ops.size()) + " ops, io=" +
+                                  std::to_string(total) + ")");
     }
-    local.ops_applied = i + 1;
-    local.io += *io;
+    total += *io;
   }
-  if (progress) *progress = local;
-  return local.io;
+  return total;
 }
 
 }  // namespace pse

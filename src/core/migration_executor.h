@@ -75,13 +75,6 @@ struct MigrationOptions {
   DmlRouter* dml_router = nullptr;
 };
 
-/// Progress accumulated by ApplyAll, reported even when a mid-sequence
-/// operator fails (the I/O already spent is real and must not be lost).
-struct MigrationProgress {
-  size_t ops_applied = 0;  ///< operators fully applied
-  uint64_t io = 0;         ///< migration I/O consumed by those operators
-};
-
 /// \brief Applies migration operators to a materialized database.
 class MigrationExecutor {
  public:
@@ -103,12 +96,10 @@ class MigrationExecutor {
   /// left untouched.
   Result<uint64_t> Apply(const MigrationOperator& op, PhysicalSchema* schema);
 
-  /// Applies several operators (must already be dependency-ordered).
-  /// `progress` (optional) receives the per-sequence totals even when a
-  /// mid-sequence operator fails — the failure status is annotated with the
-  /// operators applied and I/O spent before it.
-  Result<uint64_t> ApplyAll(const std::vector<MigrationOperator>& ops, PhysicalSchema* schema,
-                            MigrationProgress* progress = nullptr);
+  /// Applies several operators (must already be dependency-ordered) and
+  /// returns their total I/O. A mid-sequence failure status is annotated
+  /// with the operators applied and the I/O spent before it.
+  Result<uint64_t> ApplyAll(const std::vector<MigrationOperator>& ops, PhysicalSchema* schema);
 
   /// \brief Continues a journaled operator after a crash + Database::Open.
   ///

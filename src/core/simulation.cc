@@ -263,9 +263,9 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
   }
 
   // Forced completion: whatever is left is applied after the last phase so
-  // the system ends exactly on the object schema. ApplyAll reports partial
-  // progress — if a mid-sequence operator fails, the I/O already spent is
-  // still accounted in the report and named in the error.
+  // the system ends exactly on the object schema. If a mid-sequence operator
+  // fails, the run fails, and ApplyAll's error names the operators applied
+  // and the I/O spent before it.
   PSE_ASSIGN_OR_RETURN(std::vector<int> topo, opset.TopologicalOrder());
   std::vector<MigrationOperator> remaining;
   for (int i : topo) {
@@ -274,13 +274,12 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       applied[static_cast<size_t>(i)] = true;
     }
   }
-  MigrationProgress completion;
-  auto final_io = executor.ApplyAll(remaining, &current, &completion);
-  report.final_migration_io += static_cast<double>(completion.io);
+  auto final_io = executor.ApplyAll(remaining, &current);
   if (!final_io.ok()) {
     const Status& s = final_io.status();
     return Status(s.code(), "forced completion failed: " + s.message());
   }
+  report.final_migration_io += static_cast<double>(*final_io);
   if (!current.EquivalentTo(*object_)) {
     return Status::Internal("progressive migration did not reach the object schema");
   }

@@ -1,6 +1,7 @@
 // FleetScheduler: advances thousands of tenant shards along the shared
 // migration schedule while serve lanes keep answering mixed-version traffic
-// on every shard — the paper's progressive rollout, fleet-wide.
+// on every shard — the paper's progressive rollout, fleet-wide. Run is the
+// one serve loop: a single database serves as a fleet of one shard.
 //
 // Three cooperating pieces:
 //
@@ -15,14 +16,12 @@
 //   picks           shard ids, skipping shards that are busy or done, so
 //                   the lanes interleave the fleet and drain all of it.
 //
-//   serve lanes     core's one serve driver (ServeWhile, core/serving.h)
-//                   with the shards as its targets, picked uniformly, and
-//                   the migration lanes as its background lanes. A lane's
-//                   read rewrite comes from the fleet's SharedPlanCache,
-//                   keyed on the shard's published step and fetched under
-//                   the shard's catalog latch; plans stay per-tenant,
-//                   rewrites amortize fleet-wide. Writes go through the
-//                   shard's DmlRouter.
+//   serve lanes     each statement goes to a shard picked uniformly, served
+//                   at whatever step the shard publishes. A read's rewrite
+//                   comes from the fleet's SharedPlanCache, keyed on the
+//                   shard's published step and fetched under the shard's
+//                   catalog latch; plans stay per-tenant, rewrites amortize
+//                   fleet-wide. Writes go through the shard's DmlRouter.
 //
 // Lock classes (DESIGN.md §17/§20): "fleet" (rank 4) guards pick/busy
 // state, "shard:<id>" (6) each shard's trajectory state, "fleet:iobudget"
@@ -42,7 +41,6 @@
 #include "common/status.h"
 #include "core/migration_executor.h"
 #include "core/rewriter_dml.h"
-#include "core/serving.h"
 #include "core/workload.h"
 #include "fleet/plan_cache.h"
 #include "fleet/schedule.h"
@@ -87,14 +85,15 @@ struct FleetOptions {
   size_t serve_lanes = 2;
   /// IoTokenBucket capacity: shards copying concurrently at any instant.
   uint64_t io_tokens = 4;
-  /// Each serve lane issues at least this many statements even when the
-  /// fleet migration finishes instantly.
+  /// Each serve lane attempts at least this many statements even when the
+  /// fleet migration finishes at once, so op-less windows still produce
+  /// latency samples.
   uint64_t min_queries_per_lane = 32;
   uint64_t seed = 42;
   /// Probability a serve-lane iteration issues a write; needs make_write.
   double write_fraction = 0.0;
-  /// Produces the i-th write of a lane against `shard` (the lane's rng keeps
-  /// the workload reproducible per (seed, lane)).
+  /// Produces the i-th write of a lane against the shard with id `shard`
+  /// (the lane's rng keeps the workload reproducible per (seed, lane)).
   std::function<LogicalDml(size_t shard, uint64_t i, std::mt19937_64& rng)> make_write;
   /// Base migration options per operator (batch sizing, user hooks); each
   /// shard wires its router/publish on top — see TenantShard::AdvanceOneOp.
@@ -105,9 +104,24 @@ struct FleetOptions {
   std::function<void(size_t shard, size_t step)> on_shard_op;
 };
 
-/// Fleet-wide outcome of one Run window: the serve lanes' ServeMetrics plus
-/// the migration side.
-struct FleetMetrics : ServeMetrics {
+/// Fleet-wide outcome of one Run window: what the serve lanes did, then the
+/// migration side. An unservable *write* (the writability cell for its DML
+/// kind is kUnservable on the live intermediate — a planned write-unsafe
+/// phase) counts under `unservable` exactly like an unservable read, never
+/// under `errors`.
+struct FleetMetrics {
+  uint64_t queries = 0;      ///< successfully executed foreground queries
+  uint64_t writes = 0;       ///< successfully executed foreground writes
+  uint64_t unservable = 0;   ///< skipped: not yet servable on the live schema
+  uint64_t unservable_writes = 0;  ///< the write share of `unservable`
+  uint64_t errors = 0;       ///< non-bind failures (must stay 0)
+  double wall_ms = 0;        ///< window duration (migration + drain)
+  double throughput_qps = 0; ///< (queries + writes) / wall
+  /// Statement latency quantiles, read off the lanes' merged
+  /// LatencyHistogram (within its kRelativeError of the exact ones).
+  double p50_ms = 0;
+  double p95_ms = 0;
+  double p99_ms = 0;
   size_t tenants = 0;
   size_t tenants_migrated = 0;  ///< shards that reached the end of the schedule
   uint64_t ops_applied = 0;
@@ -131,11 +145,19 @@ class FleetScheduler {
   const FleetSchedule& schedule() const { return schedule_; }
 
   /// \brief Migrates every shard to the end of the schedule while serve
-  /// lanes drive `queries` (weighted by `freqs`) across the fleet.
+  /// lanes drive `queries` (weighted by `freqs`; entries <= 0 never run)
+  /// across the fleet.
   ///
-  /// Returns the merged fleet metrics; fails on the first migration error
-  /// or any non-bind foreground failure (unservable statements are counted,
-  /// never errors — the single-database serving contract, fleet-wide).
+  /// Migration lanes take the low lane numbers. Lane 0 runs on the calling
+  /// thread and lanes 1.. each on a thread of its own, which inherits the
+  /// caller's CPU mask; serve lane l draws from seed + l. Serve lanes loop
+  /// until every migration lane has returned *and* each has attempted
+  /// min_queries_per_lane statements; a failed migration lane stops them at
+  /// once. A statement unservable on the live schema (a BindError from the
+  /// rewrite or the router: its attributes have no physical home yet, or
+  /// its write window is planned unsafe) counts as `unservable`; any other
+  /// failure is an error. Returns the first migration failure; else any
+  /// error fails the run, carrying the first error's code and message.
   /// Needs at least one migration lane.
   Result<FleetMetrics> Run(const std::vector<WorkloadQuery>& queries,
                            const std::vector<double>& freqs, const FleetOptions& options);

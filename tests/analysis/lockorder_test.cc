@@ -19,10 +19,12 @@
 #include "analysis/lockorder.h"
 #include "common/lock_registry.h"
 #include "common/rw_latch.h"
-#include "core/mapping.h"
 #include "core/migration_executor.h"
 #include "core/rewriter_dml.h"
-#include "core/serving.h"
+#include "fleet/plan_cache.h"
+#include "fleet/schedule.h"
+#include "fleet/scheduler.h"
+#include "fleet/tenant_shard.h"
 #include "storage/database.h"
 #include "tests/common/test_db_builder.h"
 
@@ -380,19 +382,15 @@ TEST(LockOrderLive, HooksRecordOnlyInLockdepBuilds) {
 
   auto bs = Bookstore::Make();
   auto data = bs->MakeData(4, 6, 40);
-  Database db(512);
-  ASSERT_TRUE(data->Materialize(&db, bs->source).ok());
-  PhysicalSchema current = bs->source;
-  ServingSchema serving(current);
-  MigrationExecutor exec(&db, data.get());
-  MigrationOptions opts;
-  opts.batch_rows = 8;
-  opts.on_publish = [&](const PhysicalSchema& s) { serving.Publish(s); };
-  exec.set_options(std::move(opts));
-  auto opset = ComputeOperatorSet(bs->source, bs->object);
-  ASSERT_TRUE(opset.ok()) << opset.status().ToString();
-  auto topo = opset->TopologicalOrder();
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  auto schedule = PlanFleetSchedule(bs->source, bs->object);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  ShardOptions shard_options;
+  shard_options.pool_pages = 512;
+  auto shard = TenantShard::Create(0, bs->source, data.get(), std::move(shard_options));
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  SharedPlanCache cache;
+  FleetScheduler fleet(std::move(*schedule), &cache);
+  fleet.AddShard(std::move(*shard));
 
   std::vector<WorkloadQuery> queries;
   LogicalQuery book;
@@ -401,16 +399,12 @@ TEST(LockOrderLive, HooksRecordOnlyInLockdepBuilds) {
   book.select.emplace_back(Col("b_title"), AggFunc::kNone, "t");
   book.select.emplace_back(Col("a_name"), AggFunc::kNone, "a");
   queries.emplace_back(std::move(book), /*is_old=*/true);
-  ServeOptions serve;
-  serve.sessions = 2;
-  serve.min_queries_per_lane = 8;
-  auto metrics = ServeDuringMigration(&db, &serving, queries, {1.0}, serve, [&]() -> Status {
-    for (int op : *topo) {
-      auto io = exec.Apply(opset->ops[static_cast<size_t>(op)], &current);
-      if (!io.ok()) return io.status();
-    }
-    return Status::OK();
-  });
+  FleetOptions options;
+  options.migration_lanes = 1;
+  options.serve_lanes = 2;
+  options.min_queries_per_lane = 8;
+  options.migration.batch_rows = 8;
+  auto metrics = fleet.Run(queries, {1.0}, options);
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->errors, 0u);
   EXPECT_GT(metrics->queries, 0u);

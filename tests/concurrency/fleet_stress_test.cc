@@ -14,39 +14,20 @@
 #include <string>
 #include <vector>
 
-#include "analysis/lockorder.h"
 #include "analysis/writability.h"
-#include "common/lock_registry.h"
 #include "core/rewriter.h"
 #include "fleet/plan_cache.h"
 #include "fleet/schedule.h"
 #include "fleet/scheduler.h"
 #include "fleet/tenant_shard.h"
+#include "tests/common/lockdep_clean_scope.h"
 #include "tests/common/test_db_builder.h"
 
 namespace pse {
 namespace {
 
 using testutil::Bookstore;
-
-/// Same contract as the serving suite's scope: clear the registry, then at
-/// scope end require zero violations and an acyclic rank-ordered graph.
-class LockdepCleanScope {
- public:
-  LockdepCleanScope() { LockRegistry::Instance().ClearEvents(); }
-  ~LockdepCleanScope() {
-    LockOrderGraph g = LockRegistry::Instance().Snapshot();
-    for (const LockViolation& v : g.violations) {
-      ADD_FAILURE() << "lockdep violation: " << v.ToString();
-    }
-    DiagnosticReport report = AnalyzeLockOrder(g);
-    EXPECT_TRUE(report.ok()) << report.ToString();
-#ifdef PSE_LOCKDEP
-    EXPECT_GT(g.acquisitions, 0u) << "lockdep build recorded no acquisitions";
-#endif
-    LockRegistry::Instance().ClearEvents();
-  }
-};
+using testutil::LockdepCleanScope;
 
 class FleetStressTest : public ::testing::Test {
  protected:
@@ -119,7 +100,8 @@ class FleetStressTest : public ::testing::Test {
 
 // Serve lanes hammer K shards with mixed-version reads and writes while
 // migration lanes walk the fleet, in three runs with three seeds. Nothing
-// may fail with anything but BindError, the budget holds, and lockdep stays
+// may fail with anything but BindError, the budget holds, the metrics are
+// sane (positive throughput, ordered latency quantiles), and lockdep stays
 // clean across the whole interleaving.
 TEST_F(FleetStressTest, FleetServesCleanlyWhileMigrating) {
   constexpr size_t kTenants = 5;
@@ -158,6 +140,9 @@ TEST_F(FleetStressTest, FleetServesCleanlyWhileMigrating) {
     EXPECT_LE(metrics->io_peak_outstanding, options.io_tokens);
     EXPECT_GT(metrics->queries, 0u);
     EXPECT_GT(metrics->writes, 0u);
+    EXPECT_GT(metrics->throughput_qps, 0.0);
+    EXPECT_LE(metrics->p50_ms, metrics->p95_ms);
+    EXPECT_LE(metrics->p95_ms, metrics->p99_ms);
     EXPECT_GT(metrics->plan_cache.hits, 0u);
 
     // Post-rollout, every shard serves every query on the object layout.

@@ -4,10 +4,10 @@
 // the ThreadSanitizer leg (scripts/check.sh --tsan) but meaningful under
 // any sanitizer: every successful read must equal the serial oracle
 // (the rewriter invariant says any valid intermediate schema answers
-// identically), no reader may fail with anything but BindError, and the
-// ServeDuringMigration harness must report clean metrics. A read-consistency
-// scenario races scans against row-relocating UPDATEs: every scan must see
-// each row exactly once.
+// identically), and no reader may fail with anything but BindError. A
+// one-shard fleet adds writer lanes to the serve loop across a live
+// migration. A read-consistency scenario races scans against
+// row-relocating UPDATEs: every scan must see each row exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "analysis/lockorder.h"
 #include "common/lock_registry.h"
 #include "core/mapping.h"
 #include "core/migration_executor.h"
@@ -28,6 +27,11 @@
 #include "engine/catalog_view.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
+#include "fleet/plan_cache.h"
+#include "fleet/schedule.h"
+#include "fleet/scheduler.h"
+#include "fleet/tenant_shard.h"
+#include "tests/common/lockdep_clean_scope.h"
 #include "tests/common/run_lanes.h"
 #include "tests/common/test_db_builder.h"
 
@@ -35,32 +39,10 @@ namespace pse {
 namespace {
 
 using testutil::Bookstore;
+using testutil::LockdepCleanScope;
 using testutil::RunLanes;
 using testutil::SameRows;
 using testutil::SortRows;
-
-/// Clears the lock registry before a scenario; at scope end asserts a clean
-/// lockdep report — zero recorded violations and an acyclic, rank-ordered
-/// acquisition graph — plus that instrumentation actually observed latch
-/// traffic. In a non-lockdep build the latch hooks compile out, so the
-/// checks pass trivially; the check.sh --lockdep and --tsan legs build the
-/// suite with PROGSCHEMA_LOCKDEP=ON, where they bite.
-class LockdepCleanScope {
- public:
-  LockdepCleanScope() { LockRegistry::Instance().ClearEvents(); }
-  ~LockdepCleanScope() {
-    LockOrderGraph g = LockRegistry::Instance().Snapshot();
-    for (const LockViolation& v : g.violations) {
-      ADD_FAILURE() << "lockdep violation: " << v.ToString();
-    }
-    DiagnosticReport report = AnalyzeLockOrder(g);
-    EXPECT_TRUE(report.ok()) << report.ToString();
-#ifdef PSE_LOCKDEP
-    EXPECT_GT(g.acquisitions, 0u) << "lockdep build recorded no acquisitions";
-#endif
-    LockRegistry::Instance().ClearEvents();
-  }
-};
 
 /// Rewrites + executes `query` on `schema` over `db`. BindError (the query is
 /// not servable on this intermediate schema) comes back as nullopt; any other
@@ -220,63 +202,26 @@ TEST_F(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
   }
 }
 
-TEST_F(ServingStressTest, ServeHarnessReportsCleanMetrics) {
-  LockdepCleanScope lockdep;
-  Database db(1024);
-  ASSERT_TRUE(data_->Materialize(&db, bs_->source).ok());
-  ASSERT_TRUE(db.AnalyzeAll().ok());
-  PhysicalSchema current = bs_->source;
-  ServingSchema serving(current);
-
-  MigrationExecutor exec(&db, data_.get());
-  MigrationOptions opts;
-  opts.batch_rows = 8;
-  opts.on_publish = [&](const PhysicalSchema& s) { serving.Publish(s); };
-  exec.set_options(std::move(opts));
-
-  auto topo = opset_.TopologicalOrder();
-  ASSERT_TRUE(topo.ok());
-
-  ServeOptions serve;
-  serve.sessions = 4;
-  serve.min_queries_per_lane = 8;
-  std::vector<double> freqs = {10, 10, 5};
-  auto metrics = ServeDuringMigration(&db, &serving, queries_, freqs, serve, [&]() -> Status {
-    for (int op : *topo) {
-      auto io = exec.Apply(opset_.ops[static_cast<size_t>(op)], &current);
-      if (!io.ok()) return io.status();
-    }
-    return Status::OK();
-  });
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_EQ(metrics->errors, 0u);
-  EXPECT_GT(metrics->queries, 0u);
-  EXPECT_GT(metrics->throughput_qps, 0.0);
-  EXPECT_LE(metrics->p50_ms, metrics->p95_ms);
-  EXPECT_LE(metrics->p95_ms, metrics->p99_ms);
-}
-
 TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
-  // The write half of the serve mix: lanes issue random DML from BOTH
-  // application versions through the DmlRouter while the migration copies
-  // and publishes underneath them (the router dual-applies whatever lands on
-  // a live frontier). Unservable write windows — glossary DML before the
-  // combine, by design — must drain into `unservable`, never `errors`, and
-  // the whole scenario must leave lockdep clean.
+  // The write half of the serve mix on a one-shard fleet: lanes issue random
+  // DML from BOTH application versions through the shard's DmlRouter while
+  // the migration copies and publishes underneath them (the router
+  // dual-applies whatever lands on a live frontier). Unservable write
+  // windows — glossary DML before the combine, by design — must drain into
+  // `unservable`, never `errors`, and the whole scenario must leave lockdep
+  // clean.
   LockdepCleanScope lockdep;
-  Database db(1024);
-  ASSERT_TRUE(data_->Materialize(&db, bs_->source).ok());
-  ASSERT_TRUE(db.AnalyzeAll().ok());
-  PhysicalSchema current = bs_->source;
-  ServingSchema serving(current);
-  DmlRouter router(&db);
-
-  MigrationExecutor exec(&db, data_.get());
-  MigrationOptions opts;
-  opts.batch_rows = 8;
-  opts.dml_router = &router;
-  opts.on_publish = [&](const PhysicalSchema& s) { serving.Publish(s); };
-  exec.set_options(std::move(opts));
+  auto schedule = PlanFleetSchedule(bs_->source, bs_->object);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  ShardOptions shard_options;
+  shard_options.pool_pages = 1024;
+  auto shard = TenantShard::Create(0, bs_->source, data_.get(), std::move(shard_options));
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  SharedPlanCache cache;
+  FleetScheduler fleet(std::move(*schedule), &cache);
+  fleet.AddShard(std::move(*shard));
+  Database* db = fleet.shard(0)->db();
+  DmlRouter* router = fleet.shard(0)->router();
 
   std::vector<VersionTable> tables = VersionTablesOf(bs_->source);
   {
@@ -284,7 +229,12 @@ TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
     tables.insert(tables.end(), object_tables.begin(), object_tables.end());
   }
   const LogicalSchema& lg = bs_->logical;
-  auto make_write = [&tables, &lg](uint64_t i, std::mt19937_64& rng) {
+  FleetOptions options;
+  options.migration_lanes = 1;
+  options.serve_lanes = 4;
+  options.min_queries_per_lane = 12;
+  options.write_fraction = 0.35;
+  options.make_write = [&tables, &lg](size_t, uint64_t i, std::mt19937_64& rng) {
     LogicalDml dml;
     dml.table = tables[rng() % tables.size()];
     uint64_t roll = rng() % 10;
@@ -308,38 +258,24 @@ TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
     }
     return dml;
   };
-
-  auto topo = opset_.TopologicalOrder();
-  ASSERT_TRUE(topo.ok());
-
-  ServeOptions serve;
-  serve.sessions = 4;
-  serve.min_queries_per_lane = 12;
-  serve.router = &router;
-  serve.write_fraction = 0.35;
-  serve.make_write = make_write;
+  options.migration.batch_rows = 8;
   std::vector<double> freqs = {10, 10, 5};
-  auto metrics = ServeDuringMigration(&db, &serving, queries_, freqs, serve, [&]() -> Status {
-    for (int op : *topo) {
-      auto io = exec.Apply(opset_.ops[static_cast<size_t>(op)], &current);
-      if (!io.ok()) return io.status();
-    }
-    return Status::OK();
-  });
+  auto metrics = fleet.Run(queries_, freqs, options);
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->errors, 0u);
   EXPECT_GT(metrics->queries, 0u);
   EXPECT_GT(metrics->writes, 0u);
   EXPECT_LE(metrics->unservable_writes, metrics->unservable);
   EXPECT_GT(metrics->throughput_qps, 0.0);
-  EXPECT_GT(router.stats().statements, 0u);
-  EXPECT_FALSE(router.attached()) << "migration left the router attached";
+  EXPECT_GT(router->stats().statements, 0u);
+  EXPECT_FALSE(router->attached()) << "migration left the router attached";
 
   // Split integrity after the storm: whatever the writers did, the two
   // user-anchored fragments of the migrated schema (the executor names its
   // targets, so find them by anchor) must hold exactly the same key set —
   // the fan-out writes both fragments or neither.
-  ASSERT_TRUE(db.AnalyzeAll().ok());
+  const PhysicalSchema current = fleet.shard(0)->CurrentSchema();
+  ASSERT_TRUE(db->AnalyzeAll().ok());
   std::vector<std::string> user_fragments;
   for (const PhysicalTable& t : current.tables()) {
     if (t.anchor == bs_->user) user_fragments.push_back(t.name);
@@ -347,7 +283,7 @@ TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   ASSERT_EQ(user_fragments.size(), 2u);
   auto keys_of = [&](const std::string& table) {
     std::vector<Value> keys;
-    for (const Row& r : testutil::TableRows(&db, table)) keys.push_back(r[0]);
+    for (const Row& r : testutil::TableRows(db, table)) keys.push_back(r[0]);
     return keys;  // TableRows sorts; the anchor key is column 0
   };
   std::vector<Value> gen_keys = keys_of(user_fragments[0]);
@@ -358,13 +294,13 @@ TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
         << user_fragments[0] << "/" << user_fragments[1] << " key sets diverge at index " << i;
   }
   {
-    std::shared_lock<SharedMutex> schema_lock(db.schema_latch());
+    std::shared_lock<SharedMutex> schema_lock(db->schema_latch());
     for (size_t i = 0; i < tables.size(); ++i) {
       LogicalDml probe;
       probe.kind = DmlKind::kInsert;
       probe.table = tables[i];
       probe.key = 20000 + static_cast<int64_t>(i);
-      EXPECT_TRUE(router.Execute(probe, current).ok()) << tables[i].name;
+      EXPECT_TRUE(router->Execute(probe, current).ok()) << tables[i].name;
     }
   }
 }

@@ -1,9 +1,10 @@
 // FleetScheduler invariants: the global I/O token budget is never exceeded,
 // the round-robin picks drain the whole fleet and cycle distinct shards, a
-// fleet of 1024 tenants migrates end to end, and the SharedPlanCache
-// amortizes rewrites to (N-1)/N hits across same-step tenants while
-// returning rewrites identical to a direct RewriteQuery, also for
-// same-named queries whose constants differ past the sixth digit.
+// fleet of 1024 tenants migrates end to end, a failed migration lane stops
+// the serve lanes at once, and the SharedPlanCache amortizes rewrites to
+// (N-1)/N hits across same-step tenants while returning rewrites identical
+// to a direct RewriteQuery, also for same-named queries whose constants
+// differ past the sixth digit.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -235,6 +236,43 @@ TEST_F(FleetSchedulerTest, RoundRobinCyclesDistinctShards) {
     std::set<size_t> window(order.begin() + static_cast<long>(w),
                             order.begin() + static_cast<long>(w + kTenants));
     EXPECT_EQ(window.size(), kTenants) << "window at " << w << " revisited a shard";
+  }
+}
+
+// A failed migration lane stops the serve lanes at once. The third copy
+// batch fails, long before two serve lanes could attempt their floors, so
+// Run returns the failure after a small share of the lookups the floors
+// would make. The faulted operator rolls back: every shard stays at the
+// step its last applied operator reached, and no journal is left.
+TEST_F(FleetSchedulerTest, FailedMigrationLaneStopsTheServeLanes) {
+  constexpr uint64_t kFloor = 50000;
+  auto fleet = MakeFleet(2);
+  std::vector<size_t> applied(fleet->size(), 0);
+  int batches = 0;
+  FleetOptions options;
+  options.migration_lanes = 1;
+  options.serve_lanes = 2;
+  options.min_queries_per_lane = kFloor;
+  options.migration.batch_rows = 8;
+  options.migration.on_batch = [&batches](const MigrationBatchEvent&) {
+    return ++batches == 3 ? Status::Internal("injected") : Status::OK();
+  };
+  options.on_shard_op = [&applied](size_t shard, size_t) { ++applied[shard]; };
+  const PlanCacheStats before = cache_.Snapshot();
+  auto metrics = fleet->Run(queries_, freqs_, options);
+  ASSERT_FALSE(metrics.ok());
+  EXPECT_EQ(metrics.status().code(), StatusCode::kInternal) << metrics.status().ToString();
+  EXPECT_NE(metrics.status().message().find("injected"), std::string::npos)
+      << metrics.status().ToString();
+  EXPECT_EQ(batches, 3);
+  const PlanCacheStats after = cache_.Snapshot();
+  const uint64_t lookups = (after.hits - before.hits) + (after.misses - before.misses);
+  EXPECT_LT(lookups, 2 * kFloor / 10) << "serve lanes ran on after the migration lane failed";
+  for (size_t i = 0; i < fleet->size(); ++i) {
+    TenantShard* shard = fleet->shard(i);
+    EXPECT_EQ(shard->step(), applied[i]) << "shard " << i;
+    EXPECT_EQ(shard->published_step(), applied[i]) << "shard " << i;
+    EXPECT_FALSE(shard->db()->HasPendingMigration()) << "shard " << i << " kept a journal";
   }
 }
 
