@@ -25,8 +25,11 @@
 # src/core/virtual_catalog.cc (candidate-schema metadata built on first
 # lookup), src/core/workload.cc (the per-query cost estimate),
 # src/core/schema_advisor.cc (the design advisor's climb),
-# src/ga/genetic.cc (GAA's genetic algorithm) and
-# src/storage/persistence.cc (the superblock and journal decoder). With gcovr
+# src/ga/genetic.cc (GAA's genetic algorithm),
+# src/storage/persistence.cc (the superblock and journal decoder),
+# src/core/logical_schema.cc (the name index and the FK-chain table),
+# src/core/physical_schema.cc (Validate's checks) and
+# src/core/operators.cc (the three migration operators). With gcovr
 # installed, writes coverage.xml (Cobertura) and coverage.txt into the
 # build dir for CI to upload; without it, falls back to plain gcov for the
 # floor check and skips the report artifact.
@@ -71,6 +74,9 @@ target_files=(
   "src/core/schema_advisor.cc"
   "src/ga/genetic.cc"
   "src/storage/persistence.cc"
+  "src/core/logical_schema.cc"
+  "src/core/physical_schema.cc"
+  "src/core/operators.cc"
 )
 
 if command -v gcovr >/dev/null 2>&1; then

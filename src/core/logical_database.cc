@@ -173,7 +173,8 @@ Result<TableRowPlan> LogicalDatabase::PlanTableRows(const PhysicalSchema& schema
   for (const Column& col : ts.columns()) {
     PSE_ASSIGN_OR_RETURN(AttrId a, logical_->AttrByName(col.name));
     const LogicalAttribute& attr = logical_->attr(a);
-    PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, logical_->FkPath(plan.anchor, attr.entity));
+    PSE_ASSIGN_OR_RETURN(std::span<const AttrId> path,
+                         logical_->FkPath(plan.anchor, attr.entity));
     TableRowPlan::Column out;
     out.type = attr.type;
     EntityId entity = plan.anchor;

@@ -13,7 +13,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/type.h"
@@ -47,6 +50,10 @@ struct LogicalEntity {
 };
 
 /// \brief The attribute/entity/relationship universe.
+///
+/// Name and FK-chain lookups read indexes that the Add* calls keep current,
+/// so a built schema answers them without searching and without allocating.
+/// A schema is immutable once built; concurrent lookups are then safe.
 class LogicalSchema {
  public:
   /// Adds an entity along with its key attribute (BIGINT by default; string
@@ -67,24 +74,48 @@ class LogicalSchema {
   const LogicalAttribute& attr(AttrId a) const { return attrs_[a]; }
 
   Result<EntityId> EntityByName(const std::string& name) const;
+  /// The attribute named `name` ignoring case; the first added wins when
+  /// two share a name (only an entity key can repeat one).
   Result<AttrId> AttrByName(const std::string& name) const;
 
   /// True if `from` reaches `to` through a chain of many-to-one FKs
   /// (or from == to).
   bool Reaches(EntityId from, EntityId to) const;
 
-  /// The FK attributes along the (unique shortest) chain from -> to.
-  /// Empty when from == to; NotFound when unreachable. When multiple chains
-  /// exist the lexicographically-first shortest one is returned.
-  Result<std::vector<AttrId>> FkPath(EntityId from, EntityId to) const;
+  /// The FK attributes along the shortest chain from -> to, a view into the
+  /// schema's chain table that stays valid while the schema does. Empty
+  /// when from == to; NotFound when unreachable. Among equally short chains
+  /// the one a breadth-first search in attribute-id order meets first is
+  /// returned.
+  Result<std::span<const AttrId>> FkPath(EntityId from, EntityId to) const;
 
   /// The unique entity among `entities` that reaches all the others, or
   /// NotFound. This is the natural anchor of an attribute group.
   Result<EntityId> CommonAnchor(const std::vector<EntityId>& entities) const;
 
  private:
+  /// Refills fk_chains_ with one breadth-first search per source entity.
+  void RebuildFkChains();
+
+  /// Hash and equality of names ignoring ASCII case; transparent, so a
+  /// lookup by std::string_view builds no key.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const;
+  };
+  struct NameEq {
+    using is_transparent = void;
+    bool operator()(std::string_view a, std::string_view b) const;
+  };
+
   std::vector<LogicalEntity> entities_;
   std::vector<LogicalAttribute> attrs_;
+  /// Attribute id by name ignoring case; the first added keeps a name.
+  std::unordered_map<std::string, AttrId, NameHash, NameEq> attr_index_;
+  /// fk_chains_[from * num_entities() + to]: the chain's FK attributes, or
+  /// nullopt when `to` is unreachable. Rebuilt by AddEntity and
+  /// AddForeignKey (a plain attribute adds no FK edge).
+  std::vector<std::optional<std::vector<AttrId>>> fk_chains_;
 };
 
 /// Per-attribute statistics used to synthesize virtual-table statistics.

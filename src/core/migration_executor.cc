@@ -200,7 +200,8 @@ Result<MigrationExecutor::OpPlan> MigrationExecutor::BuildPlan(const MigrationOp
         left_join_col = left_ts.key_columns()[0];
         right_join_col = right_ts.key_columns()[0];
       } else {
-        PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, L.FkPath(left.anchor, right.anchor));
+        PSE_ASSIGN_OR_RETURN(std::span<const AttrId> path,
+                             L.FkPath(left.anchor, right.anchor));
         left_join_col = L.attr(path.back()).name;
         right_join_col = right_ts.key_columns()[0];
       }

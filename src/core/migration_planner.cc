@@ -61,18 +61,16 @@ struct SweepOutcome {
 };
 
 /// Enumerates the dependency-closed subsets of `ops` in ascending-mask order
-/// and costs each as it is enumerated. On equal cost the later (larger, more
-/// progressed) subset wins.
+/// and costs each as it is enumerated, applying each subset's operators in
+/// `topo`, the operator set's dependency order. On equal cost the later
+/// (larger, more progressed) subset wins.
 Result<SweepOutcome> SweepClosedSubsets(const MigrationContext& ctx, const std::vector<int>& ops,
-                                        const LogicalStats& stats,
+                                        const std::vector<int>& topo, const LogicalStats& stats,
                                         const std::vector<double>& freqs,
                                         const CostOptions& cost_options,
                                         CachedCostEstimator* estimator) {
   const size_t k = ops.size();
   SweepOutcome out;
-  // One topological sort serves every candidate (ApplySubset would recompute
-  // it per subset — measurable across a 2^m sweep).
-  PSE_ASSIGN_OR_RETURN(std::vector<int> topo, ctx.opset->TopologicalOrder());
   for (uint64_t mask = 0; mask < (1ull << k); ++mask) {
     std::vector<int> subset;
     for (size_t b = 0; b < k; ++b) {
@@ -150,12 +148,14 @@ Result<double> EstimateOperatorIo(const MigrationOperator& op, const PhysicalSch
 Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase,
                                size_t observed_phase, size_t max_ops,
                                const AnalysisOptions& analysis) {
+  Stopwatch wall;
   std::vector<int> remaining = ctx.RemainingOps();
   const size_t m = remaining.size();
   PSE_RETURN_NOT_OK(CheckPhase(ctx, current_phase));
   PSE_RETURN_NOT_OK(CheckPhase(ctx, observed_phase));
   PSE_RETURN_NOT_OK(GateContext(ctx));
-  Stopwatch wall;
+  // One topological sort serves every sweep and the winner's ordering.
+  PSE_ASSIGN_OR_RETURN(std::vector<int> topo, ctx.opset->TopologicalOrder());
   const std::vector<double>& freqs = (*ctx.phase_freqs)[observed_phase];
   const LogicalStats& stats = ctx.StatsAt(observed_phase);
   CostOptions cost_options;
@@ -175,8 +175,8 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
           "LAA is exhaustive (2^m); m=" + std::to_string(m) + " exceeds the guard of " +
           std::to_string(max_ops) + " — use GAA or enable interaction-analysis pruning");
     }
-    PSE_ASSIGN_OR_RETURN(SweepOutcome sweep, SweepClosedSubsets(ctx, remaining, stats, freqs,
-                                                                cost_options, &estimator));
+    PSE_ASSIGN_OR_RETURN(SweepOutcome sweep, SweepClosedSubsets(ctx, remaining, topo, stats,
+                                                                freqs, cost_options, &estimator));
     result.schemas_evaluated = sweep.evaluated;
     result.best_cost = sweep.best_cost;
     best_subset = std::move(sweep.best_subset);
@@ -214,8 +214,9 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
       LaaClusterInfo info;
       info.ops = cluster.ops;
       // Dependencies never cross clusters, so closure is cluster-local.
-      PSE_ASSIGN_OR_RETURN(SweepOutcome sweep, SweepClosedSubsets(ctx, cluster.ops, stats, masked,
-                                                                  cost_options, &estimator));
+      PSE_ASSIGN_OR_RETURN(SweepOutcome sweep,
+                           SweepClosedSubsets(ctx, cluster.ops, topo, stats, masked,
+                                              cost_options, &estimator));
       info.schemas_evaluated = sweep.evaluated;
       info.best_cost = sweep.best_cost;
       info.chosen = sweep.best_subset;
@@ -228,7 +229,6 @@ Result<LaaResult> SelectOpsLaa(const MigrationContext& ctx, size_t current_phase
   }
 
   // Order the winner topologically for application.
-  PSE_ASSIGN_OR_RETURN(std::vector<int> topo, ctx.opset->TopologicalOrder());
   std::vector<bool> in_subset(ctx.opset->size(), false);
   for (int i : best_subset) in_subset[static_cast<size_t>(i)] = true;
   for (int i : topo) {
@@ -283,7 +283,13 @@ int FirstInvalidGene(const OperatorSet& opset, const std::vector<int>& remaining
 PhaseSchemaMemo::PhaseSchemaMemo(const MigrationContext& ctx, double unservable_penalty)
     : ctx_(&ctx),
       unservable_penalty_(unservable_penalty),
+      topo_(ctx.opset->TopologicalOrder()),
       current_(*ctx.current, ctx.num_phases()) {}
+
+Result<const std::vector<int>*> PhaseSchemaMemo::TopologicalOrder() const {
+  PSE_RETURN_NOT_OK(topo_.status());
+  return &*topo_;
+}
 
 Result<PhaseSchemaMemo::Entry*> PhaseSchemaMemo::Apply(const Entry& before, int op,
                                                        std::vector<bool>* applied) {
@@ -348,7 +354,14 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
     return Status::InvalidArgument(
         "the phase-schema memo was built for another context or unservable penalty");
   }
-  PSE_ASSIGN_OR_RETURN(std::vector<int> topo, ctx.opset->TopologicalOrder());
+  // A memo sorts the operators once per planning call.
+  std::vector<int> unmemoized_topo;
+  const std::vector<int>* topo = &unmemoized_topo;
+  if (memo != nullptr) {
+    PSE_ASSIGN_OR_RETURN(topo, memo->TopologicalOrder());
+  } else {
+    PSE_ASSIGN_OR_RETURN(unmemoized_topo, ctx.opset->TopologicalOrder());
+  }
   std::vector<int> offset_of(ctx.opset->size(), -1);
   for (size_t i = 0; i < remaining_ops.size(); ++i) {
     offset_of[static_cast<size_t>(remaining_ops[i])] = assignment[i];
@@ -385,7 +398,7 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
   for (size_t off = 0; off < phases_left; ++off) {
     const size_t phase = current_phase + off;
     // Apply the ops assigned to this offset, in topological order.
-    for (int i : topo) {
+    for (int i : *topo) {
       if (offset_of[static_cast<size_t>(i)] == static_cast<int>(off)) {
         if (options.include_migration_cost) {
           PSE_ASSIGN_OR_RETURN(double io,
@@ -408,7 +421,7 @@ Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_ph
   // Deferred operators (offset == phases_left) run in the completion step;
   // only their data movement can cost anything.
   if (options.include_migration_cost) {
-    for (int i : topo) {
+    for (int i : *topo) {
       if (offset_of[static_cast<size_t>(i)] == static_cast<int>(phases_left)) {
         PSE_ASSIGN_OR_RETURN(
             double io, EstimateOperatorIo(ctx.opset->ops[static_cast<size_t>(i)], *schema,
@@ -461,7 +474,6 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
                           const GaaOptions& options) {
   PSE_RETURN_NOT_OK(CheckPhase(ctx, current_phase));
   PSE_RETURN_NOT_OK(GateContext(ctx));
-  Stopwatch wall;
   GaaResult result;
   result.remaining_ops = ctx.RemainingOps();
   const size_t m = result.remaining_ops.size();
@@ -538,7 +550,6 @@ Result<GaaResult> PlanGaa(const MigrationContext& ctx, size_t current_phase,
   if (options.analysis.cost_cache != nullptr) {
     result.cache_stats = options.analysis.cost_cache->Snapshot() - cache_before;
   }
-  result.wall_ms = wall.ElapsedSeconds() * 1000.0;
   return result;
 }
 

@@ -77,7 +77,8 @@ struct LaaResult {
   std::vector<LaaClusterInfo> clusters;
   /// Cost-cache activity of this run (all zeros when no cache was passed).
   CostCacheStats cache_stats;
-  /// Wall-clock time of this planning run, milliseconds.
+  /// Wall-clock time of this planning run from entry, its input checks and
+  /// verifier gate included, milliseconds.
   double wall_ms = 0;
 };
 
@@ -133,8 +134,6 @@ struct GaaResult {
   /// Cost-cache activity of this run (all zeros when no cache was passed):
   /// one lookup per query of each (operator set, phase) pair it prices.
   CostCacheStats cache_stats;
-  /// Wall-clock time of this planning run, milliseconds.
-  double wall_ms = 0;
   /// Ops assigned to offset 0, in dependency order — what to apply now.
   std::vector<int> ApplyNow() const;
 };
@@ -152,13 +151,13 @@ Result<GaaResult> PlanExhaustiveGlobal(const MigrationContext& ctx, size_t curre
 /// keyed by the set of operators applied on top of the call's current schema.
 ///
 /// Algorithm 2 prices every phase of every assignment it scores, yet
-/// assignments share most (operator set, phase) pairs. The memo builds and
-/// validates each distinct schema once and prices each pair once. The price
-/// is exact: a phase cost depends only on the schema, the phase's statistics
-/// and frequencies, the object schema and the unservable penalty, and a memo
-/// is bound to its `ctx` and its penalty. Safe to share between threads;
-/// entries never move, so a returned pointer stays valid for the memo's
-/// lifetime.
+/// assignments share most (operator set, phase) pairs. The memo sorts the
+/// operators once, builds and validates each distinct schema once and prices
+/// each pair once. The price is exact: a phase cost depends only on the
+/// schema, the phase's statistics and frequencies, the object schema and the
+/// unservable penalty, and a memo is bound to its `ctx` and its penalty.
+/// Safe to share between threads; entries never move, so a returned pointer
+/// stays valid for the memo's lifetime.
 class PhaseSchemaMemo {
  public:
   /// One operator set's schema and its cost at each phase.
@@ -180,6 +179,9 @@ class PhaseSchemaMemo {
 
   const MigrationContext& context() const { return *ctx_; }
   double unservable_penalty() const { return unservable_penalty_; }
+  /// The context's operators in dependency order, sorted once when the memo
+  /// is built; InvalidArgument on a dependency cycle.
+  Result<const std::vector<int>*> TopologicalOrder() const;
 
   /// The empty set's entry.
   Entry* current() { return &current_; }
@@ -200,6 +202,7 @@ class PhaseSchemaMemo {
  private:
   const MigrationContext* ctx_;
   double unservable_penalty_;
+  Result<std::vector<int>> topo_;
   Entry current_;
   mutable std::mutex mu_;
   std::unordered_map<std::vector<bool>, Entry> entries_;
@@ -212,11 +215,12 @@ class PhaseSchemaMemo {
 /// an operator a gene outside [0, phases left] or before the gene of one of
 /// its remaining prerequisites.
 /// `estimator` optionally memoizes the per-query costings and `memo` the
-/// phase schemas and phase costs (null = rebuild and reprice every phase,
-/// the unmemoized reference; results are identical either way). A memo must
-/// come from the same `ctx` and `options.unservable_penalty`, or the call
-/// returns InvalidArgument. The data-movement term of
-/// `options.include_migration_cost` is computed per call.
+/// dependency order, phase schemas and phase costs (null = sort, rebuild and
+/// reprice every phase, the unmemoized reference; results are identical
+/// either way). A memo must come from the same `ctx` and
+/// `options.unservable_penalty`, or the call returns InvalidArgument. The
+/// data-movement term of `options.include_migration_cost` is computed per
+/// call.
 Result<double> EvaluateAssignment(const MigrationContext& ctx, size_t current_phase,
                                   const std::vector<int>& remaining_ops,
                                   const std::vector<int>& assignment,

@@ -1,7 +1,6 @@
 #include "core/physical_schema.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/string_util.h"
 
@@ -14,13 +13,15 @@ bool PhysicalTable::Contains(AttrId a) const {
 std::vector<AttrId> PhysicalSchema::CompleteAttrSet(const LogicalSchema& logical,
                                                     EntityId anchor,
                                                     const std::vector<AttrId>& nonkey_attrs) {
-  std::set<AttrId> out(nonkey_attrs.begin(), nonkey_attrs.end());
-  out.insert(logical.entity(anchor).key);
+  std::vector<AttrId> out = nonkey_attrs;
+  out.push_back(logical.entity(anchor).key);
   // Key of every entity with a non-key attribute present.
   for (AttrId a : nonkey_attrs) {
-    out.insert(logical.entity(logical.attr(a).entity).key);
+    out.push_back(logical.entity(logical.attr(a).entity).key);
   }
-  return std::vector<AttrId>(out.begin(), out.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 Status PhysicalSchema::AddTable(const std::string& name, EntityId anchor,
@@ -47,22 +48,31 @@ void PhysicalSchema::AddRawTable(PhysicalTable t) {
 
 Status PhysicalSchema::Validate() const {
   const LogicalSchema& L = *logical_;
-  std::map<AttrId, int> nonkey_count;
-  std::set<std::string> names;
-  for (const auto& t : tables_) {
-    if (!names.insert(ToLower(t.name)).second) {
-      return Status::Internal("duplicate table name '" + t.name + "'");
+  // Flat scratch, tables numbered from 1 so that 0 means none: per
+  // attribute, the last table storing it and how many tables store it as a
+  // non-key attribute; per entity, the last table storing one of its
+  // non-key attributes.
+  std::vector<size_t> stored_in(L.num_attributes(), 0);
+  std::vector<size_t> nonkey_count(L.num_attributes(), 0);
+  std::vector<size_t> embedded_in(L.num_entities(), 0);
+  for (size_t ti = 0; ti < tables_.size(); ++ti) {
+    const PhysicalTable& t = tables_[ti];
+    const size_t mark = ti + 1;
+    for (size_t earlier = 0; earlier < ti; ++earlier) {
+      if (EqualsIgnoreCase(tables_[earlier].name, t.name)) {
+        return Status::Internal("duplicate table name '" + t.name + "'");
+      }
     }
+    for (AttrId a : t.attrs) stored_in[a] = mark;
     // 1. anchor key present.
-    if (!t.Contains(L.entity(t.anchor).key)) {
+    if (stored_in[L.entity(t.anchor).key] != mark) {
       return Status::Internal("table '" + t.name + "' is missing its anchor key");
     }
-    std::set<EntityId> nonkey_entities;
     for (AttrId a : t.attrs) {
       const LogicalAttribute& attr = L.attr(a);
       if (!attr.is_key) {
         ++nonkey_count[a];
-        nonkey_entities.insert(attr.entity);
+        embedded_in[attr.entity] = mark;
       }
       // 4. chain FKs present for every foreign entity attribute.
       if (attr.entity != t.anchor) {
@@ -72,7 +82,7 @@ Status PhysicalSchema::Validate() const {
                                   "' of entity unreachable from anchor");
         }
         for (AttrId fk : *path) {
-          if (!t.Contains(fk)) {
+          if (stored_in[fk] != mark) {
             return Status::Internal("table '" + t.name + "': missing chain FK '" +
                                     L.attr(fk).name + "' for attr '" + attr.name + "'");
           }
@@ -84,14 +94,14 @@ Status PhysicalSchema::Validate() const {
       const LogicalAttribute& attr = L.attr(a);
       if (!attr.is_key) continue;
       if (attr.entity == t.anchor) continue;
-      if (nonkey_entities.count(attr.entity) == 0) {
+      if (embedded_in[attr.entity] != mark) {
         return Status::Internal("table '" + t.name + "': unjustified key attr '" + attr.name +
                                 "'");
       }
     }
-    // 3b. keys present for all embedded entities.
-    for (EntityId e : nonkey_entities) {
-      if (!t.Contains(L.entity(e).key)) {
+    // 3b. keys present for all embedded entities, in entity order.
+    for (EntityId e = 0; e < L.num_entities(); ++e) {
+      if (embedded_in[e] == mark && stored_in[L.entity(e).key] != mark) {
         return Status::Internal("table '" + t.name + "': missing key of embedded entity '" +
                                 L.entity(e).name + "'");
       }
@@ -99,10 +109,10 @@ Status PhysicalSchema::Validate() const {
   }
   // 2. non-key attrs appear at most once (not every attr must be placed —
   // "new" attributes are absent until their CreateTable runs).
-  for (const auto& [a, count] : nonkey_count) {
-    if (count > 1) {
+  for (AttrId a = 0; a < nonkey_count.size(); ++a) {
+    if (nonkey_count[a] > 1) {
       return Status::Internal("non-key attr '" + L.attr(a).name + "' stored in " +
-                              std::to_string(count) + " tables");
+                              std::to_string(nonkey_count[a]) + " tables");
     }
   }
   return Status::OK();

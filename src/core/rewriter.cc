@@ -103,7 +103,8 @@ Status Rewriter::LinkTable(size_t t) {
     if (table.Contains(anchor_key)) {
       use.link_attr = anchor_key;
     } else {
-      PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, L_.FkPath(table.anchor, q_.anchor));
+      PSE_ASSIGN_OR_RETURN(std::span<const AttrId> path,
+                           L_.FkPath(table.anchor, q_.anchor));
       AttrId last_fk = path.back();
       if (!table.Contains(last_fk)) {
         return Status::Internal("denormalized table '" + table.name +
@@ -121,7 +122,8 @@ Status Rewriter::LinkTable(size_t t) {
     use.cols.insert(parent_key);
     // The FK carrying parent-key values per anchor row lives elsewhere;
     // resolve it recursively and record the join.
-    PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, L_.FkPath(q_.anchor, table.anchor));
+    PSE_ASSIGN_OR_RETURN(std::span<const AttrId> path,
+                         L_.FkPath(q_.anchor, table.anchor));
     AttrId last_fk = path.back();
     PSE_ASSIGN_OR_RETURN(size_t fk_table, ResolveAttr(last_fk));
     if (fk_table != t) {

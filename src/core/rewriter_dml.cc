@@ -53,7 +53,7 @@ AttrId AttrAtCol(const LogicalSchema& lg, const PhysicalTable& t, size_t c) {
 /// `e` directly). Invariant 4 guarantees it is stored whenever any attribute
 /// of `e` is.
 Result<size_t> FkColInto(const LogicalSchema& lg, const PhysicalTable& t, EntityId e) {
-  PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, lg.FkPath(t.anchor, e));
+  PSE_ASSIGN_OR_RETURN(std::span<const AttrId> path, lg.FkPath(t.anchor, e));
   if (path.empty()) return Status::Internal("FK chain into own anchor");
   return ColOf(lg, t, path.back());
 }
@@ -223,7 +223,7 @@ Result<Value> ResolveChainKey(const ResolveCtx& ctx, EntityId from, const Value&
                               EntityId to, const std::map<AttrId, Value>* overrides) {
   if (from == to) return from_key;
   const LogicalSchema& lg = *ctx.schema->logical();
-  PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, lg.FkPath(from, to));
+  PSE_ASSIGN_OR_RETURN(std::span<const AttrId> path, lg.FkPath(from, to));
   EntityId cur = from;
   Value cur_key = from_key;
   for (AttrId fk : path) {

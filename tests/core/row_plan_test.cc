@@ -43,7 +43,7 @@ Result<Value> OracleValue(const LogicalDatabase& data, EntityId anchor, const Ro
   const LogicalSchema& L = data.logical();
   const EntityId target = L.attr(attr).entity;
   if (target == anchor) return data.AttrOfRow(anchor, anchor_row, attr);
-  PSE_ASSIGN_OR_RETURN(std::vector<AttrId> path, L.FkPath(anchor, target));
+  PSE_ASSIGN_OR_RETURN(std::span<const AttrId> path, L.FkPath(anchor, target));
   tally->max_hops = std::max(tally->max_hops, path.size());
   EntityId cur_entity = anchor;
   const Row* cur_row = &anchor_row;

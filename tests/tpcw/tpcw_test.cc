@@ -44,6 +44,12 @@ TEST(TpcwSchemaTest, OperatorSetShape) {
   EXPECT_EQ(creates, 2u);
   EXPECT_EQ(splits, 1u);
   EXPECT_EQ(combines, 5u);
+  // Fig 7's dependency DAG, 4 edges: Combine#3 (item + abstract) needs
+  // Create#0 (i_abstract); Combine#4 (+ author) needs Combine#3; Combine#5
+  // (profile + tier) needs Create#1 (c_tier) and Split#2 (the customer
+  // split). The other operators are independent.
+  const std::vector<std::vector<int>> want_deps = {{}, {}, {}, {0}, {3}, {1, 2}, {}, {}};
+  EXPECT_EQ(opset->deps, want_deps);
   // Applying everything reaches the object schema (also asserted inside
   // ComputeOperatorSet, re-checked here).
   PhysicalSchema check = schema->source;
